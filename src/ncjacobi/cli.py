@@ -29,7 +29,7 @@ from .paths import (
     motzkin_number,
     path_weight,
 )
-from .words import Word, enumerate_words
+from .words import Word, words_up_to
 
 
 class CliFailure(Exception):
@@ -57,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         choices=("paths", "operator"),
-        default="paths",
-        help="weighted path sums or operator corner entries (default paths)",
+        default="operator",
+        help="Fock-vector products of the letter operators (default operator), "
+        "or weighted path sums as an independent oracle",
     )
     p.add_argument("--tolerance", type=float, default=None)
 
@@ -103,9 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_family(path: str):
+def _load(loader, path: str):
+    """Run a jsonio loader; unreadable or malformed input exits 2."""
     try:
-        return jsonio.load_family(path)
+        return loader(path)
     except FileNotFoundError as exc:
         raise CliFailure(f"error: cannot read {path}: {exc}", 2) from exc
     except json.JSONDecodeError as exc:
@@ -114,45 +116,34 @@ def _load_family(path: str):
         raise CliFailure(f"error: {exc}", 2) from exc
 
 
-def _load_moments(path: str):
-    try:
-        return jsonio.load_moments(path)
-    except FileNotFoundError as exc:
-        raise CliFailure(f"error: cannot read {path}: {exc}", 2) from exc
-    except json.JSONDecodeError as exc:
-        raise CliFailure(f"error: {path} is not valid JSON: {exc}", 2) from exc
-    except jsonio.SchemaError as exc:
-        raise CliFailure(f"error: {exc}", 2) from exc
+def _tol(args, default: float = DEFAULT_POSITIVITY_TOL) -> float:
+    return args.tolerance if args.tolerance is not None else default
 
 
-def _require_admissible(family, path: str, tol: float | None):
-    report = validate(family, tol=tol if tol is not None else DEFAULT_VALIDATE_TOL)
+def _require_admissible(family, args):
+    report = validate(family, tol=_tol(args, DEFAULT_VALIDATE_TOL))
     if not report.ok:
         raise CliFailure(
-            f"FAIL: family {path}: {report.violations[0]}"
+            f"FAIL: family {args.family}: {report.violations[0]}"
             + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
             1,
         )
 
 
 def cmd_moments(args) -> int:
-    family = _load_family(args.family)
+    family = _load(jsonio.load_family, args.family)
     if args.max_degree < 0:
         raise CliFailure("error: --max-degree must be >= 0", 2)
-    _require_admissible(family, args.family, args.tolerance)
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_POSITIVITY_TOL
+    _require_admissible(family, args)
+    tol = _tol(args)
     try:
         if args.engine == "operator":
             phi = favard_moments(family, args.max_degree, tol=tol)
         else:
             table = {}
-            for n in range(0, 2 * args.max_degree + 2):
-                for w in enumerate_words(family.alphabet, n):
-                    if w in table:
-                        continue
-                    val = moments_from_paths(family, w)
-                    table[w] = val
-                    table[w.involute()] = val
+            for w in words_up_to(family.alphabet, 2 * args.max_degree + 1):
+                if w not in table:
+                    table[w] = table[w.involute()] = moments_from_paths(family, w)
             phi = MomentFunctional(family.alphabet, args.max_degree, table)
             if not phi.is_strictly_positive(args.max_degree, tol=tol):
                 raise NotStrictlyPositiveError(
@@ -161,24 +152,19 @@ def cmd_moments(args) -> int:
     except (ValueError, NotStrictlyPositiveError) as exc:
         raise CliFailure(f"FAIL: {exc}", 1) from exc
     jsonio.save_moments(args.out, phi)
-    count = len(phi.to_json_obj()["moments"])
     print(
-        f"ok: wrote {count} moments of degree <= {args.max_degree} "
+        f"ok: wrote {phi.values.size} moments of degree <= {args.max_degree} "
         f"(words up to length {phi.word_bound}) to {args.out}"
     )
     return 0
 
 
 def cmd_jacobi(args) -> int:
-    phi = _load_moments(args.moments)
+    phi = _load(jsonio.load_moments, args.moments)
     if args.depth < 0:
         raise CliFailure("error: --depth must be >= 0", 2)
     try:
-        family = jacobi_from_moments(
-            phi,
-            args.depth,
-            tol=args.tolerance if args.tolerance is not None else DEFAULT_POSITIVITY_TOL,
-        )
+        family = jacobi_from_moments(phi, args.depth, tol=_tol(args))
     except NotStrictlyPositiveError as exc:
         raise CliFailure(f"FAIL: {exc}", 1) from exc
     except ValueError as exc:
@@ -189,7 +175,7 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_orthonormalize(args) -> int:
-    phi = _load_moments(args.moments)
+    phi = _load(jsonio.load_moments, args.moments)
     if args.depth < 0:
         raise CliFailure("error: --depth must be >= 0", 2)
     if args.depth > phi.max_degree:
@@ -197,11 +183,7 @@ def cmd_orthonormalize(args) -> int:
             f"error: depth {args.depth} exceeds table degree {phi.max_degree}", 2
         )
     try:
-        basis = orthonormalize(
-            phi,
-            args.depth,
-            tol=args.tolerance if args.tolerance is not None else DEFAULT_POSITIVITY_TOL,
-        )
+        basis = orthonormalize(phi, args.depth, tol=_tol(args))
     except NotStrictlyPositiveError as exc:
         raise CliFailure(f"FAIL: {exc}", 1) from exc
     jsonio.write_json(args.out, basis.to_json_obj())
@@ -223,11 +205,7 @@ def cmd_freeproduct(args) -> int:
     labels = ",".join(rec.label for rec in recurrences)
     print(f"ok: wrote depth-{args.depth} family for {labels} to {args.out}")
     if args.basis is not None:
-        words = [
-            w
-            for n in range(args.depth + 1)
-            for w in enumerate_words(family.alphabet, n)
-        ]
+        words = words_up_to(family.alphabet, args.depth)
         obj = {
             "N": family.alphabet,
             "depth": args.depth,
@@ -270,7 +248,7 @@ def cmd_paths(args) -> int:
         "paths": [p.to_json_obj() for p in paths],
     }
     if args.family is not None:
-        family = _load_family(args.family)
+        family = _load(jsonio.load_family, args.family)
         try:
             weights = [path_weight(family, p) for p in paths]
         except (ValueError, KeyError) as exc:
@@ -291,9 +269,8 @@ def cmd_verify(args) -> int:
         raise CliFailure("error: verify needs exactly one of --family / --moments", 2)
     failures = 0
     if args.family is not None:
-        family = _load_family(args.family)
-        tol = args.tolerance if args.tolerance is not None else DEFAULT_VALIDATE_TOL
-        report = validate(family, tol=tol)
+        family = _load(jsonio.load_family, args.family)
+        report = validate(family, tol=_tol(args, DEFAULT_VALIDATE_TOL))
         if report.ok:
             print(
                 f"ok: family {args.family} admissible "
@@ -304,7 +281,7 @@ def cmd_verify(args) -> int:
                 print(f"FAIL: family {args.family}: {violation}")
             failures += len(report.violations)
     else:
-        phi = _load_moments(args.moments)
+        phi = _load(jsonio.load_moments, args.moments)
         print(f"ok: moment table unital and reversal-symmetric (loaded {args.moments})")
         check_depth = min(phi.word_bound, 4)
         table = kernel_table(phi, check_depth)
@@ -322,7 +299,7 @@ def cmd_verify(args) -> int:
             raise CliFailure(
                 f"error: --depth {depth} exceeds table degree {phi.max_degree}", 2
             )
-        tol = args.tolerance if args.tolerance is not None else DEFAULT_POSITIVITY_TOL
+        tol = _tol(args)
         report = phi.gram(depth, tol=tol)
         if report.positive:
             print(

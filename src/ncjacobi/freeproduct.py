@@ -21,7 +21,7 @@ import numpy as np
 
 from .jacobi import AdmissibleFamily
 from .ncpoly import NcPolynomial
-from .words import Word, block_decompose, enumerate_words
+from .words import Word, block_decompose, enumerate_words, words_up_to
 
 
 @dataclass(frozen=True)
@@ -156,15 +156,12 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
     A: dict[tuple[int, int], np.ndarray] = {}
     B: dict[tuple[int, int], np.ndarray] = {}
     for n in range(1, depth + 1):
-        cols = enumerate_words(N, n - 1)
-        row_index = {w: i for i, w in enumerate(enumerate_words(N, n))}
         for k in range(1, N + 1):
             rec = recurrences[k - 1]
             m = np.zeros((N**n, N ** (n - 1)))
-            for j, tau in enumerate(cols):
-                run = tau.leading_run(k)
-                row = row_index[Word((k,) + tau.letters, N)]
-                m[row, j] = rec.a_at(run + 1)
+            for j, tau in enumerate(enumerate_words(N, n - 1)):
+                # the word k tau has rank (k - 1) N^(n-1) + rank(tau)
+                m[(k - 1) * N ** (n - 1) + j, j] = rec.a_at(tau.leading_run(k) + 1)
             A[(n, k)] = m
     for n in range(0, depth + 1):
         diag_words = enumerate_words(N, n)
@@ -241,11 +238,7 @@ def verify_three_term(
         raise ValueError("depth must be >= 1")
     N = len(recurrences)
     family = build(recurrences, depth)
-    polys = {
-        w: product_polynomial(recurrences, w)
-        for n in range(depth + 1)
-        for w in enumerate_words(N, n)
-    }
+    polys = {w: product_polynomial(recurrences, w) for w in words_up_to(N, depth)}
     residuals: dict[tuple[int, int], float] = {}
     for n in range(depth):
         rows_up = enumerate_words(N, n + 1)

@@ -9,6 +9,8 @@ symmetric triangular factorization of the Gram matrix of monomials.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -16,7 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import Word, block_decompose, enumerate_words, graded_rank, words_up_to
+from .words import Word, enumerate_words, letters_up_to, level_offsets, reversal_index
+from .words import word_at, words_up_to
 
 DEFAULT_POSITIVITY_TOL = 1e-10
 DEFAULT_SYMMETRY_TOL = 1e-12
@@ -31,8 +34,8 @@ def upper_cholesky(mat: np.ndarray, tol: float = DEFAULT_POSITIVITY_TOL):
 
     Returns ``(R, pivots, completed)``.  ``pivots`` are the successive Schur
     complements of the diagonal (the LDL^T diagonal); the factorization stops
-    at the first pivot <= tol, in which case ``R`` is None and ``completed``
-    is False.
+    at the first pivot that is not > tol (a NaN pivot included), in which case
+    ``R`` is None and ``completed`` is False.
     """
     a = np.asarray(mat, dtype=float)
     n = a.shape[0]
@@ -43,7 +46,7 @@ def upper_cholesky(mat: np.ndarray, tol: float = DEFAULT_POSITIVITY_TOL):
     for j in range(n):
         d = a[j, j] - r[:j, j] @ r[:j, j]
         pivots.append(float(d))
-        if d <= tol:
+        if not d > tol:
             return None, pivots, False
         r[j, j] = math.sqrt(d)
         r[j, j + 1 :] = (a[j, j + 1 :] - r[:j, j] @ r[:j, j + 1 :]) / r[j, j]
@@ -60,6 +63,7 @@ class GramReport:
     pivots: list[float]
     min_pivot: float
     positive: bool
+    factor: np.ndarray | None  # upper triangular R with gram = R^T R, if positive
 
 
 @dataclass
@@ -71,9 +75,11 @@ class HankelReport:
 class MomentFunctional:
     """Dense moment table s_w for all |w| <= 2*max_degree (+ optional odd top).
 
-    The table must be unital (s_empty = 1) and symmetric under word reversal.
-    A complete extra level of length 2*max_degree + 1 may be present; it is
-    what makes the top diagonal-correction blocks recoverable from moments.
+    The table must be unital (s_empty = 1), finite and symmetric under word
+    reversal.  A complete extra level of length 2*max_degree + 1 may be
+    present; it is what makes the top diagonal-correction blocks recoverable
+    from moments.  Moments are stored as one float64 array indexed by graded
+    rank, read-only as ``values``.
     """
 
     def __init__(
@@ -83,59 +89,85 @@ class MomentFunctional:
         moments: Mapping[Word, float],
         symmetry_tol: float = DEFAULT_SYMMETRY_TOL,
     ):
-        if alphabet < 1:
-            raise ValueError("alphabet size must be >= 1")
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.alphabet = alphabet
-        self.max_degree = max_degree
-        table: dict[Word, float] = {}
+        top = 2 * max_degree + 1
+        offs = level_offsets(alphabet, top)
+        values = np.full(offs[-1], np.nan)
+        present = np.zeros(offs[-1], dtype=bool)
         for w, v in moments.items():
-            if w.alphabet != alphabet:
-                raise ValueError(f"word {w} has alphabet {w.alphabet}, expected {alphabet}")
-            table[w] = float(v)
+            if w.alphabet != alphabet or len(w) > top:
+                raise ValueError(
+                    f"word {w} outside the N={alphabet} table, which may extend at "
+                    f"most one level past length {top - 1}"
+                )
+            values[offs[len(w)] + w.rank()] = v
+            present[offs[len(w)] + w.rank()] = True
+        size = offs[-1] if present[offs[top] :].any() else offs[top]
+        missing = np.flatnonzero(~present[:size])
+        if missing.size:
+            word = word_at(alphabet, int(missing[0]))
+            raise ValueError(f"moment table incomplete: missing word {word}")
+        self._set_values(alphabet, max_degree, values[:size], symmetry_tol)
 
-        even_bound = 2 * max_degree
-        for n in range(even_bound + 1):
-            for w in enumerate_words(alphabet, n):
-                if w not in table:
-                    raise ValueError(f"moment table incomplete: missing word {w}")
-        top = [w for w in table if len(w) > even_bound]
-        if top:
-            if any(len(w) != even_bound + 1 for w in top):
-                raise ValueError(
-                    f"moment table may extend at most one level past length {even_bound}"
-                )
-            expected = alphabet ** (even_bound + 1)
-            if len(top) != expected:
-                raise ValueError(
-                    f"odd extension incomplete: {len(top)} of {expected} words of "
-                    f"length {even_bound + 1} present"
-                )
-            self.word_bound = even_bound + 1
-        else:
-            self.word_bound = even_bound
+    @classmethod
+    def from_values(cls, alphabet: int, max_degree: int, values) -> "MomentFunctional":
+        """Table from moments listed by graded rank, with or without the odd top level."""
+        phi = cls.__new__(cls)
+        phi._set_values(alphabet, max_degree, values, DEFAULT_SYMMETRY_TOL)
+        return phi
 
-        e = Word.empty(alphabet)
-        if abs(table[e] - 1.0) > symmetry_tol:
-            raise ValueError(f"functional is not unital: s_empty = {table[e]!r}")
-        for w, v in table.items():
-            rv = table[w.involute()]
-            if abs(v - rv) > symmetry_tol * max(1.0, abs(v)):
-                raise ValueError(
-                    f"moment table not symmetric under reversal at {w}: {v} vs {rv}"
-                )
-        self._table = table
+    def _set_values(self, alphabet, max_degree, values, symmetry_tol) -> None:
+        """Store a table listed by graded rank once it is complete, finite, unital
+        and reversal-symmetric."""
+        if alphabet < 1 or max_degree < 0:
+            raise ValueError("alphabet size must be >= 1 and max_degree >= 0")
+        values = np.array(values, dtype=float)
+        offs = level_offsets(alphabet, 2 * max_degree + 1)
+        if values.shape not in ((offs[-2],), (offs[-1],)):
+            raise ValueError(
+                f"moment table incomplete: {values.size} values, expected "
+                f"{offs[-2]} (words up to length {2 * max_degree}) or {offs[-1]}"
+            )
+        self.alphabet, self.max_degree = alphabet, max_degree
+        self.word_bound = 2 * max_degree + (values.size == offs[-1])
+        rev = reversal_index(alphabet, self.word_bound)
+        bad = ~np.isfinite(values)
+        if not bad.any():
+            scale = symmetry_tol * np.maximum(1.0, np.abs(values))
+            bad = np.abs(values - values[rev]) > scale
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"moment table has a non-finite or reversal-asymmetric value at "
+                f"{word_at(alphabet, i)}: {values[i]} vs {values[rev[i]]} at its reversal"
+            )
+        if abs(values[0] - 1.0) > symmetry_tol:
+            raise ValueError(f"functional is not unital: s_empty = {values[0]!r}")
+        values.flags.writeable = False
+        self._values = values
+
+    @property
+    def values(self) -> np.ndarray:
+        """Moments of all words up to ``word_bound``, indexed by graded rank."""
+        return self._values
 
     # -- access ------------------------------------------------------------
 
     def moment(self, w: Word) -> float:
-        try:
-            return self._table[w]
-        except KeyError:
-            raise ValueError(
-                f"word {w} of length {len(w)} beyond stored bound {self.word_bound}"
-            ) from None
+        if w.alphabet == self.alphabet:
+            try:
+                return self._by_letters[w.letters]
+            except KeyError:
+                pass
+        raise ValueError(
+            f"word {w} of length {len(w)} beyond stored bound {self.word_bound} "
+            f"of the N={self.alphabet} table"
+        )
+
+    @functools.cached_property
+    def _by_letters(self) -> dict[tuple[int, ...], float]:
+        # scalar lookups by letter tuple: hashing a tuple beats computing a rank
+        letters = letters_up_to(self.alphabet, self.word_bound)
+        return dict(zip(letters, self._values.tolist()))
 
     def kernel_eval(self, alpha: Word, beta: Word) -> float:
         """K(alpha, beta) = s_{I(alpha) beta}."""
@@ -154,7 +186,8 @@ class MomentFunctional:
             raise ValueError(
                 f"polynomial degree {p.degree()} exceeds stored bound {self.word_bound}"
             )
-        return float(sum(c * self._table[w] for w, c in p.terms()))
+        lookup = self._by_letters
+        return float(sum(c * lookup[w.letters] for w, c in p.terms()))
 
     def inner(self, p: NcPolynomial, q: NcPolynomial) -> float:
         """<p, q> = phi(q^+ p)."""
@@ -168,24 +201,26 @@ class MomentFunctional:
             raise ValueError(
                 f"gram degree {degree} exceeds max_degree {self.max_degree}"
             )
-        ws = words_up_to(self.alphabet, degree)
-        m = len(ws)
-        g = np.empty((m, m))
-        for i, a in enumerate(ws):
-            for j in range(i, m):
-                b = ws[j]
-                # <X_a, X_b> = s_{I(b) a}
-                val = self.moment(b.involute().concat(a))
-                g[i, j] = val
-                g[j, i] = val
-        _, pivots, completed = upper_cholesky(g, tol=tol)
+        N, offs = self.alphabet, np.array(level_offsets(self.alphabet, 2 * degree))
+        length = np.repeat(np.arange(degree + 1), np.diff(offs[: degree + 2]))
+        start = offs[length]
+        # <X_a, X_b> = s_{I(b) a}, at graded rank offs[|a|+|b|] + rank(I(b)) N^|a| + rank(a)
+        rev = reversal_index(N, degree) - start
+        idx = (
+            offs[length[:, None] + length[None, :]]
+            + rev[None, :] * N ** length[:, None]
+            + (np.arange(len(length)) - start)[:, None]
+        )
+        g = self._values[idx]
+        r, pivots, completed = upper_cholesky(g, tol=tol)
         return GramReport(
             degree=degree,
-            words=ws,
+            words=words_up_to(N, degree),
             gram=g,
             pivots=pivots,
             min_pivot=min(pivots),
             positive=completed,
+            factor=r,
         )
 
     def is_strictly_positive(
@@ -196,14 +231,14 @@ class MomentFunctional:
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        entries = [
-            {"word": list(w.letters), "value": v}
-            for w, v in sorted(self._table.items(), key=lambda kv: graded_rank(kv[0]))
-        ]
+        letters = letters_up_to(self.alphabet, self.word_bound)
         return {
             "N": self.alphabet,
             "max_degree": self.max_degree,
-            "moments": entries,
+            "moments": [
+                {"word": list(word), "value": v}
+                for word, v in zip(letters, self._values.tolist())
+            ],
         }
 
     @classmethod
@@ -229,24 +264,15 @@ def hankel_check(
     invariance property by induction on |a|, and keep a planted defect from
     being reported more than once.  Violations are triples (a, w, t).
     """
-    for la in range(depth + 1):
-        for lb in range(depth + 1 - la):
-            for a in enumerate_words(alphabet, la):
-                for b in enumerate_words(alphabet, lb):
-                    if (a, b) not in raw:
-                        raise ValueError(f"kernel table incomplete: missing pair ({a}, {b})")
-    violations: list[tuple[Word, Word, Word]] = []
-    letters = enumerate_words(alphabet, 1)
-    for ltot in range(1, depth + 1):
-        for ls in range(ltot):
-            lt = ltot - 1 - ls
-            for alpha in letters:
-                for sigma in enumerate_words(alphabet, ls):
-                    for tau in enumerate_words(alphabet, lt):
-                        lhs = raw[(alpha.concat(sigma), tau)]
-                        rhs = raw[(sigma, alpha.involute().concat(tau))]
-                        if lhs != rhs:
-                            violations.append((alpha, sigma, tau))
+    for a, b in _kernel_pairs(alphabet, depth):
+        if (a, b) not in raw:
+            raise ValueError(f"kernel table incomplete: missing pair ({a}, {b})")
+    violations = [
+        (alpha, sigma, tau)
+        for sigma, tau in _kernel_pairs(alphabet, depth - 1)
+        for alpha in enumerate_words(alphabet, 1)
+        if raw[(alpha.concat(sigma), tau)] != raw[(sigma, alpha.involute().concat(tau))]
+    ]
     return HankelReport(ok=not violations, violations=violations)
 
 
@@ -254,13 +280,15 @@ def kernel_table(phi: MomentFunctional, depth: int) -> dict[tuple[Word, Word], f
     """Materialize K(a, b) for all pairs with |a| + |b| <= depth."""
     if depth > phi.word_bound:
         raise ValueError(f"depth {depth} exceeds stored bound {phi.word_bound}")
-    out: dict[tuple[Word, Word], float] = {}
+    return {(a, b): phi.kernel_eval(a, b) for a, b in _kernel_pairs(phi.alphabet, depth)}
+
+
+def _kernel_pairs(alphabet: int, depth: int):
     for la in range(depth + 1):
         for lb in range(depth + 1 - la):
-            for a in enumerate_words(phi.alphabet, la):
-                for b in enumerate_words(phi.alphabet, lb):
-                    out[(a, b)] = phi.kernel_eval(a, b)
-    return out
+            yield from itertools.product(
+                enumerate_words(alphabet, la), enumerate_words(alphabet, lb)
+            )
 
 
 def functional_free_product(
@@ -286,15 +314,14 @@ def functional_free_product(
     if all(part.word_bound >= bound + 1 for part in parts):
         bound += 1
 
-    def part_moment(k: int, exp: int) -> float:
-        return parts[k - 1].moment(Word((1,) * exp, 1))
-
-    table: dict[Word, float] = {Word.empty(alphabet): 1.0}
-    for n in range(1, bound + 1):
-        for w in enumerate_words(alphabet, n):
-            factors = sorted(block_decompose(w).blocks)
-            val = 1.0
-            for letter, exp in factors:
-                val *= part_moment(letter, exp)
-            table[w] = val
-    return MomentFunctional(alphabet, max_degree, table)
+    # a one-variable table lists s_{X^e} at graded rank e; sorting the runs
+    # makes the product order, and so the value, equal on reversed words
+    moments = [part.values.tolist() for part in parts]
+    values = [
+        math.prod(
+            moments[k - 1][e]
+            for k, e in sorted((k, len(list(run))) for k, run in itertools.groupby(w))
+        )
+        for w in letters_up_to(alphabet, bound)
+    ]
+    return MomentFunctional.from_values(alphabet, max_degree, values)

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .functional import MomentFunctional, NotStrictlyPositiveError
-from .words import Word, enumerate_words
+from .words import Word, level_offsets, reversal_index
 
 DEFAULT_VALIDATE_TOL = 1e-12
 
@@ -38,34 +38,23 @@ class AdmissibleFamily:
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         N = self.alphabet
-        A = {}
-        for n in range(1, self.depth + 1):
-            for k in range(1, N + 1):
-                if (n, k) not in self.A:
-                    raise ValueError(f"missing block A[{n},{k}]")
-                m = np.asarray(self.A[(n, k)], dtype=float)
-                if m.shape != (N**n, N ** (n - 1)):
-                    raise ValueError(
-                        f"A[{n},{k}] has shape {m.shape}, expected {(N**n, N**(n-1))}"
-                    )
-                A[(n, k)] = m
-        B = {}
-        for n in range(0, self.depth + 1):
-            for k in range(1, N + 1):
-                if (n, k) not in self.B:
-                    raise ValueError(f"missing block B[{n},{k}]")
-                m = np.asarray(self.B[(n, k)], dtype=float)
-                if m.shape != (N**n, N**n):
-                    raise ValueError(
-                        f"B[{n},{k}] has shape {m.shape}, expected {(N**n, N**n)}"
-                    )
-                B[(n, k)] = m
-        extra_a = set(self.A) - set(A)
-        extra_b = set(self.B) - set(B)
-        if extra_a or extra_b:
-            raise ValueError(f"blocks outside depth range: {sorted(extra_a | extra_b)}")
-        self.A = A
-        self.B = B
+        checked = ({}, {})
+        for side, blocks, first, out in zip("AB", (self.A, self.B), (1, 0), checked):
+            for n in range(first, self.depth + 1):
+                shape = (N**n, N ** (n - first))
+                for k in range(1, N + 1):
+                    if (n, k) not in blocks:
+                        raise ValueError(f"missing block {side}[{n},{k}]")
+                    m = np.asarray(blocks[(n, k)], dtype=float)
+                    if m.shape != shape:
+                        raise ValueError(
+                            f"{side}[{n},{k}] has shape {m.shape}, expected {shape}"
+                        )
+                    out[(n, k)] = m
+        extra = (set(self.A) - set(checked[0])) | (set(self.B) - set(checked[1]))
+        if extra:
+            raise ValueError(f"blocks outside depth range: {sorted(extra)}")
+        self.A, self.B = checked
 
     def concat_A(self, n: int) -> np.ndarray:
         """[A_{n,1} ... A_{n,N}]: square, with columns ordered like length-n words."""
@@ -74,50 +63,35 @@ class AdmissibleFamily:
     def blocks_close(self, other: "AdmissibleFamily", depth: int | None = None) -> float:
         """Max absolute entrywise difference over all blocks up to ``depth``."""
         depth = min(self.depth, other.depth) if depth is None else depth
-        worst = 0.0
-        for n in range(1, depth + 1):
-            for k in range(1, self.alphabet + 1):
-                worst = max(worst, float(np.max(np.abs(self.A[(n, k)] - other.A[(n, k)]))))
-        for n in range(0, depth + 1):
-            for k in range(1, self.alphabet + 1):
-                worst = max(worst, float(np.max(np.abs(self.B[(n, k)] - other.B[(n, k)]))))
-        return worst
+        pairs = [(self.A, other.A), (self.B, other.B)]
+        return max(
+            float(np.max(np.abs(mine[key] - theirs[key])))
+            for mine, theirs in pairs
+            for key in mine
+            if key[0] <= depth
+        )
 
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {
-            "N": self.alphabet,
-            "depth": self.depth,
-            "A": [
-                {"n": n, "k": k, "rows": self.A[(n, k)].tolist()}
-                for n in range(1, self.depth + 1)
-                for k in range(1, self.alphabet + 1)
-            ],
-            "B": [
-                {"n": n, "k": k, "rows": self.B[(n, k)].tolist()}
-                for n in range(0, self.depth + 1)
-                for k in range(1, self.alphabet + 1)
-            ],
+        blocks = {
+            side: [{"n": n, "k": k, "rows": m[(n, k)].tolist()} for n, k in sorted(m)]
+            for side, m in (("A", self.A), ("B", self.B))
         }
+        return {"N": self.alphabet, "depth": self.depth, **blocks}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "AdmissibleFamily":
         N = int(obj["N"])
         depth = int(obj["depth"])
-        A = {}
-        for entry in obj["A"]:
-            key = (int(entry["n"]), int(entry["k"]))
-            if key in A:
-                raise ValueError(f"duplicate A block for (n,k)={key}")
-            A[key] = np.array(entry["rows"], dtype=float)
-        B = {}
-        for entry in obj["B"]:
-            key = (int(entry["n"]), int(entry["k"]))
-            if key in B:
-                raise ValueError(f"duplicate B block for (n,k)={key}")
-            B[key] = np.array(entry["rows"], dtype=float)
-        return cls(N, depth, A, B)
+        blocks = ({}, {})
+        for side, out in zip("AB", blocks):
+            for entry in obj[side]:
+                key = (int(entry["n"]), int(entry["k"]))
+                if key in out:
+                    raise ValueError(f"duplicate {side} block for (n,k)={key}")
+                out[key] = np.array(entry["rows"], dtype=float)
+        return cls(N, depth, *blocks)
 
 
 @dataclass
@@ -154,14 +128,6 @@ def validate(
         if np.min(np.diag(a)) <= tol:
             violations.append(f"A_{n} diagonal not strictly positive")
     return ValidationReport(ok=not violations, violations=violations)
-
-
-def level_offsets(alphabet: int, level: int) -> list[int]:
-    """Start index of each level block in the stacked coordinates, plus the total."""
-    offs = [0]
-    for j in range(level + 1):
-        offs.append(offs[-1] + alphabet**j)
-    return offs
 
 
 def _truncation(family: AdmissibleFamily, k: int, level: int) -> np.ndarray:
@@ -234,8 +200,13 @@ def favard_moments(
     """Moment table of the functional determined by the family.
 
     Covers every word of length <= 2*degree + 1 (the odd top level is what the
-    family's deepest diagonal-correction blocks show up in).  Word reversal
-    symmetry holds exactly: each reversal orbit is evaluated once.
+    family's deepest diagonal-correction blocks show up in), as
+    s_{ab} = <J_{I(a)} e0, J_b e0> from the Fock vectors J_w e0 on the section
+    through level ``degree``.  Each reversal orbit keeps one value, so the
+    table is exactly reversal-symmetric.  The Fock matrix V over |w| <= degree
+    is the triangular factor of the Gram matrix G = V^T V, so positivity is
+    certified by the QR pivots diag(R)^2 of V, without forming G and squaring
+    its conditioning.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -243,20 +214,31 @@ def favard_moments(
         raise ValueError(
             f"family depth {family.depth} cannot determine degree-{degree} moments"
         )
-    table: dict[Word, float] = {Word.empty(family.alphabet): 1.0}
+    N = family.alphabet
+    J = [_truncation(family, k, degree) for k in range(1, N + 1)]
+    # fock[n] holds J_w e0 for |w| = n in rank order: J_{kt} e0 = J_k (J_t e0)
+    fock = [np.eye(J[0].shape[0], 1)]
+    for _ in range(degree + 1):
+        fock.append(np.hstack([jk @ fock[-1] for jk in J]))
+    offs = level_offsets(N, 2 * degree + 1)
+    rev = reversal_index(N, 2 * degree + 1)
+    levels = [np.ones(1)]
     for n in range(1, 2 * degree + 2):
-        for w in enumerate_words(family.alphabet, n):
-            if w in table:
-                continue
-            val = operator_moment(family, w)
-            table[w] = val
-            table[w.involute()] = val
-    phi = MomentFunctional(family.alphabet, degree, table)
-    if check_positive and not phi.is_strictly_positive(degree, tol=tol):
-        raise NotStrictlyPositiveError(
-            f"moments of an admissible family failed strict positivity at degree "
-            f"{degree} (tol {tol}); the family data is inconsistent"
-        )
+        h = n // 2
+        left = fock[h][:, rev[offs[h] : offs[h + 1]] - offs[h]]
+        levels.append((left.T @ fock[n - h]).ravel())
+    values = np.concatenate(levels)
+    values = values[np.minimum(np.arange(values.size), rev)]
+    phi = MomentFunctional.from_values(N, degree, values)
+    if check_positive:
+        r = np.linalg.qr(np.hstack(fock[: degree + 1]), mode="r")
+        pivot = float(np.min(np.diag(r) ** 2))
+        if not pivot > tol:
+            raise NotStrictlyPositiveError(
+                f"moments of an admissible family failed strict positivity at degree "
+                f"{degree} (min pivot {pivot:.3e}, tol {tol}); the family data is "
+                f"inconsistent"
+            )
     return phi
 
 

@@ -23,7 +23,11 @@ class SchemaError(ValueError):
 def write_json(path: str, obj: Any) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".ncjacobi-", suffix=".json", dir=directory)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        # mkstemp creates the file 0600; give it the mode open() would have
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=1)
             fh.write("\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .functional import MomentFunctional, NotStrictlyPositiveError, upper_cholesky
+from .functional import MomentFunctional, NotStrictlyPositiveError
 from .jacobi import AdmissibleFamily
 from .ncpoly import NcPolynomial
 from .words import Word, enumerate_words, graded_rank, words_up_to
@@ -53,9 +53,6 @@ class OrthonormalBasis:
         }
         return NcPolynomial(self.alphabet, terms)
 
-    def polynomials_of_degree(self, n: int) -> list[NcPolynomial]:
-        return [self.polynomial(w) for w in enumerate_words(self.alphabet, n)]
-
     def monic_polynomial(self, alpha: Word) -> NcPolynomial:
         """The same polynomial rescaled to leading coefficient 1."""
         return self.polynomial(alpha).scale(1.0 / self.coefficient(alpha, alpha))
@@ -87,8 +84,7 @@ def orthonormalize(
             f"functional not strictly positive at depth {depth}: Gram pivot "
             f"{report.pivots[-1]:.3e} <= {tol}"
         )
-    r, _, completed = upper_cholesky(report.gram, tol=tol)
-    assert completed
+    r = report.factor
     rinv = solve_triangular(r, np.eye(r.shape[0]), lower=False)
     return OrthonormalBasis(phi.alphabet, depth, rinv.T)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -76,16 +75,15 @@ class LatticePath:
         return [s.to_json_obj() for s in self.steps]
 
 
-@lru_cache(maxsize=None)
 def motzkin_number(n: int) -> int:
     """Number of level/rise/fall paths of length n from height 0 back to 0."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    if n <= 1:
-        return 1
-    return motzkin_number(n - 1) + sum(
-        motzkin_number(j) * motzkin_number(n - 2 - j) for j in range(n - 1)
-    )
+    # (n + 2) M_n = (2n + 1) M_{n-1} + 3 (n - 1) M_{n-2}, exact in integers
+    prev, cur = 1, 1
+    for m in range(2, n + 1):
+        prev, cur = cur, ((2 * m + 1) * cur + 3 * (m - 1) * prev) // (m + 2)
+    return cur
 
 
 def motzkin_binomial_sum(n: int) -> int:

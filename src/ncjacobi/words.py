@@ -12,7 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
+
+import numpy as np
 
 #: refuse to materialize enumerations larger than this (override per call)
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -38,10 +40,6 @@ class Word:
     @classmethod
     def empty(cls, alphabet: int) -> "Word":
         return cls((), alphabet)
-
-    @classmethod
-    def of(cls, letters: Sequence[int], alphabet: int) -> "Word":
-        return cls(tuple(letters), alphabet)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -157,13 +155,6 @@ def enumerate_words(
     ]
 
 
-def iter_words_up_to(
-    alphabet: int, max_length: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Word]:
-    for n in range(max_length + 1):
-        yield from enumerate_words(alphabet, n, cap=cap)
-
-
 def words_up_to(
     alphabet: int, max_length: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Word]:
@@ -173,13 +164,46 @@ def words_up_to(
         raise ValueError(
             f"enumeration of {total} words exceeds cap {cap}; raise `cap` to force"
         )
-    return list(iter_words_up_to(alphabet, max_length, cap=cap))
+    return [w for n in range(max_length + 1) for w in enumerate_words(alphabet, n)]
+
+
+def letters_up_to(alphabet: int, max_length: int) -> Iterator[tuple[int, ...]]:
+    """Letter tuples of all words of length <= max_length, in graded-lex order."""
+    letters = range(1, alphabet + 1)
+    return itertools.chain.from_iterable(
+        itertools.product(letters, repeat=n) for n in range(max_length + 1)
+    )
 
 
 def graded_rank(w: Word) -> int:
     """0-based position of ``w`` among all words, in graded-lex order."""
-    offset = sum(w.alphabet**n for n in range(len(w)))
-    return offset + w.rank()
+    return sum(w.alphabet**n for n in range(len(w))) + w.rank()
+
+
+def level_offsets(alphabet: int, level: int) -> list[int]:
+    """Graded rank of the first word of each length 0..level, plus the total."""
+    return list(itertools.accumulate((alphabet**j for j in range(level + 1)), initial=0))
+
+
+def word_at(alphabet: int, index: int) -> Word:
+    """The word at graded rank ``index``: the inverse of ``graded_rank``."""
+    n = 0
+    while index >= alphabet**n:
+        index -= alphabet**n
+        n += 1
+    return Word(tuple(index // alphabet**i % alphabet + 1 for i in range(n)[::-1]), alphabet)
+
+
+def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
+    """Graded rank of the reversal of every word of length <= max_length."""
+    offs = level_offsets(alphabet, max_length)
+    rev = np.zeros(1, dtype=np.int64)  # level ranks of the reversals, length i
+    out = [rev]
+    for i in range(max_length):
+        # I(w c) = c I(w): rank c * N**i + rev(w), at position rank(w) * N + c
+        rev = (rev[:, None] + np.arange(alphabet) * alphabet**i).ravel()
+        out.append(offs[i + 1] + rev)
+    return np.concatenate(out)
 
 
 def block_decompose(w: Word) -> BlockForm:
@@ -202,10 +226,3 @@ def block_decompose(w: Word) -> BlockForm:
 def leading_run(w: Word, k: int) -> int:
     return w.leading_run(k)
 
-
-def word_to_json(w: Word) -> list[int]:
-    return list(w.letters)
-
-
-def word_from_json(obj: Sequence[int], alphabet: int) -> Word:
-    return Word(tuple(int(c) for c in obj), alphabet)

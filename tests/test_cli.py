@@ -86,6 +86,76 @@ def test_engines_agree(workdir):
         assert a.moment(w) == pytest.approx(b.moment(w), abs=1e-10)
 
 
+def test_default_engine_matches_path_sums(workdir):
+    assert run(["freeproduct", "--spec", "laguerre(0),hermite", "--depth", "3",
+                "--out", "fam.json"]) == 0
+    assert run(["moments", "--family", "fam.json", "--max-degree", "3",
+                "--out", "m.json"]) == 0
+    assert run(["moments", "--family", "fam.json", "--max-degree", "3",
+                "--engine", "operator", "--out", "mo.json"]) == 0
+    assert run(["moments", "--family", "fam.json", "--max-degree", "3",
+                "--engine", "paths", "--out", "mp.json"]) == 0
+    text = Path("m.json").read_text()
+    assert text == Path("mo.json").read_text()
+    a = MomentFunctional.from_json_obj(json.loads(text))
+    b = MomentFunctional.from_json_obj(json.loads(Path("mp.json").read_text()))
+    assert a.values == pytest.approx(b.values, rel=1e-12, abs=1e-12)
+
+
+def noncrossing_pairings(letters):
+    """Non-crossing pairings of the positions that join equal letters only."""
+    if not letters:
+        return 1
+    return sum(
+        noncrossing_pairings(letters[1:j]) * noncrossing_pairings(letters[j + 1 :])
+        for j in range(1, len(letters), 2)
+        if letters[j] == letters[0]
+    )
+
+
+def test_free_semicircle_moments_count_pairings(workdir):
+    with open("semi.json", "w") as fh:
+        json.dump({"a": [1.0] * 5, "b": [0.0] * 6}, fh)
+    assert run(["freeproduct", "--spec", "custom:semi.json,custom:semi.json",
+                "--depth", "4", "--out", "fam.json"]) == 0
+    assert run(["moments", "--family", "fam.json", "--max-degree", "3",
+                "--out", "m.json"]) == 0
+    entries = json.loads(Path("m.json").read_text())["moments"]
+    assert len(entries) == 2**8 - 1
+    for entry in entries:
+        assert entry["value"] == noncrossing_pairings(tuple(entry["word"]))
+
+
+def test_verify_rejects_nan_moment(workdir, capsys):
+    values = [float("nan"), 0.0, 1.0, 0.0]
+    obj = {
+        "N": 1,
+        "max_degree": 1,
+        "moments": [{"word": [1] * n, "value": v} for n, v in enumerate(values)],
+    }
+    with open("nan.json", "w") as fh:
+        json.dump(obj, fh)
+    assert run(["verify", "--moments", "nan.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert "non-finite" in captured.err
+
+
+def test_paths_count_only_long_word(workdir, capsys):
+    assert run(["paths", "--word", ",".join(["1"] * 3000), "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == str(ncjacobi.motzkin_number(3000))
+
+
+def test_written_file_honours_umask(workdir):
+    old = os.umask(0o022)
+    try:
+        assert run(["freeproduct", "--spec", "hermite,hermite", "--depth", "2",
+                    "--out", "fam.json"]) == 0
+    finally:
+        os.umask(old)
+    assert os.stat("fam.json").st_mode & 0o777 == 0o644
+
+
 def test_written_files_reload_identically(workdir):
     assert run(["freeproduct", "--spec", "chebyshev_t,hermite", "--depth", "3",
                 "--out", "fam.json", "--basis", "basis.json"]) == 0

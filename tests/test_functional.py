@@ -7,6 +7,7 @@ from ncjacobi import (
     Word,
     favard_moments,
     functional_free_product,
+    graded_rank,
     hankel_check,
     kernel_table,
     random_admissible_family,
@@ -263,3 +264,93 @@ def test_favard_tables_symmetric_and_unital():
     assert phi.moment(Word((), 2)) == 1.0
     for w in words_up_to(2, phi.word_bound):
         assert phi.moment(w) == phi.moment(w.involute())
+
+
+def test_upper_cholesky_stops_at_nan_pivot():
+    r, pivots, completed = upper_cholesky(np.array([[np.nan]]))
+    assert not completed
+    assert r is None
+
+
+# -- flat table --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alphabet, degree, seed", [(1, 3, 3), (2, 2, 5), (3, 1, 7)])
+def test_values_indexed_by_graded_rank(alphabet, degree, seed):
+    phi = favard_moments(random_admissible_family(alphabet, degree, seed=seed), degree)
+    words = words_up_to(alphabet, phi.word_bound)
+    assert phi.values.shape == (len(words),)
+    for w in words:
+        assert phi.values[graded_rank(w)] == phi.moment(w)
+
+
+def test_values_are_read_only(random_phi):
+    with pytest.raises(ValueError):
+        random_phi.values[0] = 2.0
+
+
+@pytest.mark.parametrize("phi_name", ["gaussian_phi", "random_phi", "singular"])
+def test_gram_matches_definition(phi_name, request):
+    phi = singular_pair() if phi_name == "singular" else request.getfixturevalue(phi_name)
+    for degree in range(phi.max_degree + 1):
+        words = words_up_to(phi.alphabet, degree)
+        expected = [[phi.moment(b.involute().concat(a)) for b in words] for a in words]
+        report = phi.gram(degree)
+        assert np.array_equal(report.gram, expected)
+        assert report.words == words
+
+
+def test_mapping_and_values_round_trip(random_phi):
+    words = words_up_to(random_phi.alphabet, random_phi.word_bound)
+    table = {w: v for w, v in zip(words, random_phi.values)}
+    from_map = MomentFunctional(random_phi.alphabet, random_phi.max_degree, table)
+    assert np.array_equal(from_map.values, random_phi.values)
+    back = MomentFunctional.from_values(
+        from_map.alphabet, from_map.max_degree, from_map.values
+    )
+    assert back.word_bound == random_phi.word_bound
+    assert {w: back.moment(w) for w in words} == table
+
+
+def test_from_values_without_odd_level():
+    phi = MomentFunctional.from_values(1, 2, GAUSSIAN_MOMENTS[:5])
+    assert phi.word_bound == 4
+    assert phi.gram(2).positive
+
+
+def test_json_round_trip_keeps_values(random_phi):
+    back = MomentFunctional.from_json_obj(random_phi.to_json_obj())
+    assert np.array_equal(back.values, random_phi.values)
+    assert back.to_json_obj() == random_phi.to_json_obj()
+
+
+def test_table_past_odd_level_rejected():
+    # max_degree 1 allows words up to length 3; these reach length 4
+    table = {w: 0.0 for w in words_up_to(2, 4)}
+    table[Word((), 2)] = 1.0
+    with pytest.raises(ValueError, match="one level"):
+        MomentFunctional(2, 1, table)
+    with pytest.raises(ValueError, match="incomplete"):
+        MomentFunctional.from_values(2, 1, [1.0] + [0.0] * 30)
+
+
+def test_missing_word_rejected():
+    table = {w: 0.0 for w in words_up_to(2, 2)}
+    table[Word((), 2)] = 1.0
+    del table[Word((2, 1), 2)]
+    with pytest.raises(ValueError, match=r"missing word Word\(21"):
+        MomentFunctional(2, 1, table)
+    with pytest.raises(ValueError, match="incomplete"):
+        MomentFunctional.from_values(2, 1, [1.0] + [0.0] * 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rank", [0, 3])
+def test_non_finite_moment_rejected(bad, rank):
+    values = np.array(GAUSSIAN_MOMENTS[:6])
+    values[rank] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        MomentFunctional.from_values(1, 2, values)
+    table = {Word((1,) * n, 1): v for n, v in enumerate(values)}
+    with pytest.raises(ValueError, match="non-finite"):
+        MomentFunctional(1, 2, table)

@@ -5,6 +5,7 @@ import pytest
 
 from ncjacobi import (
     AdmissibleFamily,
+    NotStrictlyPositiveError,
     Word,
     build_free_product,
     classical_coefficients,
@@ -227,3 +228,27 @@ def test_family_json_round_trip():
     back = AdmissibleFamily.from_json_obj(fam.to_json_obj())
     assert back.alphabet == fam.alphabet and back.depth == fam.depth
     assert fam.blocks_close(back) == 0.0
+
+
+@pytest.mark.parametrize("alphabet, depth, seed", [(2, 6, 1), (3, 4, 13)])
+def test_favard_accepts_ill_conditioned_admissible_family(alphabet, depth, seed):
+    # the float64 Gram matrix of these tables has Cholesky pivots down to -35;
+    # the Fock factor's QR pivots are min diag(V)^2, 0.59 and 0.26
+    fam = random_admissible_family(alphabet, depth, seed=seed)
+    phi = favard_moments(fam, depth)
+    words = words_up_to(alphabet, phi.word_bound)
+    rng = np.random.default_rng(seed)
+    for i in rng.choice(len(words), size=40, replace=False):
+        w = words[i]
+        ref = operator_moment(fam, w)
+        assert phi.moment(w) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_favard_rejects_zero_a_diagonal():
+    fam = random_admissible_family(2, 3, seed=3)
+    fam.A[(2, 1)][0, 0] = 0.0  # the pivot of the word 11
+    assert not validate(fam).ok
+    with pytest.raises(NotStrictlyPositiveError, match="strict positivity"):
+        favard_moments(fam, 3)
+    phi = favard_moments(fam, 3, check_positive=False)
+    assert phi.word_bound == 7

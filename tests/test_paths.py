@@ -66,6 +66,13 @@ def test_motzkin_numbers_frozen():
     assert tuple(motzkin_number(n) for n in range(9)) == MOTZKIN
 
 
+def test_motzkin_recurrence_matches_convolution():
+    conv = [1, 1]  # M_n = M_{n-1} + sum_j M_j M_{n-2-j}
+    for n in range(2, 41):
+        conv.append(conv[n - 1] + sum(conv[j] * conv[n - 2 - j] for j in range(n - 1)))
+    assert [motzkin_number(n) for n in range(41)] == conv
+
+
 def test_motzkin_matches_naive_enumeration():
     for n in range(8):
         assert motzkin_number(n) == len(naive_profiles(n))
