@@ -21,14 +21,8 @@ from .functional import (
     kernel_table,
 )
 from .jacobi import DEFAULT_VALIDATE_TOL, favard_moments, validate
-from .orthopoly import orthonormalize
-from .paths import (
-    enumerate_paths,
-    jacobi_from_moments,
-    moments_from_paths,
-    motzkin_number,
-    path_weight,
-)
+from .orthopoly import ResidualError, extract_recurrence, orthonormalize
+from .paths import enumerate_paths, moments_from_paths, motzkin_number, path_weight
 from .words import Word, words_up_to
 
 
@@ -164,8 +158,9 @@ def cmd_jacobi(args) -> int:
     if args.depth < 0:
         raise CliFailure("error: --depth must be >= 0", 2)
     try:
-        family = jacobi_from_moments(phi, args.depth, tol=_tol(args))
-    except NotStrictlyPositiveError as exc:
+        basis = orthonormalize(phi, args.depth, tol=_tol(args))
+        family = extract_recurrence(basis, phi)
+    except (NotStrictlyPositiveError, ResidualError) as exc:
         raise CliFailure(f"FAIL: {exc}", 1) from exc
     except ValueError as exc:
         raise CliFailure(f"error: {exc}", 2) from exc

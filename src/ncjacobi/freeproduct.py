@@ -11,7 +11,6 @@ A matrix is diagonal with positive entries, so the family is admissible.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import jsonio
 from .jacobi import AdmissibleFamily
 from .ncpoly import NcPolynomial
 from .words import Word, block_decompose, enumerate_words, words_up_to
@@ -118,8 +118,7 @@ def parse_recurrence_spec(spec: str, n_max: int) -> list[OneDimRecurrence]:
             raise ValueError("empty entry in recurrence list")
         if token.startswith("custom:"):
             path = token[len("custom:") :]
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+            obj = jsonio.read_json(path)
             recs.append(OneDimRecurrence.from_json_obj(obj, label=f"custom:{path}"))
             continue
         m = _SPEC_TOKEN.match(token)

@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import Word, enumerate_words, letters_up_to, level_offsets, reversal_index
-from .words import word_at, words_up_to
+from .words import Word, enumerate_words, kernel_index, letters_up_to, level_offsets
+from .words import reversal_index, word_at, words_up_to
 
 DEFAULT_POSITIVITY_TOL = 1e-10
 DEFAULT_SYMMETRY_TOL = 1e-12
@@ -51,6 +51,21 @@ def upper_cholesky(mat: np.ndarray, tol: float = DEFAULT_POSITIVITY_TOL):
         r[j, j] = math.sqrt(d)
         r[j, j + 1 :] = (a[j, j + 1 :] - r[:j, j] @ r[:j, j + 1 :]) / r[j, j]
     return r, pivots, True
+
+
+def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
+    """T^{-1} B for triangular T with nonzero diagonal, by substitution.
+
+    An entry of the solution that the triangular structure of T and B makes
+    zero comes out exactly zero, so inverses and quotients of triangular
+    matrices stay triangular.
+    """
+    x = np.array(b, dtype=float)
+    n = len(t)
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        done = slice(0, i) if lower else slice(i + 1, n)
+        x[i] = (x[i] - t[i, done] @ x[done]) / t[i, i]
+    return x
 
 
 @dataclass
@@ -201,21 +216,11 @@ class MomentFunctional:
             raise ValueError(
                 f"gram degree {degree} exceeds max_degree {self.max_degree}"
             )
-        N, offs = self.alphabet, np.array(level_offsets(self.alphabet, 2 * degree))
-        length = np.repeat(np.arange(degree + 1), np.diff(offs[: degree + 2]))
-        start = offs[length]
-        # <X_a, X_b> = s_{I(b) a}, at graded rank offs[|a|+|b|] + rank(I(b)) N^|a| + rank(a)
-        rev = reversal_index(N, degree) - start
-        idx = (
-            offs[length[:, None] + length[None, :]]
-            + rev[None, :] * N ** length[:, None]
-            + (np.arange(len(length)) - start)[:, None]
-        )
-        g = self._values[idx]
+        g = self._values[kernel_index(self.alphabet, degree)]
         r, pivots, completed = upper_cholesky(g, tol=tol)
         return GramReport(
             degree=degree,
-            words=words_up_to(N, degree),
+            words=words_up_to(self.alphabet, degree),
             gram=g,
             pivots=pivots,
             min_pivot=min(pivots),

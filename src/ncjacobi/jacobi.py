@@ -112,16 +112,22 @@ class TruncatedOperator:
 def validate(
     family: AdmissibleFamily, tol: float = DEFAULT_VALIDATE_TOL
 ) -> ValidationReport:
-    """Check symmetry of B blocks and triangularity/positivity of each A_n."""
+    """Check finiteness of every block, symmetry of B blocks and
+    triangularity/positivity of each A_n."""
     violations: list[str] = []
     N = family.alphabet
     for n in range(0, family.depth + 1):
         for k in range(1, N + 1):
             b = family.B[(n, k)]
-            if np.max(np.abs(b - b.T), initial=0.0) > tol:
+            if not np.isfinite(b).all():
+                violations.append(f"B[{n},{k}] has a non-finite entry")
+            elif np.max(np.abs(b - b.T), initial=0.0) > tol:
                 violations.append(f"B[{n},{k}] not symmetric")
     for n in range(1, family.depth + 1):
         a = family.concat_A(n)
+        if not np.isfinite(a).all():
+            violations.append(f"A_{n} = [A_{n},1 .. A_{n},{N}] has a non-finite entry")
+            continue
         below = np.tril(a, k=-1)
         if np.max(np.abs(below), initial=0.0) > tol:
             violations.append(f"A_{n} = [A_{n},1 .. A_{n},{N}] not upper triangular")
@@ -255,9 +261,8 @@ def random_admissible_family(
         dim = N**n
         m = np.triu(rng.uniform(-1.0, 1.0, size=(dim, dim)), k=1)
         np.fill_diagonal(m, rng.uniform(0.5, 2.0, size=dim))
-        cols = N ** (n - 1)
-        for k in range(1, N + 1):
-            A[(n, k)] = m[:, (k - 1) * cols : k * cols]
+        for k, a in enumerate(np.hsplit(m, N), start=1):
+            A[(n, k)] = a
     for n in range(0, depth + 1):
         dim = N**n
         for k in range(1, N + 1):

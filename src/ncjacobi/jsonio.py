@@ -39,8 +39,13 @@ def write_json(path: str, obj: Any) -> None:
 
 
 def read_json(path: str) -> Any:
+    """Parse a JSON file; the non-standard tokens NaN and (-)Infinity raise SchemaError."""
+
+    def reject(token: str):
+        raise SchemaError(f"{path}: non-finite number {token} is not allowed")
+
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=reject)
 
 
 def _require(obj: Mapping, keys: tuple[str, ...], what: str, path: str) -> None:

@@ -4,18 +4,19 @@ The monomial basis up to a degree is orthonormalized against the Gram matrix
 G = R^T R: the coefficient rows are the rows of R^{-T}, so each polynomial is
 supported on words at or below its own index and has a positive leading
 coefficient.  A determinant formula provides a slow independent route to the
-same coefficients, and the three-term blocks fall out as inner products.
+same coefficients.  The three-term blocks are sub-blocks of C G_k C^T, with C
+the coefficient matrix and G_k the moment kernel with letter k in the middle:
+the block, non-commuting form of Golub-Welsch.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .functional import MomentFunctional, NotStrictlyPositiveError
-from .jacobi import AdmissibleFamily
+from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
+from .jacobi import AdmissibleFamily, truncate
 from .ncpoly import NcPolynomial
-from .words import Word, enumerate_words, graded_rank, words_up_to
+from .words import Word, kernel_index, level_offsets, words_up_to
 
 
 class ResidualError(RuntimeError):
@@ -59,8 +60,7 @@ class OrthonormalBasis:
 
     def diag_block(self, n: int) -> np.ndarray:
         """Square coefficient block [a_{alpha,beta}] over words of length n."""
-        lo = graded_rank(Word((1,) * n, self.alphabet)) if n else 0
-        hi = lo + self.alphabet**n
+        lo, hi = level_offsets(self.alphabet, n)[-2:]
         return self.coeffs[lo:hi, lo:hi]
 
     def to_json_obj(self) -> dict:
@@ -85,7 +85,7 @@ def orthonormalize(
             f"{report.pivots[-1]:.3e} <= {tol}"
         )
     r = report.factor
-    rinv = solve_triangular(r, np.eye(r.shape[0]), lower=False)
+    rinv = solve_triangular(r, np.eye(r.shape[0]))
     return OrthonormalBasis(phi.alphabet, depth, rinv.T)
 
 
@@ -123,78 +123,56 @@ def coefficient_oracle(phi: MomentFunctional, alpha: Word, beta: Word) -> float:
     return sign * minor / np.sqrt(d_prev * d_alpha)
 
 
-def extract_recurrence(
-    basis: OrthonormalBasis,
-    phi: MomentFunctional,
-    residual_tol: float = 1e-10,
-) -> AdmissibleFamily:
-    """Three-term blocks as inner products against the orthonormal basis.
+def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> AdmissibleFamily:
+    """Three-term blocks of the orthonormal basis under the functional.
 
-    A_{n,k}[sigma, tau] = <X_k p_tau, p_sigma> with |sigma| = n, |tau| = n-1,
-    and likewise B_{n,k} on equal lengths.  The expansion of each X_k p_tau
-    against the three neighbouring degrees must reproduce it exactly; the
-    largest leftover coefficient is checked against ``residual_tol``.
+    With C the coefficient matrix and G_k = [<X_k X_a, X_b>], the matrix
+    M_k = C G_k C^T holds <X_k p_tau, p_sigma> at (sigma, tau); B_{n,k} is its
+    symmetrised level-n diagonal block.  A_n comes from the coefficient
+    diagonal blocks alone (``a_matrix_from_coefficients``), so it is exactly
+    upper triangular.  The blocks must reproduce X_k p_tau = sum_sigma
+    J_k[sigma, tau] p_sigma for |tau| < depth, with J_k the finite section they
+    assemble; the largest coefficient of the difference must stay within
+    eps * ||R||_F^2 * ||R^{-1}||_F^2, where G = R^T R and C = R^{-T}.
     """
     if basis.alphabet != phi.alphabet:
         raise ValueError("basis and functional alphabets differ")
-    depth = basis.depth
+    N, depth, c = basis.alphabet, basis.depth, basis.coeffs
     if phi.word_bound < 2 * depth + 1:
         raise ValueError(
             f"moment table stores words up to length {phi.word_bound}; extracting "
             f"level-{depth} blocks needs length {2 * depth + 1}"
         )
-    N = basis.alphabet
-    polys = {w: basis.polynomial(w) for w in basis.words}
-    xk = {k: NcPolynomial.variable(N, k) for k in range(1, N + 1)}
-
+    offs = level_offsets(N, depth)
     A: dict[tuple[int, int], np.ndarray] = {}
     B: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(0, depth + 1):
-        rows_n = enumerate_words(N, n)
-        for k in range(1, N + 1):
-            b = np.empty((len(rows_n), len(rows_n)))
-            for j, tau in enumerate(rows_n):
-                xp = xk[k] * polys[tau]
-                for i, sigma in enumerate(rows_n):
-                    b[i, j] = phi.inner(xp, polys[sigma])
-            B[(n, k)] = b
     for n in range(1, depth + 1):
-        rows_n = enumerate_words(N, n)
-        cols = enumerate_words(N, n - 1)
-        for k in range(1, N + 1):
-            a = np.empty((len(rows_n), len(cols)))
-            for j, tau in enumerate(cols):
-                xp = xk[k] * polys[tau]
-                for i, sigma in enumerate(rows_n):
-                    a[i, j] = phi.inner(xp, polys[sigma])
+        for k, a in enumerate(np.hsplit(a_matrix_from_coefficients(basis, n), N), start=1):
             A[(n, k)] = a
-
+    kernels = [kernel_index(N, depth, k) for k in range(1, N + 1)]
+    for k, idx in enumerate(kernels, start=1):
+        m = c @ phi.values[idx] @ c.T
+        for n in range(depth + 1):
+            b = m[offs[n] : offs[n + 1], offs[n] : offs[n + 1]]
+            B[(n, k)] = (b + b.T) / 2.0
     family = AdmissibleFamily(N, depth, A, B)
 
-    # relative residual: each coefficient is a sum of terms |weight| * |coeff|,
-    # so round-off grows with the largest such term, not with 1
+    # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
+    rows = offs[depth]
     worst = 0.0
-    for n in range(0, depth):
-        rows_up = enumerate_words(N, n + 1)
-        rows_n = enumerate_words(N, n)
-        rows_dn = enumerate_words(N, n - 1) if n >= 1 else []
-        for k in range(1, N + 1):
-            for j, tau in enumerate(rows_n):
-                resid = xk[k] * polys[tau]
-                scale = max(1.0, resid.max_abs_coefficient())
-                terms = (
-                    [(A[(n + 1, k)][i, j], rows_up[i]) for i in range(len(rows_up))]
-                    + [(B[(n, k)][i, j], rows_n[i]) for i in range(len(rows_n))]
-                    + [(A[(n, k)][j, i], rows_dn[i]) for i in range(len(rows_dn))]
-                )
-                for weight, sigma in terms:
-                    resid = resid - weight * polys[sigma]
-                    scale = max(scale, abs(weight) * polys[sigma].max_abs_coefficient())
-                worst = max(worst, resid.max_abs_coefficient() / scale)
-    if worst > residual_tol:
+    for k, idx in enumerate(kernels, start=1):
+        shifted = np.zeros((rows, len(c)))
+        shifted[:, idx[:rows, 0]] = c[:rows, :rows]
+        resid = shifted - truncate(family, k, depth).matrix[:rows] @ c
+        worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
+    # eps ||R||_F^2 ||R^{-1}||_F^2 >= eps cond(G), the accuracy scale of any
+    # recovery from moments; ||R||_F^2 = trace(G) and R^{-1} = C^T
+    trace_g = float(np.sum(phi.values[np.diag(kernel_index(N, depth))]))
+    bound = np.finfo(float).eps * trace_g * float(np.sum(c * c))
+    if not worst <= bound:
         raise ResidualError(
-            f"relative three-term residual {worst:.3e} exceeds {residual_tol}; "
-            f"basis and functional are inconsistent"
+            f"three-term residual {worst:.3e} exceeds eps ||R||_F^2 ||R^-1||_F^2 = "
+            f"{bound:.3e}; basis and functional are inconsistent"
         )
     return family
 
@@ -211,4 +189,4 @@ def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:
     c_n = basis.diag_block(n)
     c_prev = basis.diag_block(n - 1)
     rhs = np.kron(np.eye(basis.alphabet), c_prev.T)
-    return solve_triangular(c_n.T, rhs, lower=False)
+    return solve_triangular(c_n.T, rhs)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .functional import MomentFunctional, NotStrictlyPositiveError, upper_cholesky
+from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
+from .functional import upper_cholesky
 from .jacobi import AdmissibleFamily
 from .words import Word, enumerate_words
 
@@ -214,14 +214,11 @@ def _transfer_sum(
     return float(vec0[0]) if vec0 is not None else 0.0
 
 
-def moments_from_paths(
-    family: AdmissibleFamily, word: Word, cap: int = DEFAULT_PATH_CAP
-) -> float:
+def moments_from_paths(family: AdmissibleFamily, word: Word) -> float:
     """Moment of ``word`` as the weighted path sum; 1 for the empty word.
 
-    Up to the cap the sum runs over explicitly enumerated paths; longer words
-    fall back to the height-capped transfer recursion, which is exact because
-    no path of length L exceeds height L//2.
+    The sum runs through the height-capped transfer recursion, which is exact
+    because no path of length L exceeds height L//2.
     """
     if word.alphabet != family.alphabet:
         raise ValueError("word alphabet does not match family")
@@ -233,9 +230,7 @@ def moments_from_paths(
             f"family depth {family.depth} insufficient for |word| = {len(word)} "
             f"(needs {peak} levels)"
         )
-    if len(word) <= cap:
-        return float(sum(path_weight(family, p) for p in enumerate_paths(word, cap)))
-    return _transfer_sum(family.A, family.B, word, min(peak, family.depth))
+    return _transfer_sum(family.A, family.B, word, peak)
 
 
 WeightFactor = tuple[str, int, int]  # ("A" | "A*" | "B", level, letter)
@@ -340,9 +335,8 @@ def jacobi_from_moments(
                 f"coefficient recovery at level {n} hit pivot {pivots[-1]:.3e} "
                 f"<= {tol}; the moment table is not strictly positive there"
             )
-        cols = N ** (n - 1)
-        for k in range(1, N + 1):
-            A[(n, k)] = r[:, (k - 1) * cols : k * cols]
+        for k, a in enumerate(np.hsplit(r, N), start=1):
+            A[(n, k)] = a
         atilde = r @ p
 
         bwork = dict(B)

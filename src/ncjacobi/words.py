@@ -206,6 +206,27 @@ def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
     return np.concatenate(out)
 
 
+def kernel_index(alphabet: int, degree: int, letter: int = 0) -> np.ndarray:
+    """Graded rank of I(b) k a at row a, column b, over words of length <= degree.
+
+    k is ``letter``, or no letter at all when it is 0: indexing a moment table
+    by the result gives the Gram matrix [<X_a, X_b>] = [s_{I(b) a}], or with
+    letter k the matrix [<X_k X_a, X_b>] = [s_{I(b) k a}].  With b empty the
+    word is k a, so column 0 maps each word to its letter-k prepend.
+    """
+    N, mid = alphabet, int(letter > 0)
+    offs = np.array(level_offsets(N, 2 * degree + mid))
+    length = np.repeat(np.arange(degree + 1), np.diff(offs[: degree + 2]))
+    start = offs[length]
+    rev = reversal_index(N, degree) - start
+    # level rank of I(b) k a: (rank(I(b)) N + k - 1) N^|a| + rank(a)
+    return (
+        offs[length[:, None] + length[None, :] + mid]
+        + (rev[None, :] * N**mid + letter - mid) * N ** length[:, None]
+        + (np.arange(len(length)) - start)[:, None]
+    )
+
+
 def block_decompose(w: Word) -> BlockForm:
     """Unique factorization into maximal runs; rejects the empty word."""
     if w.is_empty:

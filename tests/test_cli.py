@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncjacobi
@@ -141,6 +142,59 @@ def test_verify_rejects_nan_moment(workdir, capsys):
     assert "non-finite" in captured.err
 
 
+def _family_with_entry(path, token):
+    """The hermite,hermite depth-2 family with B[1,1][0,0] written as ``token``."""
+    assert run(["freeproduct", "--spec", "hermite,hermite", "--depth", "2",
+                "--out", "fam.json"]) == 0
+    obj = json.load(open("fam.json"))
+    for entry in obj["B"]:
+        if entry["n"] == 1 and entry["k"] == 1:
+            entry["rows"][0][0] = "@"
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj).replace('"@"', token))
+
+
+def test_verify_rejects_infinite_block(workdir, capsys):
+    # 1e999 is valid JSON and overflows to inf; validation must flag it
+    _family_with_entry("inf.json", "1e999")
+    capsys.readouterr()
+    assert run(["verify", "--family", "inf.json"]) == 1
+    out = capsys.readouterr().out
+    assert "ok:" not in out
+    assert "FAIL: family inf.json: B[1,1] has a non-finite entry" in out
+
+
+def test_loaders_reject_nan_token(workdir, capsys):
+    _family_with_entry("nan.json", "NaN")
+    capsys.readouterr()
+    assert run(["verify", "--family", "nan.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert "non-finite number NaN" in captured.err
+    with open("rec.json", "w") as fh:
+        fh.write('{"a": [1.0], "b": [0.0, Infinity]}')
+    assert run(["freeproduct", "--spec", "custom:rec.json", "--depth", "1",
+                "--out", "x.json"]) == 2
+    assert "non-finite number Infinity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphabet, depth, seed", [(2, 3, 3), (2, 3, 4), (3, 2, 3), (3, 2, 4)])
+def test_jacobi_command_matches_path_peel(workdir, capsys, alphabet, depth, seed):
+    from ncjacobi import jacobi_from_moments, jsonio, random_admissible_family
+
+    jsonio.save_family("fam.json", random_admissible_family(alphabet, depth, seed=seed))
+    assert run(["moments", "--family", "fam.json", "--max-degree", str(depth),
+                "--out", "m.json"]) == 0
+    assert run(["jacobi", "--moments", "m.json", "--depth", str(depth),
+                "--out", "rec.json"]) == 0
+    assert run(["verify", "--family", "rec.json"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    phi = jsonio.load_moments("m.json")
+    peel = jacobi_from_moments(phi, depth)
+    cond = np.linalg.cond(phi.gram(depth).gram)
+    assert jsonio.load_family("rec.json").blocks_close(peel) <= cond * np.finfo(float).eps
+
+
 def test_paths_count_only_long_word(workdir, capsys):
     assert run(["paths", "--word", ",".join(["1"] * 3000), "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == str(ncjacobi.motzkin_number(3000))
@@ -249,7 +303,7 @@ def test_exit_codes(workdir, capsys):
                 "--out", "x.json", "--tolerance", "-1"]) == 2
 
 
-def test_console_entry_point(workdir):
+def _package_env():
     # workdir leaves the repo root, so a relative PYTHONPATH entry no longer
     # resolves; put the directory holding the imported package first instead
     package_root = str(Path(ncjacobi.__file__).resolve().parent.parent)
@@ -257,11 +311,24 @@ def test_console_entry_point(workdir):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_console_entry_point(workdir):
     proc = subprocess.run(
         [sys.executable, "-m", "ncjacobi", "paths", "--word", "1,1,1", "--count-only"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_package_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4"
+
+
+def test_import_leaves_scipy_out(workdir):
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = "import ncjacobi, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -71,6 +71,18 @@ def test_validate_flags_lower_entries():
     assert any("not upper triangular" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("side, key", [("B", (1, 1)), ("A", (2, 2))])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_flags_non_finite_entries(hermite2_family, side, key, value):
+    blocks = {"A": dict(hermite2_family.A), "B": dict(hermite2_family.B)}
+    blocks[side][key] = blocks[side][key].copy()
+    blocks[side][key][0, 0] = value
+    bad = AdmissibleFamily(2, hermite2_family.depth, blocks["A"], blocks["B"])
+    report = validate(bad)
+    assert not report.ok
+    assert any("non-finite" in v for v in report.violations)
+
+
 def test_family_shape_checks():
     with pytest.raises(ValueError, match="missing block"):
         AdmissibleFamily(1, 1, {}, {(0, 1): np.zeros((1, 1)), (1, 1): np.zeros((1, 1))})

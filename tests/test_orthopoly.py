@@ -18,6 +18,7 @@ from ncjacobi import (
     functional_free_product,
     orthonormalize,
     random_admissible_family,
+    validate,
 )
 
 from conftest import (
@@ -202,11 +203,44 @@ def test_a_matrix_hermite_pair_identity(hermite2_family):
 
 
 def test_a_matrix_matches_inner_product_route(random_setup):
+    # the blocks are <X_k p_tau, p_sigma>, here expanded as polynomials
     _, phi, basis = random_setup
     fam = extract_recurrence(basis, phi)
+    xs = {k: NcPolynomial.variable(2, k) for k in (1, 2)}
+
+    def inner_products(rows, cols):
+        return np.array(
+            [
+                [
+                    phi.inner(xs[k] * basis.polynomial(tau), basis.polynomial(sigma))
+                    for k in (1, 2)
+                    for tau in cols
+                ]
+                for sigma in rows
+            ]
+        )
+
     for n in (1, 2, 3):
-        concat = np.hstack([fam.A[(n, k)] for k in (1, 2)])
+        concat = inner_products(enumerate_words(2, n), enumerate_words(2, n - 1))
         direct = a_matrix_from_coefficients(basis, n)
         assert np.allclose(direct, concat, atol=1e-8)
+        assert np.array_equal(direct, np.hstack([fam.A[(n, k)] for k in (1, 2)]))
         assert np.allclose(direct, np.triu(direct), atol=1e-10)
         assert np.min(np.diag(direct)) > 0
+    for n in (0, 1, 2, 3):
+        words = enumerate_words(2, n)
+        concat = inner_products(words, words)
+        assert np.allclose(np.hstack([fam.B[(n, k)] for k in (1, 2)]), concat, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "alphabet, depth, seed", [(2, 4, 7), (3, 3, 2), (3, 3, 3), (3, 3, 4), (3, 3, 5)]
+)
+def test_extract_round_trips_ill_conditioned_tables(alphabet, depth, seed):
+    # cond(G) reaches 1.5e10 here, and the three-term residual grows with it
+    fam = random_admissible_family(alphabet, depth, seed=seed)
+    phi = favard_moments(fam, depth)
+    recovered = extract_recurrence(orthonormalize(phi, depth), phi)
+    cond = np.linalg.cond(phi.gram(depth).gram)
+    assert fam.blocks_close(recovered) <= cond * np.finfo(float).eps
+    assert validate(recovered).ok

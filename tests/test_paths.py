@@ -188,7 +188,7 @@ def test_transfer_recursion_matches_explicit_enumeration():
             explicit = sum(path_weight(fam, p) for p in enumerate_paths(w))
             dp = _transfer_sum(fam.A, fam.B, w, min(n // 2, fam.depth))
             assert dp == pytest.approx(explicit, abs=1e-10)
-            assert moments_from_paths(fam, w, cap=0) == pytest.approx(explicit, abs=1e-10)
+            assert moments_from_paths(fam, w) == pytest.approx(explicit, abs=1e-10)
 
 
 def test_moments_from_paths_agrees_with_operator():
