@@ -40,6 +40,8 @@ class OneDimRecurrence:
                 f"need one more b than a coefficients (b_0..b_L vs a_1..a_L); "
                 f"got {len(self.a)} a's and {len(self.b)} b's"
             )
+        if not all(map(math.isfinite, self.a + self.b)):
+            raise ValueError(f"recurrence {self.label} has a non-finite coefficient")
         for i, x in enumerate(self.a, start=1):
             if x <= 0.0:
                 raise ValueError(f"off-diagonal coefficient a_{i} = {x} must be > 0")

@@ -13,7 +13,7 @@ induced functional are corner entries of operator products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -136,25 +136,35 @@ def validate(
     return ValidationReport(ok=not violations, violations=violations)
 
 
+def section(N: int, A: Mapping, B: Mapping, k: int, level: int) -> np.ndarray:
+    """J_k cut after level ``level``, from the blocks of levels 0..level only."""
+    offs = level_offsets(N, level)
+    m = np.zeros((offs[-1], offs[-1]))
+    for n in range(level + 1):
+        sl = slice(offs[n], offs[n + 1])
+        m[sl, sl] = B[(n, k)]
+        if n:
+            hi = slice(offs[n - 1], offs[n])
+            m[sl, hi] = A[(n, k)]
+            m[hi, sl] = A[(n, k)].T
+    return m
+
+
+def fock_levels(J: Sequence[np.ndarray], top: int) -> list[np.ndarray]:
+    """[V_0 .. V_top]: V_n holds J_w e0 for |w| = n as columns in rank order,
+    built as J_{kt} e0 = J_k (J_t e0) from the section matrices J = [J_1 .. J_N]."""
+    fock = [np.eye(J[0].shape[0], 1)]
+    for _ in range(top):
+        fock.append(np.hstack([jk @ fock[-1] for jk in J]))
+    return fock
+
+
 def _truncation(family: AdmissibleFamily, k: int, level: int) -> np.ndarray:
     # families are immutable by convention, so sections are built once each
     cache = family.__dict__.setdefault("_section_cache", {})
-    key = (k, level)
-    if key in cache:
-        return cache[key]
-    offs = level_offsets(family.alphabet, level)
-    dim = offs[-1]
-    m = np.zeros((dim, dim))
-    for n in range(level + 1):
-        sl = slice(offs[n], offs[n + 1])
-        m[sl, sl] = family.B[(n, k)]
-    for n in range(1, level + 1):
-        lo = slice(offs[n], offs[n + 1])
-        hi = slice(offs[n - 1], offs[n])
-        m[lo, hi] = family.A[(n, k)]
-        m[hi, lo] = family.A[(n, k)].T
-    cache[key] = m
-    return m
+    if (k, level) not in cache:
+        cache[(k, level)] = section(family.alphabet, family.A, family.B, k, level)
+    return cache[(k, level)]
 
 
 def truncate(family: AdmissibleFamily, k: int, level: int) -> TruncatedOperator:
@@ -222,10 +232,7 @@ def favard_moments(
         )
     N = family.alphabet
     J = [_truncation(family, k, degree) for k in range(1, N + 1)]
-    # fock[n] holds J_w e0 for |w| = n in rank order: J_{kt} e0 = J_k (J_t e0)
-    fock = [np.eye(J[0].shape[0], 1)]
-    for _ in range(degree + 1):
-        fock.append(np.hstack([jk @ fock[-1] for jk in J]))
+    fock = fock_levels(J, degree + 1)
     offs = level_offsets(N, 2 * degree + 1)
     rev = reversal_index(N, 2 * degree + 1)
     levels = [np.ones(1)]

@@ -7,6 +7,12 @@ returns to height 0 after |word| advancing steps.  Summing matrix-valued
 step weights over all such paths reproduces the operator moments, and
 removing the single maximal path isolates the top coefficient blocks, which
 is what drives the moments -> coefficients direction.
+
+A path sum with heights <= c is a product of the operator sections through
+level c.  For all words I(s)t of one level at once, the columns J_t e0 of the
+section's Fock matrix R sum the first n steps of the paths by height, R[:, s]
+the last n steps run backwards, and (R^T R)[s, t] joins the halves at step n,
+so it counts each path once; R^T J_k R does the same for the words I(s)kt.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 
 from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
 from .functional import upper_cholesky
-from .jacobi import AdmissibleFamily
-from .words import Word, enumerate_words
+from .jacobi import AdmissibleFamily, fock_levels, section
+from .words import Word, kernel_index, level_offsets
 
 STEP_KINDS = ("level", "switch", "rise", "fall")
 
@@ -288,17 +294,25 @@ def _conjugate_by_inverse(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return solve_triangular(p.T, z.T, lower=True).T
 
 
+def _path_sums(N: int, A: Mapping, B: Mapping, n: int, height_cap: int, letter: int = 0):
+    """``_transfer_sum`` of all words I(s)t, or I(s)kt with k = ``letter``, for
+    |s| = |t| = n, as one matrix over the ranks of s and t (module docstring)."""
+    J = [section(N, A, B, k, height_cap) for k in range(1, N + 1)]
+    r = fock_levels(J, n)[n]
+    return r.T @ (J[letter - 1] @ r if letter else r)
+
+
 def jacobi_from_moments(
     phi: MomentFunctional, depth: int, tol: float = 1e-10
 ) -> AdmissibleFamily:
     """Recover the coefficient family of a strictly positive moment table.
 
-    Level n works on the kernel matrix over length-n words minus the weighted
-    sum over all non-maximal paths; conjugating by the accumulated product of
-    earlier levels (block-replicated to size N^n) leaves A_n^T A_n, and A_n is
-    its upper-triangular factor.  The same scheme with middle letter k and
-    odd words of length 2n+1 yields B_{n,k}.  Requires moments for every word
-    of length <= 2*depth + 1.
+    Level n works on the kernel matrix [s_{I(s)t}] over length-n words minus
+    the sum over the non-maximal paths, those of height < n, taken for all words
+    at once (module docstring); conjugating by the accumulated product of earlier
+    levels (block-replicated to size N^n) leaves A_n^T A_n, and A_n is its
+    upper-triangular factor.  The words I(s)kt, summed with B_n = 0, yield
+    B_{n,k} the same way.  Requires moments for every word of length <= 2*depth + 1.
     """
     N = phi.alphabet
     if depth < 0:
@@ -310,24 +324,17 @@ def jacobi_from_moments(
             f"moment table stores words up to length {phi.word_bound}, but the "
             f"depth-{depth} correction blocks need length {2 * depth + 1}"
         )
+    s = phi.values
     A: dict[tuple[int, int], np.ndarray] = {}
-    B: dict[tuple[int, int], np.ndarray] = {}
-    for k in range(1, N + 1):
-        B[(0, k)] = np.array([[phi.moment(Word((k,), N))]])
+    B = {(0, k): np.array([[s[k]]]) for k in range(1, N + 1)}  # word k has rank k
+    offs = level_offsets(N, depth)
     atilde = np.array([[1.0]])
     for n in range(1, depth + 1):
-        ws = enumerate_words(N, n)
-        dim = len(ws)
-        kmat = np.empty((dim, dim))
-        star = np.empty((dim, dim))
-        for i, sigma in enumerate(ws):
-            rev = sigma.involute()
-            for j, tau in enumerate(ws):
-                w = rev.concat(tau)
-                kmat[i, j] = phi.moment(w)
-                star[i, j] = _transfer_sum(A, B, w, n - 1)
+        dim, top = N**n, slice(offs[n], offs[n + 1])
+        # kernel_index gives I(b) a at row a, column b: transposed, row s column t
+        kmat = s[kernel_index(N, n)[top, top]].T
         p = np.kron(np.eye(N), atilde)
-        m = _conjugate_by_inverse(p, kmat - star)
+        m = _conjugate_by_inverse(p, kmat - _path_sums(N, A, B, n, n - 1))
         m = (m + m.T) / 2.0
         r, pivots, completed = upper_cholesky(m, tol=tol)
         if not completed:
@@ -339,18 +346,9 @@ def jacobi_from_moments(
             A[(n, k)] = a
         atilde = r @ p
 
-        bwork = dict(B)
+        bwork = {**B, **{(n, k): np.zeros((dim, dim)) for k in range(1, N + 1)}}
         for k in range(1, N + 1):
-            bwork[(n, k)] = np.zeros((dim, dim))
-        for k in range(1, N + 1):
-            cmat = np.empty((dim, dim))
-            sstar = np.empty((dim, dim))
-            for i, sigma in enumerate(ws):
-                rev_k = sigma.involute().concat(Word((k,), N))
-                for j, tau in enumerate(ws):
-                    w = rev_k.concat(tau)
-                    cmat[i, j] = phi.moment(w)
-                    sstar[i, j] = _transfer_sum(A, bwork, w, n)
-            b = _conjugate_by_inverse(atilde, cmat - sstar)
+            cmat = s[kernel_index(N, n, k)[top, top]].T
+            b = _conjugate_by_inverse(atilde, cmat - _path_sums(N, A, bwork, n, n, k))
             B[(n, k)] = (b + b.T) / 2.0
     return AdmissibleFamily(N, depth, A, B)

@@ -178,6 +178,18 @@ def test_loaders_reject_nan_token(workdir, capsys):
     assert "non-finite number Infinity" in capsys.readouterr().err
 
 
+def test_freeproduct_rejects_overflowing_custom_recurrence(workdir, capsys):
+    # 1e999 is a valid JSON number that parses to inf
+    with open("rec.json", "w") as fh:
+        fh.write('{"a": [1e999, 1.0], "b": [0.0, 1e999, 0.0]}')
+    assert run(["freeproduct", "--spec", "custom:rec.json,hermite", "--depth", "2",
+                "--out", "fam.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert "non-finite coefficient" in captured.err
+    assert not os.path.exists("fam.json")
+
+
 @pytest.mark.parametrize("alphabet, depth, seed", [(2, 3, 3), (2, 3, 4), (3, 2, 3), (3, 2, 4)])
 def test_jacobi_command_matches_path_peel(workdir, capsys, alphabet, depth, seed):
     from ncjacobi import jacobi_from_moments, jsonio, random_admissible_family

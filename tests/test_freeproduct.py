@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from ncjacobi import (
@@ -131,6 +132,19 @@ def test_one_dim_recurrence_validation():
         OneDimRecurrence("bad", (0.0,), (0.0, 0.0))
     with pytest.raises(ValueError, match="one more b"):
         OneDimRecurrence("bad", (1.0,), (0.0,))
+
+
+@given(st.data())
+def test_one_dim_recurrence_rejects_non_finite_coefficients(data):
+    length = data.draw(st.integers(1, 5))
+    a = data.draw(st.lists(st.floats(1e-3, 1e6), min_size=length, max_size=length))
+    b = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=length + 1, max_size=length + 1))
+    coeffs = a + b
+    coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = data.draw(
+        st.sampled_from([math.inf, -math.inf, math.nan])
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        OneDimRecurrence("bad", tuple(coeffs[:length]), tuple(coeffs[length:]))
 
 
 # -- block assembly -----------------------------------------------------------------

@@ -22,7 +22,9 @@ from ncjacobi import (
     random_admissible_family,
     weight_factors_value,
 )
-from ncjacobi.paths import _transfer_sum
+import ncjacobi.paths
+from ncjacobi.freeproduct import parse_recurrence_spec
+from ncjacobi.paths import _path_sums, _transfer_sum
 
 from conftest import EXPONENTIAL_MOMENTS, GAUSSIAN_MOMENTS, one_dim_functional
 
@@ -317,6 +319,36 @@ def test_kernel_minus_nonmaximal_paths_factors(zero_b):
         assert np.allclose(kernel - star, maximal_weight_matrix(fam, n), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "alphabet, n, seed", [(1, 3, 71), (2, 2, 72), (2, 3, 73), (3, 2, 74)]
+)
+def test_batched_path_sums_match_per_word_and_enumerated_paths(alphabet, n, seed):
+    """The peel's batched non-maximal sums, entry by entry, against the height-capped
+    per-word recursion and against every enumerated path but the distinguished one."""
+    fam = random_admissible_family(alphabet, n, seed=seed)
+    B0 = {**fam.B, **{(n, k): np.zeros_like(fam.B[(n, k)]) for k in range(1, alphabet + 1)}}
+    ws = enumerate_words(alphabet, n)
+    middles = [(0, Word((), alphabet), n - 1, fam.B)] + [
+        (k, Word((k,), alphabet), n, B0) for k in range(1, alphabet + 1)
+    ]
+    for letter, mid, cap, B in middles:
+        batched = _path_sums(alphabet, fam.A, B, n, cap, letter)
+        assert batched.shape == (len(ws), len(ws))
+        for i, sigma in enumerate(ws):
+            for j, tau in enumerate(ws):
+                w = sigma.involute().concat(mid).concat(tau)
+                per_word = _transfer_sum(fam.A, B, w, cap)
+                assert batched[i, j] == pytest.approx(per_word, abs=1e-12)
+                _, factors = distinguished_path(w)
+                rest = sum(path_weight(fam, p) for p in enumerate_paths(w))
+                rest -= weight_factors_value(fam, factors)
+                assert batched[i, j] == pytest.approx(rest, abs=1e-10)
+    # raising the even cap to n adds back exactly the maximal paths
+    nonmaximal = _path_sums(alphabet, fam.A, fam.B, n, n - 1)
+    every = _path_sums(alphabet, fam.A, fam.B, n, n)
+    assert np.allclose(every, nonmaximal + maximal_weight_matrix(fam, n), atol=1e-12)
+
+
 # -- moments -> coefficients -------------------------------------------------------------
 
 
@@ -343,6 +375,51 @@ def test_recovery_round_trip_random_families():
         phi = favard_moments(fam, 3)
         rec = jacobi_from_moments(phi, 3)
         assert fam.blocks_close(rec) <= 1e-8
+
+
+def test_recovery_reads_the_table_without_per_word_calls(monkeypatch):
+    fam = random_admissible_family(2, 4, seed=5)
+    phi = favard_moments(fam, 4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-word call on the batched path peel")
+
+    monkeypatch.setattr(type(phi), "moment", forbidden)
+    monkeypatch.setattr(ncjacobi.paths, "_transfer_sum", forbidden)
+    rec = jacobi_from_moments(phi, 4)
+    assert fam.blocks_close(rec) <= np.linalg.cond(phi.gram(4).gram) * np.finfo(float).eps
+
+
+def assert_exact_structure(rec):
+    for n in range(1, rec.depth + 1):
+        assert np.all(np.tril(rec.concat_A(n), -1) == 0.0)
+    for b in rec.B.values():
+        assert np.array_equal(b, b.T)
+
+
+@pytest.mark.parametrize("alphabet, depth, seed", [(2, 5, 1), (3, 3, 2)])
+def test_recovery_round_trip_dense_families(alphabet, depth, seed):
+    fam = random_admissible_family(alphabet, depth, seed=seed)
+    phi = favard_moments(fam, depth)
+    rec = jacobi_from_moments(phi, depth)
+    assert_exact_structure(rec)
+    cond = np.linalg.cond(phi.gram(depth).gram)
+    assert fam.blocks_close(rec) <= cond * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "spec, depth", [("hermite,legendre", 4), ("chebyshev_t,laguerre(0.5),hermite", 3)]
+)
+def test_recovery_round_trip_free_products(spec, depth):
+    from ncjacobi import extract_recurrence, orthonormalize
+
+    fam = build_free_product(parse_recurrence_spec(spec, depth), depth)
+    phi = favard_moments(fam, depth)
+    rec = jacobi_from_moments(phi, depth)
+    assert_exact_structure(rec)
+    bound = np.linalg.cond(phi.gram(depth).gram) * np.finfo(float).eps
+    assert fam.blocks_close(rec) <= bound
+    assert extract_recurrence(orthonormalize(phi, depth), phi).blocks_close(rec) <= bound
 
 
 def test_recovery_needs_odd_word_data():
