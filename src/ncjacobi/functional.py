@@ -9,6 +9,7 @@ symmetric triangular factorization of the Gram matrix of monomials.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -35,12 +36,17 @@ def upper_cholesky(mat: np.ndarray, tol: float = DEFAULT_POSITIVITY_TOL):
     Returns ``(R, pivots, completed)``.  ``pivots`` are the successive Schur
     complements of the diagonal (the LDL^T diagonal); the factorization stops
     at the first pivot that is not > tol (a NaN pivot included), in which case
-    ``R`` is None and ``completed`` is False.
+    ``R`` is None and ``completed`` is False.  Reads the upper triangle only.
+    LAPACK factors; the row loop runs only when a pivot fails, to name it.
     """
     a = np.asarray(mat, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
+    with contextlib.suppress(np.linalg.LinAlgError):
+        r = np.linalg.cholesky(a.T).T
+        if np.all(np.diag(r) ** 2 > tol):
+            return r, (np.diag(r) ** 2).tolist(), True
     r = np.zeros((n, n))
     pivots: list[float] = []
     for j in range(n):
@@ -54,31 +60,32 @@ def upper_cholesky(mat: np.ndarray, tol: float = DEFAULT_POSITIVITY_TOL):
 
 
 def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
-    """T^{-1} B for triangular T with nonzero diagonal, by substitution.
+    """T^{-1} B for triangular T with nonzero diagonal, through LAPACK's LU.
 
-    An entry of the solution that the triangular structure of T and B makes
-    zero comes out exactly zero, so inverses and quotients of triangular
-    matrices stay triangular.
-    """
-    x = np.array(b, dtype=float)
-    n = len(t)
-    for i in range(n) if lower else range(n - 1, -1, -1):
-        done = slice(0, i) if lower else slice(i + 1, n)
-        x[i] = (x[i] - t[i, done] @ x[done]) / t[i, i]
-    return x
+    A lower T is solved reversed, as an upper triangular matrix, on which partial
+    pivoting swaps nothing: LU is plain back substitution, and entries that the
+    structure of T and B makes zero come out exactly zero."""
+    if lower:
+        return np.linalg.solve(t[::-1, ::-1], b[::-1])[::-1]
+    return np.linalg.solve(t, b)
 
 
 @dataclass
 class GramReport:
     """Gram matrix of monomials up to a degree, with its positivity verdict."""
 
+    alphabet: int
     degree: int
-    words: list[Word]
     gram: np.ndarray
     pivots: list[float]
     min_pivot: float
     positive: bool
     factor: np.ndarray | None  # upper triangular R with gram = R^T R, if positive
+
+    @functools.cached_property
+    def words(self) -> list[Word]:
+        """The monomials indexing ``gram``, built on first use."""
+        return words_up_to(self.alphabet, self.degree)
 
 
 @dataclass
@@ -219,8 +226,8 @@ class MomentFunctional:
         g = self._values[kernel_index(self.alphabet, degree)]
         r, pivots, completed = upper_cholesky(g, tol=tol)
         return GramReport(
+            alphabet=self.alphabet,
             degree=degree,
-            words=words_up_to(self.alphabet, degree),
             gram=g,
             pivots=pivots,
             min_pivot=min(pivots),

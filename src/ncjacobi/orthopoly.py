@@ -11,10 +11,12 @@ the block, non-commuting form of Golub-Welsch.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
-from .jacobi import AdmissibleFamily, truncate
+from .jacobi import AdmissibleFamily, section
 from .ncpoly import NcPolynomial
 from .words import Word, kernel_index, level_offsets, words_up_to
 
@@ -34,15 +36,21 @@ class OrthonormalBasis:
     def __init__(self, alphabet: int, depth: int, coeffs: np.ndarray):
         self.alphabet = alphabet
         self.depth = depth
-        self.words = words_up_to(alphabet, depth)
+        size = level_offsets(alphabet, depth)[-1]
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (len(self.words), len(self.words)):
+        if coeffs.shape != (size, size):
             raise ValueError(
-                f"coefficient matrix shape {coeffs.shape} does not match "
-                f"{len(self.words)} words"
+                f"coefficient matrix shape {coeffs.shape} does not match {size} words"
             )
         self.coeffs = coeffs
-        self._index = {w: i for i, w in enumerate(self.words)}
+
+    @functools.cached_property
+    def words(self) -> list[Word]:
+        return words_up_to(self.alphabet, self.depth)
+
+    @functools.cached_property
+    def _index(self) -> dict[Word, int]:
+        return {w: i for i, w in enumerate(self.words)}
 
     def coefficient(self, alpha: Word, beta: Word) -> float:
         return float(self.coeffs[self._index[alpha], self._index[beta]])
@@ -84,8 +92,7 @@ def orthonormalize(
             f"functional not strictly positive at depth {depth}: Gram pivot "
             f"{report.pivots[-1]:.3e} <= {tol}"
         )
-    r = report.factor
-    rinv = solve_triangular(r, np.eye(r.shape[0]))
+    rinv = solve_triangular(report.factor, np.eye(len(report.gram)))
     return OrthonormalBasis(phi.alphabet, depth, rinv.T)
 
 
@@ -144,26 +151,22 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             f"level-{depth} blocks needs length {2 * depth + 1}"
         )
     offs = level_offsets(N, depth)
+    rows, worst = offs[depth], 0.0
     A: dict[tuple[int, int], np.ndarray] = {}
     B: dict[tuple[int, int], np.ndarray] = {}
     for n in range(1, depth + 1):
         for k, a in enumerate(np.hsplit(a_matrix_from_coefficients(basis, n), N), start=1):
             A[(n, k)] = a
-    kernels = [kernel_index(N, depth, k) for k in range(1, N + 1)]
-    for k, idx in enumerate(kernels, start=1):
+    for k in range(1, N + 1):
+        idx = kernel_index(N, depth, k)
         m = c @ phi.values[idx] @ c.T
         for n in range(depth + 1):
             b = m[offs[n] : offs[n + 1], offs[n] : offs[n + 1]]
             B[(n, k)] = (b + b.T) / 2.0
-    family = AdmissibleFamily(N, depth, A, B)
-
-    # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
-    rows = offs[depth]
-    worst = 0.0
-    for k, idx in enumerate(kernels, start=1):
+        # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
         shifted = np.zeros((rows, len(c)))
         shifted[:, idx[:rows, 0]] = c[:rows, :rows]
-        resid = shifted - truncate(family, k, depth).matrix[:rows] @ c
+        resid = shifted - section(N, A, B, k, depth)[:rows] @ c
         worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
     # eps ||R||_F^2 ||R^{-1}||_F^2 >= eps cond(G), the accuracy scale of any
     # recovery from moments; ||R||_F^2 = trace(G) and R^{-1} = C^T
@@ -174,7 +177,7 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             f"three-term residual {worst:.3e} exceeds eps ||R||_F^2 ||R^-1||_F^2 = "
             f"{bound:.3e}; basis and functional are inconsistent"
         )
-    return family
+    return AdmissibleFamily(N, depth, A, B)
 
 
 def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:

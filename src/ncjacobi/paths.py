@@ -13,6 +13,8 @@ level c.  For all words I(s)t of one level at once, the columns J_t e0 of the
 section's Fock matrix R sum the first n steps of the paths by height, R[:, s]
 the last n steps run backwards, and (R^T R)[s, t] joins the halves at step n,
 so it counts each path once; R^T J_k R does the same for the words I(s)kt.
+Only the maximal path reaches height n in n steps, so for c = n - 1 the matrix
+R is the Fock level V_n = [J_1 V_{n-1} .. J_N V_{n-1}] without its level-n rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
 from .functional import upper_cholesky
 from .jacobi import AdmissibleFamily, fock_levels, section
-from .words import Word, kernel_index, level_offsets
+from .words import Word, level_offsets, reversal_index
 
 STEP_KINDS = ("level", "switch", "rise", "fall")
 
@@ -288,12 +290,6 @@ def weight_factors_value(
     return float(m[0, 0])
 
 
-def _conjugate_by_inverse(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(P^T)^{-1} Y P^{-1} for upper triangular P, via triangular solves."""
-    z = solve_triangular(p.T, y, lower=True)
-    return solve_triangular(p.T, z.T, lower=True).T
-
-
 def _path_sums(N: int, A: Mapping, B: Mapping, n: int, height_cap: int, letter: int = 0):
     """``_transfer_sum`` of all words I(s)t, or I(s)kt with k = ``letter``, for
     |s| = |t| = n, as one matrix over the ranks of s and t (module docstring)."""
@@ -312,7 +308,8 @@ def jacobi_from_moments(
     at once (module docstring); conjugating by the accumulated product of earlier
     levels (block-replicated to size N^n) leaves A_n^T A_n, and A_n is its
     upper-triangular factor.  The words I(s)kt, summed with B_n = 0, yield
-    B_{n,k} the same way.  Requires moments for every word of length <= 2*depth + 1.
+    B_{n,k} the same way; the level-n rows of V_n are the accumulated product.
+    Requires moments for every word of length <= 2*depth + 1.
     """
     N = phi.alphabet
     if depth < 0:
@@ -325,30 +322,44 @@ def jacobi_from_moments(
             f"depth-{depth} correction blocks need length {2 * depth + 1}"
         )
     s = phi.values
+    offs = level_offsets(N, 2 * depth + 1)
+    rev = reversal_index(N, depth)
     A: dict[tuple[int, int], np.ndarray] = {}
     B = {(0, k): np.array([[s[k]]]) for k in range(1, N + 1)}  # word k has rank k
-    offs = level_offsets(N, depth)
-    atilde = np.array([[1.0]])
+    # the sections J_k through the last level recovered, stacked over k
+    J = np.zeros((N, offs[depth + 1], offs[depth + 1]))
+    J[:, 0, 0] = s[1 : N + 1]
+    jv = J[:, :1, :1]  # J_k V for the Fock level V, here V_0 = e0
+    atilde = inv = np.ones((1, 1))  # accumulated product and its inverse
+    letters = np.arange(N)[:, None, None]
     for n in range(1, depth + 1):
-        dim, top = N**n, slice(offs[n], offs[n + 1])
-        # kernel_index gives I(b) a at row a, column b: transposed, row s column t
-        kmat = s[kernel_index(N, n)[top, top]].T
-        p = np.kron(np.eye(N), atilde)
-        m = _conjugate_by_inverse(p, kmat - _path_sums(N, A, B, n, n - 1))
-        m = (m + m.T) / 2.0
-        r, pivots, completed = upper_cholesky(m, tol=tol)
+        dim, d = N**n, N ** (n - 1)
+        prev, lo, hi = offs[n - 1 : n + 2]
+        rev_n = rev[lo:hi, None] - lo
+        low = np.hstack(jv)  # V_n below level n
+        kmat = s[offs[2 * n] + rev_n * dim + np.arange(dim)]
+        # conjugate by the inverse of I_N (x) atilde, block by block
+        y = (kmat - low.T @ low).reshape(N, d, N, d).swapaxes(1, 2)
+        m = (inv.T @ y @ inv).swapaxes(1, 2).reshape(dim, dim)
+        r, pivots, completed = upper_cholesky((m + m.T) / 2.0, tol=tol)
         if not completed:
             raise NotStrictlyPositiveError(
                 f"coefficient recovery at level {n} hit pivot {pivots[-1]:.3e} "
                 f"<= {tol}; the moment table is not strictly positive there"
             )
-        for k, a in enumerate(np.hsplit(r, N), start=1):
-            A[(n, k)] = a
-        atilde = r @ p
-
-        bwork = {**B, **{(n, k): np.zeros((dim, dim)) for k in range(1, N + 1)}}
+        a = r.reshape(dim, N, d).swapaxes(0, 1)  # A_{n,k} over k
+        atilde = np.hstack(a @ atilde)
+        inv = solve_triangular(atilde, np.eye(dim))
+        v = np.vstack([low, atilde])
+        J[:, lo:hi, prev:lo] = a
+        J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)
+        jv = J[:, :hi, :hi] @ v  # with B_n = 0
+        # the words I(s)kt at level rank (rev(s) N + k - 1) N^n + t, over k
+        cmat = s[offs[2 * n + 1] + (rev_n * N + letters) * dim + np.arange(dim)]
+        b = inv.T @ (cmat - v.T @ jv) @ inv
+        b = (b + b.swapaxes(1, 2)) / 2.0
+        J[:, lo:hi, lo:hi] = b
+        jv[:, lo:] += b @ atilde
         for k in range(1, N + 1):
-            cmat = s[kernel_index(N, n, k)[top, top]].T
-            b = _conjugate_by_inverse(atilde, cmat - _path_sums(N, A, bwork, n, n, k))
-            B[(n, k)] = (b + b.T) / 2.0
+            A[(n, k)], B[(n, k)] = a[k - 1], b[k - 1]
     return AdmissibleFamily(N, depth, A, B)

@@ -48,14 +48,6 @@ class Word:
         body = "".join(str(c) for c in self.letters) if self.letters else "e"
         return f"Word({body}; N={self.alphabet})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters and self.alphabet == other.alphabet
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.alphabet))
-
     def __lt__(self, other: "Word") -> bool:
         return compare(self, other) < 0
 

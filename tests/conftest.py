@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from ncjacobi import (
@@ -62,3 +65,30 @@ def random_polynomial(rng, alphabet=2, max_degree=3, n_terms=5):
         letters = tuple(int(x) for x in rng.integers(1, alphabet + 1, size=length))
         terms[Word(letters, alphabet)] = float(rng.uniform(-2, 2))
     return NcPolynomial(alphabet, terms)
+
+
+def row_loop_cholesky(mat, tol):
+    """Oracle for ``upper_cholesky``: the row-by-row factorization, reading the
+    upper triangle and stopping at the first pivot that is not > tol."""
+    a = np.asarray(mat, dtype=float)
+    n = a.shape[0]
+    r = np.zeros((n, n))
+    pivots = []
+    for j in range(n):
+        d = a[j, j] - r[:j, j] @ r[:j, j]
+        pivots.append(float(d))
+        if not d > tol:
+            return None, pivots, False
+        r[j, j] = math.sqrt(d)
+        r[j, j + 1 :] = (a[j, j + 1 :] - r[:j, j] @ r[:j, j + 1 :]) / r[j, j]
+    return r, pivots, True
+
+
+def substitution_solve(t, b, lower=False):
+    """Oracle for ``solve_triangular``: T^{-1} B by row-by-row substitution."""
+    x = np.array(b, dtype=float)
+    n = len(t)
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        done = slice(0, i) if lower else slice(i + 1, n)
+        x[i] = (x[i] - t[i, done] @ x[done]) / t[i, i]
+    return x

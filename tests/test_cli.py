@@ -267,6 +267,24 @@ def test_verify_moments_report(workdir, capsys):
     assert "strictly positive" in out
 
 
+def test_verify_moments_builds_no_kernel_table(workdir, capsys, monkeypatch):
+    # a word-indexed table is shift invariant by construction: nothing to check
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel table built by verify --moments")
+
+    for module in (ncjacobi.cli, ncjacobi.functional):
+        for name in ("kernel_table", "hankel_check"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert run(["freeproduct", "--spec", "hermite,legendre", "--depth", "3",
+                "--out", "fam.json"]) == 0
+    assert run(["moments", "--family", "fam.json", "--max-degree", "2",
+                "--out", "m.json"]) == 0
+    assert run(["verify", "--moments", "m.json"]) == 0
+    assert "shift invariance K(aw,t) = K(w,I(a)t) holds by construction" in (
+        capsys.readouterr().out
+    )
+
+
 def test_exit_codes(workdir, capsys):
     # malformed JSON -> 2
     with open("bad.json", "w") as fh:

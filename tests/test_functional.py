@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,18 @@ from ncjacobi import (
     upper_cholesky,
     words_up_to,
 )
+from ncjacobi.functional import solve_triangular
 
 from conftest import (
     EXPONENTIAL_MOMENTS,
     GAUSSIAN_MOMENTS,
     one_dim_functional,
     random_polynomial,
+    row_loop_cholesky,
+    substitution_solve,
 )
+
+EPS = np.finfo(float).eps
 
 
 def singular_pair():
@@ -236,6 +243,101 @@ def test_upper_cholesky_known_matrix():
     assert np.allclose(pivots, [1.0, 1.0, 2.0])
     assert np.all(np.diag(r) > 0)
     assert np.allclose(r, np.triu(r))
+
+
+def seeded_spd(n, seed):
+    m = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n))
+    return m @ m.T + 0.1 * np.eye(n)
+
+
+def spd_case(case):
+    """A seeded SPD matrix, or the Gram matrix of a seeded (N, depth, seed) family."""
+    if isinstance(case, int):
+        return seeded_spd(5 + 7 * case, 900 + case)
+    N, d, seed = case
+    return favard_moments(random_admissible_family(N, d, seed=seed), d).gram(d).gram
+
+
+@pytest.mark.parametrize("case", [*range(6), (2, 4, 7), (3, 3, 2)])
+def test_upper_cholesky_agrees_with_row_loop(case):
+    g = spd_case(case)
+    r, pivots, completed = upper_cholesky(g)
+    r_ref, pivots_ref, completed_ref = row_loop_cholesky(g, 1e-10)
+    assert completed and completed_ref
+    assert np.all(np.tril(r, -1) == 0.0) and np.all(np.diag(r) > 0)
+    scale = len(g) * EPS * np.linalg.cond(g)
+    assert np.max(np.abs(r - r_ref)) <= scale * np.max(np.abs(r_ref))
+    assert np.allclose(pivots, pivots_ref, rtol=scale, atol=0.0)
+
+
+def small_pivot_matrix(pivot):
+    """L D L^T with unit lower L, so the LDL^T pivots are exactly D's diagonal
+    up to rounding; index 2 carries ``pivot``."""
+    rng = np.random.default_rng(5)
+    lower = np.tril(rng.uniform(-1.0, 1.0, size=(5, 5)), -1) + np.eye(5)
+    return lower @ np.diag([1.0, 2.0, pivot, 1.5, 1.0]) @ lower.T
+
+
+def test_upper_cholesky_rejects_small_pivot_lapack_accepts():
+    g = small_pivot_matrix(1e-12)
+    np.linalg.cholesky(g)  # LAPACK factors it: the pivot is positive
+    r, pivots, completed = upper_cholesky(g, tol=1e-10)
+    assert not completed and r is None
+    assert (r, pivots, completed) == row_loop_cholesky(g, 1e-10)
+    assert len(pivots) == 3 and 0.0 < pivots[-1] <= 1e-10
+
+
+def test_upper_cholesky_names_nan_pivot():
+    g = small_pivot_matrix(1.0)
+    g[3, 3] = np.nan
+    r, pivots, completed = upper_cholesky(g)
+    assert not completed and r is None
+    assert len(pivots) == 4 and math.isnan(pivots[-1])
+    assert pivots[:3] == row_loop_cholesky(g, 1e-10)[1][:3]
+
+
+def test_upper_cholesky_reads_upper_triangle():
+    g = seeded_spd(12, 3)
+    skewed = g.copy()
+    lower = np.tril_indices(12, -1)
+    skewed[lower] *= 1.0 + 1e-12
+    assert not np.array_equal(skewed, skewed.T)
+    r, _, completed = upper_cholesky(skewed)
+    assert completed
+    assert np.array_equal(r, upper_cholesky(g)[0])
+
+
+def random_upper(n, seed):
+    rng = np.random.default_rng(seed)
+    t = np.triu(rng.uniform(-1.0, 1.0, size=(n, n)), 1)
+    return t + np.diag(rng.uniform(0.5, 2.0, size=n))
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_solve_triangular_keeps_structural_zeros(lower):
+    t = random_upper(20, 1)
+    t = t.T if lower else t
+    inverse = solve_triangular(t, np.eye(20), lower=lower)
+    below = np.triu(inverse, 1) if lower else np.tril(inverse, -1)
+    assert np.all(below == 0.0)
+    for j in (0, 7, 19):
+        x = solve_triangular(t, np.eye(20)[j], lower=lower)
+        assert x.shape == (20,)
+        assert np.all((x[:j] if lower else x[j + 1 :]) == 0.0)
+
+
+@pytest.mark.parametrize("lower", [False, True])
+@pytest.mark.parametrize("n, seed", [(1, 2), (9, 3), (30, 4)])
+def test_solve_triangular_agrees_with_substitution(lower, n, seed):
+    t = random_upper(n, seed)
+    t = t.T if lower else t
+    rng = np.random.default_rng(seed + 100)
+    bound = n * EPS * np.linalg.cond(t)
+    for b in (rng.normal(size=n), rng.normal(size=(n, 4))):
+        x = solve_triangular(t, b, lower=lower)
+        ref = substitution_solve(t, b, lower=lower)
+        assert x.shape == b.shape
+        assert np.max(np.abs(x - ref)) <= bound * np.max(np.abs(ref))
 
 
 def test_upper_cholesky_stops_at_nonpositive_pivot():

@@ -244,3 +244,12 @@ def test_extract_round_trips_ill_conditioned_tables(alphabet, depth, seed):
     cond = np.linalg.cond(phi.gram(depth).gram)
     assert fam.blocks_close(recovered) <= cond * np.finfo(float).eps
     assert validate(recovered).ok
+
+
+@pytest.mark.parametrize("alphabet, depth, seed", [(2, 4, 7), (3, 3, 2), (2, 5, 1)])
+def test_a_matrix_and_basis_exactly_triangular(alphabet, depth, seed):
+    phi = favard_moments(random_admissible_family(alphabet, depth, seed=seed), depth)
+    basis = orthonormalize(phi, depth)
+    assert np.all(np.triu(basis.coeffs, 1) == 0.0)
+    for n in range(1, depth + 1):
+        assert np.all(np.tril(a_matrix_from_coefficients(basis, n), -1) == 0.0)

@@ -390,6 +390,31 @@ def test_recovery_reads_the_table_without_per_word_calls(monkeypatch):
     assert fam.blocks_close(rec) <= np.linalg.cond(phi.gram(4).gram) * np.finfo(float).eps
 
 
+def test_inverse_direction_builds_no_word_lists(monkeypatch):
+    """The table -> blocks hot path enumerates no Word objects, and the peel
+    gathers its kernel blocks by level rank without a full kernel index."""
+    fam = random_admissible_family(2, 4, seed=9)
+    phi = favard_moments(fam, 4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("index built on the inverse hot path")
+
+    modules = [ncjacobi.words, ncjacobi.functional, ncjacobi.orthopoly, ncjacobi.paths]
+    with monkeypatch.context() as patch:
+        for module in modules:
+            patch.setattr(module, "kernel_index", forbidden, raising=False)
+        rec = jacobi_from_moments(phi, 4)
+    for module in modules:
+        monkeypatch.setattr(module, "enumerate_words", forbidden, raising=False)
+    rec = jacobi_from_moments(phi, 4)
+    basis = ncjacobi.orthonormalize(phi, 4)
+    extracted = ncjacobi.extract_recurrence(basis, phi)
+    assert_exact_structure(rec)
+    assert_exact_structure(extracted)
+    bound = np.linalg.cond(phi.gram(4).gram) * np.finfo(float).eps
+    assert max(fam.blocks_close(rec), fam.blocks_close(extracted)) <= bound
+
+
 def assert_exact_structure(rec):
     for n in range(1, rec.depth + 1):
         assert np.all(np.tril(rec.concat_A(n), -1) == 0.0)
