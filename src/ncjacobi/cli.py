@@ -194,20 +194,9 @@ def cmd_freeproduct(args) -> int:
     labels = ",".join(rec.label for rec in recurrences)
     print(f"ok: wrote depth-{args.depth} family for {labels} to {args.out}")
     if args.basis is not None:
-        words = words_up_to(family.alphabet, args.depth)
-        obj = {
-            "N": family.alphabet,
-            "depth": args.depth,
-            "basis": [
-                {
-                    "word": list(w.letters),
-                    "terms": fp.product_polynomial(recurrences, w).to_json_obj(),
-                }
-                for w in words
-            ],
-        }
-        jsonio.write_json(args.basis, obj)
-        print(f"ok: wrote {len(words)} product polynomials to {args.basis}")
+        basis = fp.product_basis(recurrences, args.depth)
+        jsonio.write_json(args.basis, basis.to_json_obj())
+        print(f"ok: wrote {len(basis.coeffs)} product polynomials to {args.basis}")
     return 0
 
 

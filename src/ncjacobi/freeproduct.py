@@ -21,7 +21,8 @@ import numpy as np
 from . import jsonio
 from .jacobi import AdmissibleFamily
 from .ncpoly import NcPolynomial
-from .words import Word, block_decompose, enumerate_words, words_up_to
+from .orthopoly import OrthonormalBasis, three_term_residuals
+from .words import Word, level_offsets, prepend_index
 
 
 @dataclass(frozen=True)
@@ -156,19 +157,17 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
             )
     A: dict[tuple[int, int], np.ndarray] = {}
     B: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(1, depth + 1):
-        for k in range(1, N + 1):
-            rec = recurrences[k - 1]
-            m = np.zeros((N**n, N ** (n - 1)))
-            for j, tau in enumerate(enumerate_words(N, n - 1)):
-                # the word k tau has rank (k - 1) N^(n-1) + rank(tau)
-                m[(k - 1) * N ** (n - 1) + j, j] = rec.a_at(tau.leading_run(k) + 1)
-            A[(n, k)] = m
-    for n in range(0, depth + 1):
-        diag_words = enumerate_words(N, n)
-        for k in range(1, N + 1):
-            rec = recurrences[k - 1]
-            B[(n, k)] = np.diag([rec.b_at(w.leading_run(k)) for w in diag_words])
+    for n in range(depth + 1):
+        size = N**n
+        letters = np.arange(size)[:, None] // N ** np.arange(n - 1, -1, -1) % N + 1
+        for k, rec in enumerate(recurrences, start=1):
+            run = np.cumprod(letters == k, axis=1).sum(axis=1)  # leading run of k, by rank
+            B[(n, k)] = np.diag(np.take(rec.b, run))
+            if n < depth:
+                # the word k t has rank (k - 1) N^n + rank(t)
+                m = np.zeros((N * size, size))
+                m[(k - 1) * size + np.arange(size), np.arange(size)] = np.take(rec.a, run)
+                A[(n + 1, k)] = m
     return AdmissibleFamily(N, depth, A, B)
 
 
@@ -187,31 +186,46 @@ def _univariate_coeffs(rec: OneDimRecurrence, n: int) -> list[np.ndarray]:
     return ps
 
 
-def product_polynomial(
-    recurrences: Sequence[OneDimRecurrence], sigma: Word
-) -> NcPolynomial:
-    """Product of one-variable orthonormal polynomials along the run form.
+def product_basis(recurrences: Sequence[OneDimRecurrence], depth: int) -> OrthonormalBasis:
+    """Coefficient rows of the products of one-variable orthonormal polynomials
+    along the run form, for all words up to ``depth``.
 
-    A run of letter k with exponent e contributes p_e evaluated at X_k; the
+    The row of k^e w, with w not starting with k, is p_e(X_k) applied to the
+    row of w; X_k moves each coefficient to the word with k prepended.  The
     empty word gives the constant 1.
     """
     N = len(recurrences)
+    if N < 1 or depth < 0:
+        raise ValueError("need at least one recurrence and depth >= 0")
+    p = [_univariate_coeffs(rec, depth) for rec in recurrences]
+    offs = level_offsets(N, depth)
+    prepend = prepend_index(N, depth)
+    c = np.zeros((offs[-1], offs[-1]))
+    c[0, 0] = 1.0
+    for n in range(1, depth + 1):
+        for k in range(1, N + 1):
+            for m in range(n):
+                # k^(n-m) w, with |w| = m and w not starting with k, has level rank
+                # (k - 1) (N^(n-1) + .. + N^m) + rank(w)
+                w = np.arange(N**m)
+                w = w[w // N ** (m - 1) != k - 1] if m else w
+                sigma = offs[n] + (k - 1) * (offs[n] - offs[m]) + w
+                rows, dest = c[offs[m] + w, : offs[m + 1]], np.arange(offs[m + 1])
+                for coeff in p[k - 1][n - m]:
+                    c[np.ix_(sigma, dest)] += coeff * rows
+                    dest = prepend[k - 1, dest]
+    return OrthonormalBasis(N, depth, c)
+
+
+def product_polynomial(
+    recurrences: Sequence[OneDimRecurrence], sigma: Word
+) -> NcPolynomial:
+    """Product of one-variable orthonormal polynomials along the run form of
+    ``sigma``: its row of ``product_basis``."""
+    N = len(recurrences)
     if sigma.alphabet != N:
         raise ValueError(f"word alphabet {sigma.alphabet} does not match {N} recurrences")
-    result = NcPolynomial.one(N)
-    if sigma.is_empty:
-        return result
-    for letter, exp in block_decompose(sigma).blocks:
-        coeffs = _univariate_coeffs(recurrences[letter - 1], exp)[exp]
-        xk = NcPolynomial.variable(N, letter)
-        factor = NcPolynomial.constant(N, coeffs[0])
-        power = NcPolynomial.one(N)
-        for c in coeffs[1:]:
-            power = power * xk
-            if c != 0.0:
-                factor = factor + c * power
-        result = result * factor
-    return result
+    return product_basis(recurrences, len(sigma)).polynomial(sigma)
 
 
 @dataclass
@@ -237,31 +251,12 @@ def verify_three_term(
     coefficientwise for all letters k and levels n < depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    N = len(recurrences)
     family = build(recurrences, depth)
-    polys = {w: product_polynomial(recurrences, w) for w in words_up_to(N, depth)}
-    residuals: dict[tuple[int, int], float] = {}
-    for n in range(depth):
-        rows_up = enumerate_words(N, n + 1)
-        rows_n = enumerate_words(N, n)
-        rows_dn = enumerate_words(N, n - 1) if n >= 1 else []
-        for k in range(1, N + 1):
-            xk = NcPolynomial.variable(N, k)
-            worst = 0.0
-            for j, tau in enumerate(rows_n):
-                resid = xk * polys[tau]
-                for i, sigma in enumerate(rows_up):
-                    resid = resid - family.A[(n + 1, k)][i, j] * polys[sigma]
-                for i, sigma in enumerate(rows_n):
-                    resid = resid - family.B[(n, k)][i, j] * polys[sigma]
-                for i, sigma in enumerate(rows_dn):
-                    resid = resid - family.A[(n, k)][j, i] * polys[sigma]
-                worst = max(worst, resid.max_abs_coefficient())
-            residuals[(n, k)] = worst
-    max_residual = max(residuals.values(), default=0.0)
+    c = product_basis(recurrences, depth).coeffs
+    residuals = three_term_residuals(c, len(recurrences), family.A, family.B)
     return ThreeTermReport(
         depth=depth,
-        max_residual=max_residual,
+        max_residual=max(residuals.values(), default=0.0),
         residuals=residuals,
         tolerance=tolerance,
     )

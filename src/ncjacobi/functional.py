@@ -111,24 +111,12 @@ class MomentFunctional:
         moments: Mapping[Word, float],
         symmetry_tol: float = DEFAULT_SYMMETRY_TOL,
     ):
-        top = 2 * max_degree + 1
-        offs = level_offsets(alphabet, top)
-        values = np.full(offs[-1], np.nan)
-        present = np.zeros(offs[-1], dtype=bool)
-        for w, v in moments.items():
-            if w.alphabet != alphabet or len(w) > top:
-                raise ValueError(
-                    f"word {w} outside the N={alphabet} table, which may extend at "
-                    f"most one level past length {top - 1}"
-                )
-            values[offs[len(w)] + w.rank()] = v
-            present[offs[len(w)] + w.rank()] = True
-        size = offs[-1] if present[offs[top] :].any() else offs[top]
-        missing = np.flatnonzero(~present[:size])
-        if missing.size:
-            word = word_at(alphabet, int(missing[0]))
-            raise ValueError(f"moment table incomplete: missing word {word}")
-        self._set_values(alphabet, max_degree, values[:size], symmetry_tol)
+        for w in moments:
+            if w.alphabet != alphabet:
+                raise ValueError(_outside(w, alphabet, 2 * max_degree))
+        words = [w.letters for w in moments]
+        table = _by_rank(alphabet, max_degree, words, list(moments.values()))
+        self._set_values(alphabet, max_degree, table, symmetry_tol)
 
     @classmethod
     def from_values(cls, alphabet: int, max_degree: int, values) -> "MomentFunctional":
@@ -255,15 +243,61 @@ class MomentFunctional:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "MomentFunctional":
-        alphabet = int(obj["N"])
-        max_degree = int(obj["max_degree"])
-        table: dict[Word, float] = {}
-        for entry in obj["moments"]:
-            w = Word(tuple(int(c) for c in entry["word"]), alphabet)
-            if w in table:
-                raise ValueError(f"duplicate moment entry for word {w}")
-            table[w] = float(entry["value"])
-        return cls(alphabet, max_degree, table)
+        alphabet, max_degree = json_int(obj, "N"), json_int(obj, "max_degree")
+        words = [entry["word"] for entry in obj["moments"]]
+        stray = set(map(type, itertools.chain.from_iterable(words))) - {int}
+        if stray:
+            raise TypeError(f"word letters must be integers, got {stray.pop().__name__}")
+        values = [float(entry["value"]) for entry in obj["moments"]]
+        table = _by_rank(alphabet, max_degree, words, values)
+        return cls.from_values(alphabet, max_degree, table)
+
+
+def json_int(obj: Mapping, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer; a bool, float or string raises."""
+    if type(obj[key]) is not int:
+        raise TypeError(f"{key!r} must be an integer, got {obj[key]!r}")
+    return obj[key]
+
+
+def _outside(w: Word, alphabet: int, bound: int) -> str:
+    return (
+        f"word {w} outside the N={alphabet} table, which may extend at most one "
+        f"level past length {bound}"
+    )
+
+
+def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) -> np.ndarray:
+    """Moments of words given as letter sequences, listed by graded rank: every
+    word up to length 2*max_degree once, and the words one longer all or none."""
+    if alphabet < 1 or max_degree < 0:
+        raise ValueError("alphabet size must be >= 1 and max_degree >= 0")
+    top = 2 * max_degree + 1
+    offs = np.array(level_offsets(alphabet, top))
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    letters = np.fromiter(itertools.chain.from_iterable(words), np.int64, lengths.sum())
+    bad = (letters < 1) | (letters > alphabet)
+    if bad.any():
+        raise ValueError(f"letter {letters[bad.argmax()]} outside alphabet 1..{alphabet}")
+    if lengths.max(initial=0) > top:
+        w = Word(words[np.argmax(lengths > top)], alphabet)
+        raise ValueError(_outside(w, alphabet, top - 1))
+    # level rank: the sum of (letter - 1) N^(number of letters after it)
+    ends = np.cumsum(lengths)
+    after = np.repeat(ends, lengths) - np.arange(letters.size) - 1
+    partial = np.concatenate(([0], np.cumsum((letters - 1) * alphabet**after)))
+    index = offs[lengths] + partial[ends] - partial[ends - lengths]
+    counts = np.bincount(index, minlength=offs[-1])
+    if counts.max(initial=0) > 1:
+        w = Word(words[np.argmax(counts[index] > 1)], alphabet)
+        raise ValueError(f"duplicate moment entry for word {w}")
+    size = offs[-1] if counts[offs[top] :].any() else offs[top]
+    if not counts[:size].all():
+        word = word_at(alphabet, int(np.argmin(counts[:size])))
+        raise ValueError(f"moment table incomplete: missing word {word}")
+    table = np.empty(size)
+    table[index] = values
+    return table
 
 
 def hankel_check(

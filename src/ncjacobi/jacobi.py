@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .functional import MomentFunctional, NotStrictlyPositiveError
+from .functional import MomentFunctional, NotStrictlyPositiveError, json_int
 from .words import Word, level_offsets, reversal_index
 
 DEFAULT_VALIDATE_TOL = 1e-12
@@ -82,12 +82,11 @@ class AdmissibleFamily:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "AdmissibleFamily":
-        N = int(obj["N"])
-        depth = int(obj["depth"])
+        N, depth = json_int(obj, "N"), json_int(obj, "depth")
         blocks = ({}, {})
         for side, out in zip("AB", blocks):
             for entry in obj[side]:
-                key = (int(entry["n"]), int(entry["k"]))
+                key = (json_int(entry, "n"), json_int(entry, "k"))
                 if key in out:
                     raise ValueError(f"duplicate {side} block for (n,k)={key}")
                 out[key] = np.array(entry["rows"], dtype=float)
@@ -159,14 +158,6 @@ def fock_levels(J: Sequence[np.ndarray], top: int) -> list[np.ndarray]:
     return fock
 
 
-def _truncation(family: AdmissibleFamily, k: int, level: int) -> np.ndarray:
-    # families are immutable by convention, so sections are built once each
-    cache = family.__dict__.setdefault("_section_cache", {})
-    if (k, level) not in cache:
-        cache[(k, level)] = section(family.alphabet, family.A, family.B, k, level)
-    return cache[(k, level)]
-
-
 def truncate(family: AdmissibleFamily, k: int, level: int) -> TruncatedOperator:
     """Finite section of J_k through level blocks 0..level."""
     if not (1 <= k <= family.alphabet):
@@ -175,7 +166,8 @@ def truncate(family: AdmissibleFamily, k: int, level: int) -> TruncatedOperator:
         raise ValueError(f"level {level} exceeds family depth {family.depth}")
     if level < 0:
         raise ValueError("level must be >= 0")
-    return TruncatedOperator(letter=k, level=level, matrix=_truncation(family, k, level))
+    matrix = section(family.alphabet, family.A, family.B, k, level)
+    return TruncatedOperator(letter=k, level=level, matrix=matrix)
 
 
 def operator_moment(family: AdmissibleFamily, sigma: Word, level: int | None = None) -> float:
@@ -199,11 +191,11 @@ def operator_moment(family: AdmissibleFamily, sigma: Word, level: int | None = N
         )
     if family.depth < level:
         raise ValueError(f"family depth {family.depth} insufficient for level {level}")
-    dim = level_offsets(family.alphabet, level)[-1]
-    v = np.zeros(dim)
+    J = {k: section(family.alphabet, family.A, family.B, k, level) for k in set(sigma.letters)}
+    v = np.zeros(level_offsets(family.alphabet, level)[-1])
     v[0] = 1.0
     for k in reversed(sigma.letters):
-        v = _truncation(family, k, level) @ v
+        v = J[k] @ v
     return float(v[0])
 
 
@@ -231,7 +223,7 @@ def favard_moments(
             f"family depth {family.depth} cannot determine degree-{degree} moments"
         )
     N = family.alphabet
-    J = [_truncation(family, k, degree) for k in range(1, N + 1)]
+    J = [section(N, family.A, family.B, k, degree) for k in range(1, N + 1)]
     fock = fock_levels(J, degree + 1)
     offs = level_offsets(N, 2 * degree + 1)
     rev = reversal_index(N, 2 * degree + 1)

@@ -65,7 +65,7 @@ def load_moments(path: str) -> MomentFunctional:
         _require(entry, ("word", "value"), "moment entry", path)
     try:
         return MomentFunctional.from_json_obj(obj)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 

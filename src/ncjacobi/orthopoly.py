@@ -18,7 +18,8 @@ import numpy as np
 from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
 from .jacobi import AdmissibleFamily, section
 from .ncpoly import NcPolynomial
-from .words import Word, kernel_index, level_offsets, words_up_to
+from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
+from .words import words_up_to
 
 
 class ResidualError(RuntimeError):
@@ -72,14 +73,13 @@ class OrthonormalBasis:
         return self.coeffs[lo:hi, lo:hi]
 
     def to_json_obj(self) -> dict:
-        return {
-            "N": self.alphabet,
-            "depth": self.depth,
-            "basis": [
-                {"word": list(w.letters), "terms": self.polynomial(w).to_json_obj()}
-                for w in self.words
-            ],
-        }
+        """Each row's nonzero coefficients, word by word in graded-lex order."""
+        letters = list(letters_up_to(self.alphabet, self.depth))
+        basis = []
+        for word, row in zip(letters, self.coeffs.tolist()):
+            terms = [{"word": list(w), "coeff": c} for w, c in zip(letters, row) if c != 0.0]
+            basis.append({"word": list(word), "terms": terms})
+        return {"N": self.alphabet, "depth": self.depth, "basis": basis}
 
 
 def orthonormalize(
@@ -151,23 +151,17 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             f"level-{depth} blocks needs length {2 * depth + 1}"
         )
     offs = level_offsets(N, depth)
-    rows, worst = offs[depth], 0.0
     A: dict[tuple[int, int], np.ndarray] = {}
     B: dict[tuple[int, int], np.ndarray] = {}
     for n in range(1, depth + 1):
         for k, a in enumerate(np.hsplit(a_matrix_from_coefficients(basis, n), N), start=1):
             A[(n, k)] = a
     for k in range(1, N + 1):
-        idx = kernel_index(N, depth, k)
-        m = c @ phi.values[idx] @ c.T
+        m = c @ phi.values[kernel_index(N, depth, k)] @ c.T
         for n in range(depth + 1):
             b = m[offs[n] : offs[n + 1], offs[n] : offs[n + 1]]
             B[(n, k)] = (b + b.T) / 2.0
-        # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
-        shifted = np.zeros((rows, len(c)))
-        shifted[:, idx[:rows, 0]] = c[:rows, :rows]
-        resid = shifted - section(N, A, B, k, depth)[:rows] @ c
-        worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
+    worst = float(np.max(list(three_term_residuals(c, N, A, B).values()), initial=0.0))
     # eps ||R||_F^2 ||R^{-1}||_F^2 >= eps cond(G), the accuracy scale of any
     # recovery from moments; ||R||_F^2 = trace(G) and R^{-1} = C^T
     trace_g = float(np.sum(phi.values[np.diag(kernel_index(N, depth))]))
@@ -178,6 +172,27 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             f"{bound:.3e}; basis and functional are inconsistent"
         )
     return AdmissibleFamily(N, depth, A, B)
+
+
+def three_term_residuals(c: np.ndarray, N: int, A: dict, B: dict) -> dict:
+    """Largest coefficient of X_k p_tau - sum_sigma J_k[sigma, tau] p_sigma over the
+    words tau of level n, at (n, k) for each level n below the depth of the blocks.
+
+    Row tau of ``c`` holds the coefficients of p_tau by graded rank; J_k is the
+    section that A and B assemble.
+    """
+    depth = len(B) // N - 1
+    offs = level_offsets(N, depth)
+    rows, prepend = offs[depth], prepend_index(N, depth - 1)
+    residuals = {}
+    for k in range(1, N + 1):
+        # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
+        shifted = np.zeros((rows, len(c)))
+        shifted[:, prepend[k - 1]] = c[:rows, :rows]
+        resid = np.abs(shifted - section(N, A, B, k, depth)[:rows] @ c)
+        for n in range(depth):
+            residuals[(n, k)] = float(np.max(resid[offs[n] : offs[n + 1]]))
+    return residuals
 
 
 def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:

@@ -198,6 +198,15 @@ def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
     return np.concatenate(out)
 
 
+def prepend_index(alphabet: int, max_length: int) -> np.ndarray:
+    """Graded rank of k w at [k - 1, graded rank of w], over the words w of
+    length <= max_length: where X_k moves the coefficient of each word."""
+    offs = np.array(level_offsets(alphabet, max_length + 1))
+    length = np.repeat(np.arange(max_length + 1), np.diff(offs[:-1]))
+    level_rank = np.arange(offs[-2]) - offs[length]
+    return offs[length + 1] + np.arange(alphabet)[:, None] * alphabet**length + level_rank
+
+
 def kernel_index(alphabet: int, degree: int, letter: int = 0) -> np.ndarray:
     """Graded rank of I(b) k a at row a, column b, over words of length <= degree.
 
@@ -234,8 +243,4 @@ def block_decompose(w: Word) -> BlockForm:
             current, count = c, 1
     blocks.append((current, count))
     return BlockForm(tuple(blocks), w.alphabet)
-
-
-def leading_run(w: Word, k: int) -> int:
-    return w.leading_run(k)
 

@@ -5,12 +5,15 @@ import pytest
 
 from ncjacobi import (
     MomentFunctional,
+    NcPolynomial,
     Word,
+    block_decompose,
     build_free_product,
     classical_coefficients,
     favard_moments,
     random_admissible_family,
 )
+from ncjacobi.freeproduct import _univariate_coeffs
 
 # frozen one-variable moment sequences, checked against numerical quadrature
 # of the defining weights in test_freeproduct.py
@@ -92,3 +95,23 @@ def substitution_solve(t, b, lower=False):
         done = slice(0, i) if lower else slice(i + 1, n)
         x[i] = (x[i] - t[i, done] @ x[done]) / t[i, i]
     return x
+
+
+def run_form_product(recurrences, sigma):
+    """Oracle for ``product_basis``: the product of p_e(X_k) over the maximal
+    runs k^e of ``sigma``, left to right, in ``NcPolynomial`` arithmetic."""
+    N = len(recurrences)
+    result = NcPolynomial.one(N)
+    if sigma.is_empty:
+        return result
+    for letter, exp in block_decompose(sigma).blocks:
+        coeffs = _univariate_coeffs(recurrences[letter - 1], exp)[exp]
+        xk = NcPolynomial.variable(N, letter)
+        factor = NcPolynomial.constant(N, coeffs[0])
+        power = NcPolynomial.one(N)
+        for c in coeffs[1:]:
+            power = power * xk
+            if c != 0.0:
+                factor = factor + c * power
+        result = result * factor
+    return result

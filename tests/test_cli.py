@@ -178,6 +178,93 @@ def test_loaders_reject_nan_token(workdir, capsys):
     assert "non-finite number Infinity" in capsys.readouterr().err
 
 
+def _moments_with_word(path, letters):
+    """A valid N=1 degree-1 moment table whose word [1] is written as ``letters``."""
+    entries = [{"word": [1] * n, "value": v} for n, v in enumerate([1.0, 0.0, 1.0, 0.0])]
+    entries[1]["word"] = letters
+    with open(path, "w") as fh:
+        json.dump({"N": 1, "max_degree": 1, "moments": entries}, fh)
+
+
+@pytest.mark.parametrize(
+    "letters, message",
+    [
+        ([1.9], "word letters must be integers, got float"),
+        ([True], "word letters must be integers, got bool"),
+        (["1"], "word letters must be integers, got str"),
+        ([2], "letter 2 outside alphabet 1..1"),
+        ([10**30], "bad.json: "),
+    ],
+)
+def test_moment_word_letters_must_be_integers(workdir, capsys, letters, message):
+    _moments_with_word("m.json", [1])
+    assert run(["verify", "--moments", "m.json"]) == 0
+    _moments_with_word("bad.json", letters)
+    capsys.readouterr()
+    assert run(["verify", "--moments", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.update(N=2.5),
+        lambda obj: obj["A"][0].update(n=1.9),
+        lambda obj: obj.update(depth="1"),
+        lambda obj: obj["B"][0].update(k=True),
+    ],
+)
+def test_family_integer_fields_must_be_integers(workdir, capsys, edit):
+    assert run(["freeproduct", "--spec", "hermite,hermite", "--depth", "1",
+                "--out", "fam.json"]) == 0
+    obj = json.load(open("fam.json"))
+    edit(obj)
+    with open("bad.json", "w") as fh:
+        json.dump(obj, fh)
+    capsys.readouterr()
+    assert run(["verify", "--family", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert "must be an integer" in captured.err
+
+
+def test_moment_table_sizes_must_be_integers(workdir, capsys):
+    for key, value in (("N", 1.0), ("max_degree", "1")):
+        _moments_with_word("bad.json", [1])
+        obj = json.load(open("bad.json"))
+        obj[key] = value
+        with open("bad.json", "w") as fh:
+            json.dump(obj, fh)
+        assert run(["verify", "--moments", "bad.json"]) == 2
+        assert f"{key!r} must be an integer" in capsys.readouterr().err
+
+
+def test_cli_chain_builds_no_word_or_polynomial_objects(workdir, capsys, monkeypatch):
+    # the file-to-file commands work on graded-rank arrays from input to output
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Word, NcPolynomial or word list built on the CLI path")
+
+    monkeypatch.setattr(ncjacobi.words.Word, "__post_init__", forbidden)
+    monkeypatch.setattr(ncjacobi.ncpoly.NcPolynomial, "__init__", forbidden)
+    monkeypatch.setattr(ncjacobi.words, "enumerate_words", forbidden)
+    monkeypatch.setattr(ncjacobi.words, "words_up_to", forbidden)
+    for argv in (
+        ["freeproduct", "--spec", "laguerre(0.5),legendre", "--depth", "4",
+         "--out", "fam.json", "--basis", "pb.json"],
+        ["moments", "--family", "fam.json", "--max-degree", "3", "--out", "m.json"],
+        ["jacobi", "--moments", "m.json", "--depth", "3", "--out", "rec.json"],
+        ["orthonormalize", "--moments", "m.json", "--depth", "3", "--out", "basis.json"],
+        ["verify", "--moments", "m.json"],
+        ["verify", "--family", "rec.json"],
+    ):
+        assert run(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.count("ok:") == 9
+    assert len(json.load(open("pb.json"))["basis"]) == 31
+
+
 def test_freeproduct_rejects_overflowing_custom_recurrence(workdir, capsys):
     # 1e999 is a valid JSON number that parses to inf
     with open("rec.json", "w") as fh:

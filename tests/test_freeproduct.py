@@ -15,12 +15,18 @@ from ncjacobi import (
     favard_moments,
     operator_moment,
     orthonormalize,
+    product_basis,
     product_polynomial,
     truncate,
     validate,
     verify_three_term,
 )
 from ncjacobi.freeproduct import parse_recurrence_spec
+from ncjacobi.orthopoly import three_term_residuals
+
+from conftest import run_form_product
+
+EPS = np.finfo(float).eps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -232,6 +238,49 @@ def test_three_term_residuals(kinds, depth):
     report = verify_three_term(recs, depth)
     assert report.ok
     assert report.max_residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec,depth",
+    [
+        ("hermite,hermite", 4),
+        ("chebyshev_t,hermite", 4),
+        ("hermite,hermite,hermite", 3),
+        ("laguerre,legendre", 3),
+        ("laguerre(0.5),legendre", 5),
+    ],
+)
+def test_product_basis_rows_match_run_form_oracle(spec, depth):
+    recs = parse_recurrence_spec(spec, depth + 1)
+    basis = product_basis(recs, depth)
+    exact = not any(any(rec.b) for rec in recs)
+    for i, w in enumerate(basis.words):
+        oracle = run_form_product(recs, w)
+        expected = np.array([oracle.coefficient(u) for u in basis.words])
+        row = basis.coeffs[i]
+        assert np.array_equal(row != 0.0, expected != 0.0), w
+        if exact:
+            assert np.array_equal(row, expected), w
+        else:
+            assert np.all(np.abs(row - expected) <= 4 * EPS * np.abs(expected)), w
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_three_term_residuals_report_planted_block_error(side, n, k):
+    recs = [classical_coefficients(kind, 5) for kind in ("chebyshev_t", "hermite")]
+    fam = build_free_product(recs, 4)
+    c = product_basis(recs, 4).coeffs
+    clean = three_term_residuals(c, 2, fam.A, fam.B)
+    assert max(clean.values()) <= 1e-12
+    delta = 1e-3
+    blocks = {key: m.copy() for key, m in getattr(fam, side).items()}
+    blocks[(n, k)][0, 0] += delta
+    A, B = (blocks, fam.B) if side == "A" else (fam.A, blocks)
+    residuals = three_term_residuals(c, 2, A, B)
+    assert residuals[(n, k)] >= delta / 2
+    assert all(r <= 1e-12 for (_, letter), r in residuals.items() if letter != k)
 
 
 def test_product_polynomials_are_the_orthonormal_family(hermite2_family):

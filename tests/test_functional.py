@@ -456,3 +456,39 @@ def test_non_finite_moment_rejected(bad, rank):
     table = {Word((1,) * n, 1): v for n, v in enumerate(values)}
     with pytest.raises(ValueError, match="non-finite"):
         MomentFunctional(1, 2, table)
+
+
+def test_json_placement_takes_entries_in_any_order(random_phi):
+    obj = random_phi.to_json_obj()
+    order = np.random.default_rng(5).permutation(len(obj["moments"]))
+    shuffled = {**obj, "moments": [obj["moments"][i] for i in order]}
+    assert np.array_equal(MomentFunctional.from_json_obj(shuffled).values, random_phi.values)
+    table = {Word(tuple(e["word"]), 2): e["value"] for e in shuffled["moments"]}
+    assert np.array_equal(MomentFunctional(2, 3, table).values, random_phi.values)
+
+
+def _gaussian_entries():
+    return [{"word": [1] * n, "value": v} for n, v in enumerate(GAUSSIAN_MOMENTS[:6])]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m[2].update(word=[1, 2]), "letter 2 outside alphabet 1..1"),
+        (lambda m: m.append({"word": [1] * 6, "value": 0.0}), r"Word\(111111; N=1\) outside"),
+        (lambda m: m.append({"word": [1, 1], "value": 1.0}), r"duplicate .* Word\(11; N=1\)"),
+        (lambda m: m.pop(3), r"missing word Word\(111; N=1\)"),
+        (lambda m: m[0].update(word=[0]), "letter 0 outside alphabet 1..1"),
+    ],
+)
+def test_json_placement_errors(edit, message):
+    entries = _gaussian_entries()
+    edit(entries)
+    with pytest.raises(ValueError, match=message):
+        MomentFunctional.from_json_obj({"N": 1, "max_degree": 2, "moments": entries})
+
+
+def test_word_table_from_another_alphabet_rejected():
+    table = {Word((1,) * n, 1): v for n, v in enumerate(GAUSSIAN_MOMENTS[:6])}
+    with pytest.raises(ValueError, match=r"Word\(e; N=1\) outside the N=2 table"):
+        MomentFunctional(2, 1, table)

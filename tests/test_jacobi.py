@@ -175,6 +175,22 @@ def test_operator_moment_truncation_stability():
         assert max(values) - min(values) <= 1e-10
 
 
+def test_moments_follow_an_edited_family():
+    # moments are functions of the blocks as they are now, not as first seen
+    fam = random_admissible_family(2, 2, seed=1)
+    w = Word((1, 1, 1, 1), 2)
+    before = favard_moments(fam, 2)
+    operator_moment(fam, w)
+    fam.B[(1, 1)][0, 0] += 0.5
+    after = favard_moments(fam, 2)
+    assert after.moment(w) == pytest.approx(moments_from_paths(fam, w), abs=1e-12)
+    assert abs(after.moment(w) - before.moment(w)) > 0.1
+    assert operator_moment(fam, w) == pytest.approx(moments_from_paths(fam, w), abs=1e-12)
+    for u in words_up_to(2, 5):
+        assert after.moment(u) == pytest.approx(moments_from_paths(fam, u), abs=1e-10)
+    assert np.array_equal(truncate(fam, 1, 1).matrix[1:3, 1:3], fam.B[(1, 1)])
+
+
 def test_operator_moment_insufficient_depth():
     fam = random_admissible_family(2, 1, seed=0)
     with pytest.raises(ValueError, match="level|depth"):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from ncjacobi import (
     favard_moments,
     functional_free_product,
     orthonormalize,
+    product_basis,
     random_admissible_family,
     validate,
 )
@@ -253,3 +255,17 @@ def test_a_matrix_and_basis_exactly_triangular(alphabet, depth, seed):
     assert np.all(np.triu(basis.coeffs, 1) == 0.0)
     for n in range(1, depth + 1):
         assert np.all(np.tril(a_matrix_from_coefficients(basis, n), -1) == 0.0)
+
+
+def test_basis_json_matches_polynomial_route(random_setup):
+    recs = [classical_coefficients(kind, 4) for kind in ("laguerre", "legendre")]
+    for basis in (random_setup[2], product_basis(recs, 3)):
+        expected = {
+            "N": basis.alphabet,
+            "depth": basis.depth,
+            "basis": [
+                {"word": list(w.letters), "terms": basis.polynomial(w).to_json_obj()}
+                for w in basis.words
+            ],
+        }
+        assert json.dumps(basis.to_json_obj()) == json.dumps(expected)

@@ -10,7 +10,6 @@ from ncjacobi import (
     compare,
     enumerate_words,
     graded_rank,
-    leading_run,
     words_up_to,
 )
 
@@ -138,9 +137,9 @@ def test_block_decompose_empty_word_rejected():
 
 
 def test_leading_run_examples():
-    assert leading_run(w([1, 1, 2]), 1) == 2
-    assert leading_run(w([1, 1, 2]), 2) == 0
-    assert leading_run(w([2, 2, 2]), 2) == 3
+    assert w([1, 1, 2]).leading_run(1) == 2
+    assert w([1, 1, 2]).leading_run(2) == 0
+    assert w([2, 2, 2]).leading_run(2) == 3
 
 
 @given(small_words(alphabet=3, max_len=6).filter(lambda x: len(x) > 0))
@@ -150,10 +149,10 @@ def test_block_form_round_trip(word):
     letters = [b[0] for b in form.blocks]
     assert all(x != y for x, y in zip(letters, letters[1:]))
     first_letter, first_exp = form.blocks[0]
-    assert leading_run(word, first_letter) == first_exp
+    assert word.leading_run(first_letter) == first_exp
     for k in range(1, 4):
         if k != first_letter:
-            assert leading_run(word, k) == 0
+            assert word.leading_run(k) == 0
 
 
 def test_block_form_validation():
