@@ -13,11 +13,11 @@ import sys
 
 from . import freeproduct as fp
 from . import jsonio
-from .functional import DEFAULT_POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
+from .functional import DEFAULT_POSITIVITY_TOL, NotStrictlyPositiveError
 from .jacobi import DEFAULT_VALIDATE_TOL, favard_moments, validate
 from .orthopoly import ResidualError, extract_recurrence, orthonormalize
-from .paths import enumerate_paths, moments_from_paths, motzkin_number, path_weight
-from .words import Word, words_up_to
+from .paths import enumerate_paths, motzkin_number, path_weight
+from .words import Word
 
 
 class CliFailure(Exception):
@@ -42,13 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="input family file")
     p.add_argument("--max-degree", type=int, required=True, help="table degree bound")
     p.add_argument("--out", required=True, help="output moment file")
-    p.add_argument(
-        "--engine",
-        choices=("paths", "operator"),
-        default="operator",
-        help="Fock-vector products of the letter operators (default operator), "
-        "or weighted path sums as an independent oracle",
-    )
     p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("jacobi", help="moment table JSON -> family JSON")
@@ -93,11 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(loader, path: str):
-    """Run a jsonio loader; unreadable or malformed input exits 2."""
+    """Run a jsonio loader; malformed input exits 2 (unreadable input too, in main)."""
     try:
         return loader(path)
-    except FileNotFoundError as exc:
-        raise CliFailure(f"error: cannot read {path}: {exc}", 2) from exc
     except json.JSONDecodeError as exc:
         raise CliFailure(f"error: {path} is not valid JSON: {exc}", 2) from exc
     except jsonio.SchemaError as exc:
@@ -125,18 +116,7 @@ def cmd_moments(args) -> int:
     _require_admissible(family, args)
     tol = _tol(args)
     try:
-        if args.engine == "operator":
-            phi = favard_moments(family, args.max_degree, tol=tol)
-        else:
-            table = {}
-            for w in words_up_to(family.alphabet, 2 * args.max_degree + 1):
-                if w not in table:
-                    table[w] = table[w.involute()] = moments_from_paths(family, w)
-            phi = MomentFunctional(family.alphabet, args.max_degree, table)
-            if not phi.is_strictly_positive(args.max_degree, tol=tol):
-                raise NotStrictlyPositiveError(
-                    f"moment table of {args.family} failed strict positivity"
-                )
+        phi = favard_moments(family, args.max_degree, tol=tol)
     except (ValueError, NotStrictlyPositiveError) as exc:
         raise CliFailure(f"FAIL: {exc}", 1) from exc
     jsonio.save_moments(args.out, phi)
@@ -186,9 +166,7 @@ def cmd_freeproduct(args) -> int:
     try:
         recurrences = fp.parse_recurrence_spec(args.spec, max(args.depth, 1))
         family = fp.build(recurrences, args.depth)
-    except FileNotFoundError as exc:
-        raise CliFailure(f"error: {exc}", 2) from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise CliFailure(f"error: bad recurrence spec {args.spec!r}: {exc}", 2) from exc
     jsonio.save_family(args.out, family)
     labels = ",".join(rec.label for rec in recurrences)
@@ -310,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         stream = sys.stderr if exc.code == 2 else sys.stdout
         print(str(exc), file=stream)
         return exc.code
+    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jsonio
+from .functional import json_floats
 from .jacobi import AdmissibleFamily
 from .ncpoly import NcPolynomial
 from .orthopoly import OrthonormalBasis, three_term_residuals
@@ -63,7 +64,10 @@ class OneDimRecurrence:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping, label: str = "custom") -> "OneDimRecurrence":
-        return cls(label=label, a=tuple(obj["a"]), b=tuple(obj["b"]))
+        if not isinstance(obj, Mapping):
+            raise TypeError('a recurrence file holds one object {"a": [...], "b": [...]}')
+        a, b = (json_floats(obj[key], 1, f"recurrence {key!r}") for key in "ab")
+        return cls(label=label, a=tuple(a), b=tuple(b))
 
 
 CLASSICAL_KINDS = ("hermite", "chebyshev_t", "legendre", "laguerre")

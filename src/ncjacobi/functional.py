@@ -59,14 +59,12 @@ def upper_cholesky(mat: np.ndarray, tol: float = DEFAULT_POSITIVITY_TOL):
     return r, pivots, True
 
 
-def solve_triangular(t: np.ndarray, b: np.ndarray, lower: bool = False) -> np.ndarray:
-    """T^{-1} B for triangular T with nonzero diagonal, through LAPACK's LU.
+def solve_triangular(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T^{-1} B for upper triangular T with nonzero diagonal, through LAPACK's LU.
 
-    A lower T is solved reversed, as an upper triangular matrix, on which partial
-    pivoting swaps nothing: LU is plain back substitution, and entries that the
-    structure of T and B makes zero come out exactly zero."""
-    if lower:
-        return np.linalg.solve(t[::-1, ::-1], b[::-1])[::-1]
+    Partial pivoting swaps nothing on an upper triangular matrix: LU is plain
+    back substitution, and entries that the structure of T and B makes zero
+    come out exactly zero."""
     return np.linalg.solve(t, b)
 
 
@@ -109,23 +107,22 @@ class MomentFunctional:
         alphabet: int,
         max_degree: int,
         moments: Mapping[Word, float],
-        symmetry_tol: float = DEFAULT_SYMMETRY_TOL,
     ):
         for w in moments:
             if w.alphabet != alphabet:
                 raise ValueError(_outside(w, alphabet, 2 * max_degree))
         words = [w.letters for w in moments]
         table = _by_rank(alphabet, max_degree, words, list(moments.values()))
-        self._set_values(alphabet, max_degree, table, symmetry_tol)
+        self._set_values(alphabet, max_degree, table)
 
     @classmethod
     def from_values(cls, alphabet: int, max_degree: int, values) -> "MomentFunctional":
         """Table from moments listed by graded rank, with or without the odd top level."""
         phi = cls.__new__(cls)
-        phi._set_values(alphabet, max_degree, values, DEFAULT_SYMMETRY_TOL)
+        phi._set_values(alphabet, max_degree, values)
         return phi
 
-    def _set_values(self, alphabet, max_degree, values, symmetry_tol) -> None:
+    def _set_values(self, alphabet, max_degree, values) -> None:
         """Store a table listed by graded rank once it is complete, finite, unital
         and reversal-symmetric."""
         if alphabet < 1 or max_degree < 0:
@@ -142,7 +139,7 @@ class MomentFunctional:
         rev = reversal_index(alphabet, self.word_bound)
         bad = ~np.isfinite(values)
         if not bad.any():
-            scale = symmetry_tol * np.maximum(1.0, np.abs(values))
+            scale = DEFAULT_SYMMETRY_TOL * np.maximum(1.0, np.abs(values))
             bad = np.abs(values - values[rev]) > scale
         if bad.any():
             i = int(np.argmax(bad))
@@ -150,7 +147,7 @@ class MomentFunctional:
                 f"moment table has a non-finite or reversal-asymmetric value at "
                 f"{word_at(alphabet, i)}: {values[i]} vs {values[rev[i]]} at its reversal"
             )
-        if abs(values[0] - 1.0) > symmetry_tol:
+        if abs(values[0] - 1.0) > DEFAULT_SYMMETRY_TOL:
             raise ValueError(f"functional is not unital: s_empty = {values[0]!r}")
         values.flags.writeable = False
         self._values = values
@@ -248,7 +245,8 @@ class MomentFunctional:
         stray = set(map(type, itertools.chain.from_iterable(words))) - {int}
         if stray:
             raise TypeError(f"word letters must be integers, got {stray.pop().__name__}")
-        values = [float(entry["value"]) for entry in obj["moments"]]
+        values = [entry["value"] for entry in obj["moments"]]
+        values = json_floats(values, 1, "moment values")
         table = _by_rank(alphabet, max_degree, words, values)
         return cls.from_values(alphabet, max_degree, table)
 
@@ -258,6 +256,19 @@ def json_int(obj: Mapping, key: str) -> int:
     if type(obj[key]) is not int:
         raise TypeError(f"{key!r} must be an integer, got {obj[key]!r}")
     return obj[key]
+
+
+def json_floats(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a float array if it is a JSON list of numbers (``ndim`` 1)
+    or of equal-length rows of them (``ndim`` 2); a bool, string, null or any
+    other nesting raises TypeError."""
+    arr = np.array(values, dtype=object)
+    if arr.ndim != ndim:
+        raise TypeError(f"{what} must be {'rows' if ndim == 2 else 'a list'} of numbers")
+    stray = set(map(type, arr.flat)) - {int, float}
+    if stray:
+        raise TypeError(f"{what} must be JSON numbers, got {stray.pop().__name__}")
+    return arr.astype(float)
 
 
 def _outside(w: Word, alphabet: int, bound: int) -> str:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .functional import MomentFunctional, NotStrictlyPositiveError, json_int
+from .functional import MomentFunctional, NotStrictlyPositiveError, json_floats, json_int
 from .words import Word, level_offsets, reversal_index
 
 DEFAULT_VALIDATE_TOL = 1e-12
@@ -89,7 +89,7 @@ class AdmissibleFamily:
                 key = (json_int(entry, "n"), json_int(entry, "k"))
                 if key in out:
                     raise ValueError(f"duplicate {side} block for (n,k)={key}")
-                out[key] = np.array(entry["rows"], dtype=float)
+                out[key] = json_floats(entry["rows"], 2, f"{side}[{key[0]},{key[1]}] rows")
         return cls(N, depth, *blocks)
 
 
@@ -97,15 +97,6 @@ class AdmissibleFamily:
 class ValidationReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
-
-
-@dataclass
-class TruncatedOperator:
-    """J_k cut after level L: symmetric, block-tridiagonal, dim = sum N^j, j<=L."""
-
-    letter: int
-    level: int
-    matrix: np.ndarray
 
 
 def validate(
@@ -158,16 +149,16 @@ def fock_levels(J: Sequence[np.ndarray], top: int) -> list[np.ndarray]:
     return fock
 
 
-def truncate(family: AdmissibleFamily, k: int, level: int) -> TruncatedOperator:
-    """Finite section of J_k through level blocks 0..level."""
+def truncate(family: AdmissibleFamily, k: int, level: int) -> np.ndarray:
+    """Finite section of J_k through level blocks 0..level: symmetric and
+    block-tridiagonal, of size sum N^j over j <= level."""
     if not (1 <= k <= family.alphabet):
         raise ValueError(f"letter {k} outside alphabet 1..{family.alphabet}")
     if level > family.depth:
         raise ValueError(f"level {level} exceeds family depth {family.depth}")
     if level < 0:
         raise ValueError("level must be >= 0")
-    matrix = section(family.alphabet, family.A, family.B, k, level)
-    return TruncatedOperator(letter=k, level=level, matrix=matrix)
+    return section(family.alphabet, family.A, family.B, k, level)
 
 
 def operator_moment(family: AdmissibleFamily, sigma: Word, level: int | None = None) -> float:
@@ -203,7 +194,6 @@ def favard_moments(
     family: AdmissibleFamily,
     degree: int,
     tol: float = 1e-10,
-    check_positive: bool = True,
 ) -> MomentFunctional:
     """Moment table of the functional determined by the family.
 
@@ -235,15 +225,14 @@ def favard_moments(
     values = np.concatenate(levels)
     values = values[np.minimum(np.arange(values.size), rev)]
     phi = MomentFunctional.from_values(N, degree, values)
-    if check_positive:
-        r = np.linalg.qr(np.hstack(fock[: degree + 1]), mode="r")
-        pivot = float(np.min(np.diag(r) ** 2))
-        if not pivot > tol:
-            raise NotStrictlyPositiveError(
-                f"moments of an admissible family failed strict positivity at degree "
-                f"{degree} (min pivot {pivot:.3e}, tol {tol}); the family data is "
-                f"inconsistent"
-            )
+    r = np.linalg.qr(np.hstack(fock[: degree + 1]), mode="r")
+    pivot = float(np.min(np.diag(r) ** 2))
+    if not pivot > tol:
+        raise NotStrictlyPositiveError(
+            f"moments of an admissible family failed strict positivity at degree "
+            f"{degree} (min pivot {pivot:.3e}, tol {tol}); the family data is "
+            f"inconsistent"
+        )
     return phi
 
 

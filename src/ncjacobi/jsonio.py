@@ -22,7 +22,10 @@ class SchemaError(ValueError):
 
 def write_json(path: str, obj: Any) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".ncjacobi-", suffix=".json", dir=directory)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".ncjacobi-", suffix=".json", dir=directory)
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from exc
     umask = os.umask(0)
     os.umask(umask)
     try:
@@ -83,7 +86,7 @@ def load_family(path: str) -> AdmissibleFamily:
             _require(entry, ("n", "k", "rows"), f"{side} block", path)
     try:
         return AdmissibleFamily.from_json_obj(obj)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 

@@ -75,9 +75,6 @@ class Word:
             p += 1
         return p
 
-    def blocks(self) -> "BlockForm":
-        return block_decompose(self)
-
     def rank(self) -> int:
         """0-based position of this word among all words of the same length."""
         r = 0

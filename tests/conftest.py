@@ -87,13 +87,12 @@ def row_loop_cholesky(mat, tol):
     return r, pivots, True
 
 
-def substitution_solve(t, b, lower=False):
-    """Oracle for ``solve_triangular``: T^{-1} B by row-by-row substitution."""
+def substitution_solve(t, b):
+    """Oracle for ``solve_triangular``: T^{-1} B for upper triangular T by
+    row-by-row back substitution."""
     x = np.array(b, dtype=float)
-    n = len(t)
-    for i in range(n) if lower else range(n - 1, -1, -1):
-        done = slice(0, i) if lower else slice(i + 1, n)
-        x[i] = (x[i] - t[i, done] @ x[done]) / t[i, i]
+    for i in range(len(t) - 1, -1, -1):
+        x[i] = (x[i] - t[i, i + 1 :] @ x[i + 1 :]) / t[i, i]
     return x
 
 

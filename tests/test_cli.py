@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import ncjacobi
-from ncjacobi import AdmissibleFamily, MomentFunctional, words_up_to
+from ncjacobi import AdmissibleFamily, MomentFunctional, favard_moments, jsonio
+from ncjacobi import moments_from_paths, words_up_to
 from ncjacobi.cli import main
 
 
@@ -75,16 +76,16 @@ def test_paths_with_family_weights(workdir, capsys):
 
 
 def test_engines_agree(workdir):
+    # the moments file matches the paper's weighted path sums, word by word
     assert run(["freeproduct", "--spec", "laguerre(0),hermite", "--depth", "3",
                 "--out", "fam.json"]) == 0
     assert run(["moments", "--family", "fam.json", "--max-degree", "2",
-                "--engine", "paths", "--out", "mp.json"]) == 0
-    assert run(["moments", "--family", "fam.json", "--max-degree", "2",
-                "--engine", "operator", "--out", "mo.json"]) == 0
-    a = MomentFunctional.from_json_obj(json.load(open("mp.json")))
-    b = MomentFunctional.from_json_obj(json.load(open("mo.json")))
-    for w in words_up_to(2, a.word_bound):
-        assert a.moment(w) == pytest.approx(b.moment(w), abs=1e-10)
+                "--out", "m.json"]) == 0
+    family = jsonio.load_family("fam.json")
+    phi = MomentFunctional.from_json_obj(json.load(open("m.json")))
+    assert phi.word_bound == 5
+    for w in words_up_to(2, phi.word_bound):
+        assert phi.moment(w) == pytest.approx(moments_from_paths(family, w), abs=1e-10)
 
 
 def test_default_engine_matches_path_sums(workdir):
@@ -92,15 +93,27 @@ def test_default_engine_matches_path_sums(workdir):
                 "--out", "fam.json"]) == 0
     assert run(["moments", "--family", "fam.json", "--max-degree", "3",
                 "--out", "m.json"]) == 0
-    assert run(["moments", "--family", "fam.json", "--max-degree", "3",
-                "--engine", "operator", "--out", "mo.json"]) == 0
-    assert run(["moments", "--family", "fam.json", "--max-degree", "3",
-                "--engine", "paths", "--out", "mp.json"]) == 0
+    family = jsonio.load_family("fam.json")
+    jsonio.save_moments("lib.json", favard_moments(family, 3))
     text = Path("m.json").read_text()
-    assert text == Path("mo.json").read_text()
-    a = MomentFunctional.from_json_obj(json.loads(text))
-    b = MomentFunctional.from_json_obj(json.loads(Path("mp.json").read_text()))
-    assert a.values == pytest.approx(b.values, rel=1e-12, abs=1e-12)
+    assert text == Path("lib.json").read_text()
+    phi = MomentFunctional.from_json_obj(json.loads(text))
+    paths = [moments_from_paths(family, w) for w in words_up_to(2, phi.word_bound)]
+    assert len(paths) == 2**8 - 1
+    assert phi.values == pytest.approx(paths, rel=1e-12, abs=1e-12)
+
+
+def test_moments_has_no_engine_option(workdir, capsys):
+    # path sums are the library's oracle, not a second route for the command
+    assert run(["freeproduct", "--spec", "hermite,hermite", "--depth", "2",
+                "--out", "fam.json"]) == 0
+    capsys.readouterr()
+    assert run(["moments", "--family", "fam.json", "--max-degree", "2",
+                "--engine", "paths", "--out", "m.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert "unrecognized arguments: --engine paths" in captured.err
+    assert not os.path.exists("m.json")
 
 
 def noncrossing_pairings(letters):
@@ -239,6 +252,87 @@ def test_moment_table_sizes_must_be_integers(workdir, capsys):
             json.dump(obj, fh)
         assert run(["verify", "--moments", "bad.json"]) == 2
         assert f"{key!r} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, kind", [(False, "bool"), ("1.0", "str")])
+def test_moment_values_must_be_numbers(workdir, capsys, value, kind):
+    # the word [1] holds 0.0 and the word [1, 1] holds 1.0: false and "1.0"
+    # read as those numbers would pass every check
+    _moments_with_word("bad.json", [1])
+    obj = json.load(open("bad.json"))
+    obj["moments"][1 if value is False else 2]["value"] = value
+    with open("bad.json", "w") as fh:
+        json.dump(obj, fh)
+    assert run(["verify", "--moments", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert f"moment values must be JSON numbers, got {kind}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ('"0.0"', "B[1,1] rows must be JSON numbers, got str"),
+        ("true", "B[1,1] rows must be JSON numbers, got bool"),
+        ("null", "B[1,1] rows must be JSON numbers, got NoneType"),
+        ("1" + "0" * 400, "int too large to convert to float"),
+    ],
+    ids=["str", "bool", "null", "huge-int"],
+)
+def test_family_block_entries_must_be_numbers(workdir, capsys, token, message):
+    _family_with_entry("bad.json", token)
+    capsys.readouterr()
+    assert run(["verify", "--family", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a": 5, "b": [0, 0]}', "recurrence 'a' must be a list of numbers"),
+        ("[1, 2]", 'a recurrence file holds one object {"a": [...], "b": [...]}'),
+        ("null", 'a recurrence file holds one object {"a": [...], "b": [...]}'),
+        ('{"a": [1, null], "b": [0, 0, 0]}', "recurrence 'a' must be JSON numbers, got NoneType"),
+        ('{"a": [1], "b": [0, true]}', "recurrence 'b' must be JSON numbers, got bool"),
+    ],
+    ids=["scalar", "list", "null", "null-entry", "bool-entry"],
+)
+def test_freeproduct_rejects_wrong_shape_custom_recurrence(workdir, capsys, text, message):
+    with open("rec.json", "w") as fh:
+        fh.write(text)
+    assert run(["freeproduct", "--spec", "custom:rec.json", "--depth", "1",
+                "--out", "fam.json"]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert "error: bad recurrence spec 'custom:rec.json': " + message in captured.err
+    assert not os.path.exists("fam.json")
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["freeproduct", "--spec", "hermite", "--depth", "1", "--out", "missing/x.json"],
+         "missing/x.json"),
+        (["moments", "--family", "fam.json", "--max-degree", "1", "--out", "missing/x.json"],
+         "missing/x.json"),
+        (["paths", "--word", "1,2", "--out", "missing/x.json"], "missing/x.json"),
+        (["verify", "--family", "dir.json"], "dir.json"),
+    ],
+    ids=["freeproduct", "moments", "paths", "directory-input"],
+)
+def test_unreadable_or_unwritable_file_exits_2(workdir, capsys, argv, path):
+    assert run(["freeproduct", "--spec", "hermite", "--depth", "1",
+                "--out", "fam.json"]) == 0
+    os.mkdir("dir.json")
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert f"'{path}'" in captured.err
+    assert not os.path.exists("missing")
 
 
 def test_cli_chain_builds_no_word_or_polynomial_objects(workdir, capsys, monkeypatch):

@@ -193,7 +193,7 @@ def test_build_requires_long_enough_recurrences():
 def test_one_letter_build_degenerates_to_input():
     rec = classical_coefficients("laguerre", 4)
     fam = build_free_product([rec], 4)
-    t = truncate(fam, 1, 4).matrix
+    t = truncate(fam, 1, 4)
     expected = np.diag([rec.b_at(n) for n in range(5)]) + np.diag(
         [rec.a_at(n) for n in range(1, 5)], 1
     ) + np.diag([rec.a_at(n) for n in range(1, 5)], -1)

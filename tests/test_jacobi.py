@@ -107,7 +107,7 @@ def test_random_family_is_admissible():
 def test_truncate_hermite_example(hermite_family):
     t = truncate(hermite_family, 1, 2)
     assert np.allclose(
-        t.matrix,
+        t,
         [[0.0, 1.0, 0.0], [1.0, 0.0, SQRT2], [0.0, SQRT2, 0.0]],
         atol=1e-15,
     )
@@ -115,15 +115,15 @@ def test_truncate_hermite_example(hermite_family):
 
 def test_truncate_level_zero(hermite2_family):
     t = truncate(hermite2_family, 2, 0)
-    assert t.matrix.shape == (1, 1)
-    assert t.matrix[0, 0] == hermite2_family.B[(0, 2)][0, 0]
+    assert t.shape == (1, 1)
+    assert t[0, 0] == hermite2_family.B[(0, 2)][0, 0]
 
 
 def test_truncate_laguerre_pair_example():
     fam = build_free_product([classical_coefficients("laguerre", 3)] * 2, 2)
     t = truncate(fam, 1, 1)
     assert np.allclose(
-        t.matrix,
+        t,
         [[1.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]],
         atol=1e-15,
     )
@@ -131,7 +131,7 @@ def test_truncate_laguerre_pair_example():
 
 def test_truncate_is_symmetric_block_tridiagonal():
     fam = random_admissible_family(2, 3, seed=8)
-    t = truncate(fam, 1, 3).matrix
+    t = truncate(fam, 1, 3)
     assert np.array_equal(t, t.T)
     # zero outside the three block diagonals: entries between level 0 and 2+
     assert np.all(t[0, 3:] == 0.0)
@@ -188,7 +188,7 @@ def test_moments_follow_an_edited_family():
     assert operator_moment(fam, w) == pytest.approx(moments_from_paths(fam, w), abs=1e-12)
     for u in words_up_to(2, 5):
         assert after.moment(u) == pytest.approx(moments_from_paths(fam, u), abs=1e-10)
-    assert np.array_equal(truncate(fam, 1, 1).matrix[1:3, 1:3], fam.B[(1, 1)])
+    assert np.array_equal(truncate(fam, 1, 1)[1:3, 1:3], fam.B[(1, 1)])
 
 
 def test_operator_moment_insufficient_depth():
@@ -278,5 +278,3 @@ def test_favard_rejects_zero_a_diagonal():
     assert not validate(fam).ok
     with pytest.raises(NotStrictlyPositiveError, match="strict positivity"):
         favard_moments(fam, 3)
-    phi = favard_moments(fam, 3, check_positive=False)
-    assert phi.word_bound == 7
