@@ -2,10 +2,7 @@
 weighted lattice paths, and product constructions."""
 
 from .words import (
-    BlockForm,
     Word,
-    block_decompose,
-    compare,
     enumerate_words,
     graded_rank,
     words_up_to,
@@ -39,7 +36,6 @@ from .orthopoly import (
 )
 from .paths import (
     LatticePath,
-    Step,
     distinguished_path,
     enumerate_paths,
     jacobi_from_moments,
@@ -63,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleFamily",
-    "BlockForm",
     "GramReport",
     "LatticePath",
     "MomentFunctional",
@@ -72,16 +67,13 @@ __all__ = [
     "OneDimRecurrence",
     "OrthonormalBasis",
     "ResidualError",
-    "Step",
     "ThreeTermReport",
     "ValidationReport",
     "Word",
     "a_matrix_from_coefficients",
-    "block_decompose",
     "build_free_product",
     "classical_coefficients",
     "coefficient_oracle",
-    "compare",
     "distinguished_path",
     "enumerate_paths",
     "enumerate_words",

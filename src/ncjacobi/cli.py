@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import freeproduct as fp
@@ -168,12 +169,17 @@ def cmd_freeproduct(args) -> int:
         family = fp.build(recurrences, args.depth)
     except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise CliFailure(f"error: bad recurrence spec {args.spec!r}: {exc}", 2) from exc
+    basis = fp.product_basis(recurrences, args.depth) if args.basis is not None else None
     jsonio.save_family(args.out, family)
+    if basis is not None:
+        try:
+            jsonio.write_json(args.basis, basis.to_json_obj())
+        except OSError:
+            os.unlink(args.out)
+            raise
     labels = ",".join(rec.label for rec in recurrences)
     print(f"ok: wrote depth-{args.depth} family for {labels} to {args.out}")
-    if args.basis is not None:
-        basis = fp.product_basis(recurrences, args.depth)
-        jsonio.write_json(args.basis, basis.to_json_obj())
+    if basis is not None:
         print(f"ok: wrote {len(basis.coeffs)} product polynomials to {args.basis}")
     return 0
 
@@ -238,14 +244,16 @@ def cmd_verify(args) -> int:
             failures += len(report.violations)
     else:
         phi = _load(jsonio.load_moments, args.moments)
-        print(f"ok: moment table unital and reversal-symmetric (loaded {args.moments})")
-        # K(aw, t) and K(w, I(a)t) both read s_{I(w)at}: no table can break it
-        print("ok: kernel shift invariance K(aw,t) = K(w,I(a)t) holds by construction")
         depth = args.depth if args.depth is not None else phi.max_degree
+        if depth < 0:
+            raise CliFailure("error: --depth must be >= 0", 2)
         if depth > phi.max_degree:
             raise CliFailure(
                 f"error: --depth {depth} exceeds table degree {phi.max_degree}", 2
             )
+        print(f"ok: moment table unital and reversal-symmetric (loaded {args.moments})")
+        # K(aw, t) and K(w, I(a)t) both read s_{I(w)at}: no table can break it
+        print("ok: kernel shift invariance K(aw,t) = K(w,I(a)t) holds by construction")
         tol = _tol(args)
         report = phi.gram(depth, tol=tol)
         if report.positive:

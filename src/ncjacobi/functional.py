@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import Word, enumerate_words, kernel_index, letters_up_to, level_offsets
-from .words import reversal_index, word_at, words_up_to
+from .words import Word, enumerate_words, graded_rank, kernel_index, letters_up_to
+from .words import level_offsets, reversal_index, word_at, words_up_to
 
 DEFAULT_POSITIVITY_TOL = 1e-10
 DEFAULT_SYMMETRY_TOL = 1e-12
@@ -160,21 +160,12 @@ class MomentFunctional:
     # -- access ------------------------------------------------------------
 
     def moment(self, w: Word) -> float:
-        if w.alphabet == self.alphabet:
-            try:
-                return self._by_letters[w.letters]
-            except KeyError:
-                pass
-        raise ValueError(
-            f"word {w} of length {len(w)} beyond stored bound {self.word_bound} "
-            f"of the N={self.alphabet} table"
-        )
-
-    @functools.cached_property
-    def _by_letters(self) -> dict[tuple[int, ...], float]:
-        # scalar lookups by letter tuple: hashing a tuple beats computing a rank
-        letters = letters_up_to(self.alphabet, self.word_bound)
-        return dict(zip(letters, self._values.tolist()))
+        if w.alphabet != self.alphabet or len(w) > self.word_bound:
+            raise ValueError(
+                f"word {w} of length {len(w)} beyond stored bound {self.word_bound} "
+                f"of the N={self.alphabet} table"
+            )
+        return float(self._values[graded_rank(w)])
 
     def kernel_eval(self, alpha: Word, beta: Word) -> float:
         """K(alpha, beta) = s_{I(alpha) beta}."""
@@ -193,8 +184,7 @@ class MomentFunctional:
             raise ValueError(
                 f"polynomial degree {p.degree()} exceeds stored bound {self.word_bound}"
             )
-        lookup = self._by_letters
-        return float(sum(c * lookup[w.letters] for w, c in p.terms()))
+        return float(sum(c * self._values[graded_rank(w)] for w, c in p.terms()))
 
     def inner(self, p: NcPolynomial, q: NcPolynomial) -> float:
         """<p, q> = phi(q^+ p)."""

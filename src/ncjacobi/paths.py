@@ -19,6 +19,7 @@ R is the Fock level V_n = [J_1 V_{n-1} .. J_N V_{n-1}] without its level-n rows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -30,57 +31,42 @@ from .functional import upper_cholesky
 from .jacobi import AdmissibleFamily, fock_levels, section
 from .words import Word, level_offsets, reversal_index
 
-STEP_KINDS = ("level", "switch", "rise", "fall")
+STEP_KINDS = {1: "rise", 0: "level", -1: "fall"}  # by height change
 
 #: explicit path lists are materialized only up to this word length by default
 DEFAULT_PATH_CAP = 8
 
 
 @dataclass(frozen=True)
-class Step:
-    """One step between points (t, plane, height); switches leave t unchanged."""
-
-    kind: str
-    frm: tuple[int, int, int]
-    to: tuple[int, int, int]
-
-    def __post_init__(self):
-        if self.kind not in STEP_KINDS:
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        t, k, m = self.frm
-        t2, k2, m2 = self.to
-        if m < 0 or m2 < 0:
-            raise ValueError("path heights must stay nonnegative")
-        shape_ok = {
-            "level": (t2 == t + 1 and k2 == k and m2 == m),
-            "switch": (t2 == t and k2 != k and m2 == m),
-            "rise": (t2 == t + 1 and k2 == k and m2 == m + 1),
-            "fall": (t2 == t + 1 and k2 == k and m2 == m - 1),
-        }[self.kind]
-        if not shape_ok:
-            raise ValueError(f"{self.kind} step cannot go {self.frm} -> {self.to}")
-
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "from": list(self.frm), "to": list(self.to)}
-
-
-@dataclass(frozen=True)
 class LatticePath:
-    steps: tuple[Step, ...]
+    """A path of ``word``: one rise/level/fall step (+1/0/-1 in ``profile``) per
+    letter, read right to left, in the plane of that letter."""
+
+    word: Word
+    profile: tuple[int, ...]
 
     def __post_init__(self):
-        for prev, nxt in zip(self.steps, self.steps[1:]):
-            if prev.to != nxt.frm:
-                raise ValueError(f"steps do not chain: {prev.to} then {nxt.frm}")
-
-    def advancing(self) -> tuple[Step, ...]:
-        return tuple(s for s in self.steps if s.kind != "switch")
+        if len(self.profile) != len(self.word) or not set(self.profile) <= {-1, 0, 1}:
+            raise ValueError("a path takes one step of +1, 0 or -1 per letter")
+        heights = list(itertools.accumulate(self.profile, initial=0))
+        if min(heights) < 0 or heights[-1] != 0:
+            raise ValueError("path heights must stay nonnegative and end at 0")
 
     def max_height(self) -> int:
-        return max((max(s.frm[2], s.to[2]) for s in self.steps), default=0)
+        return max(itertools.accumulate(self.profile, initial=0))
 
     def to_json_obj(self) -> list[dict]:
-        return [s.to_json_obj() for s in self.steps]
+        """The steps between points (t, plane, height), with a switch step,
+        which leaves t unchanged, wherever the plane changes."""
+        planes = self.word.letters[::-1]
+        steps: list[dict] = []
+        h = 0
+        for t, (k, s) in enumerate(zip(planes, self.profile)):
+            if t > 0 and k != planes[t - 1]:
+                steps.append({"kind": "switch", "from": [t, planes[t - 1], h], "to": [t, k, h]})
+            steps.append({"kind": STEP_KINDS[s], "from": [t, k, h], "to": [t + 1, k, h + s]})
+            h += s
+        return steps
 
 
 def motzkin_number(n: int) -> int:
@@ -133,24 +119,6 @@ def _profiles(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], 0)
 
 
-def _decorate(word: Word, profile: Sequence[int]) -> LatticePath:
-    """Attach planes and switch steps to a height profile for ``word``."""
-    planes = word.letters[::-1]
-    steps: list[Step] = []
-    h = 0
-    for t, s in enumerate(profile):
-        if t > 0 and planes[t] != planes[t - 1]:
-            steps.append(Step("switch", (t, planes[t - 1], h), (t, planes[t], h)))
-        if s == 1:
-            steps.append(Step("rise", (t, planes[t], h), (t + 1, planes[t], h + 1)))
-        elif s == -1:
-            steps.append(Step("fall", (t, planes[t], h), (t + 1, planes[t], h - 1)))
-        else:
-            steps.append(Step("level", (t, planes[t], h), (t + 1, planes[t], h)))
-        h += s
-    return LatticePath(tuple(steps))
-
-
 def enumerate_paths(word: Word, cap: int = DEFAULT_PATH_CAP) -> list[LatticePath]:
     """The full path set of a nonempty word, one path per height profile."""
     if word.is_empty:
@@ -160,33 +128,29 @@ def enumerate_paths(word: Word, cap: int = DEFAULT_PATH_CAP) -> list[LatticePath
             f"explicit path lists are capped at |word| = {cap} "
             f"({motzkin_number(len(word))} paths would be materialized); raise `cap`"
         )
-    return [_decorate(word, prof) for prof in _profiles(len(word))]
+    return [LatticePath(word, prof) for prof in _profiles(len(word))]
 
 
 def path_weight(family: AdmissibleFamily, path: LatticePath) -> float:
     """Matrix product of step weights, later steps multiplying from the left.
 
     Level at height m in plane k weighs B_{m,k}; a rise from m weighs
-    A_{m+1,k}; a fall from m weighs A_{m,k}^T; switches are free.  For a path
-    that starts and ends at height 0 the product is a scalar.
+    A_{m+1,k}; a fall from m weighs A_{m,k}^T; switches are free.  A path starts
+    and ends at height 0, so the product is a scalar.
     """
     if path.max_height() > family.depth:
         raise ValueError(
             f"path reaches height {path.max_height()} above family depth {family.depth}"
         )
-    v = np.array([1.0])
-    for step in path.steps:
-        if step.kind == "switch":
-            continue
-        _, k, m = step.frm
-        if step.kind == "level":
+    v, m = np.array([1.0]), 0
+    for k, s in zip(reversed(path.word.letters), path.profile):
+        if s == 0:
             v = family.B[(m, k)] @ v
-        elif step.kind == "rise":
+        elif s == 1:
             v = family.A[(m + 1, k)] @ v
         else:
             v = family.A[(m, k)].T @ v
-    if v.shape != (1,):
-        raise ValueError("path does not start and end at height 0")
+        m += s
     return float(v[0])
 
 
@@ -256,8 +220,7 @@ def distinguished_path(word: Word) -> tuple[LatticePath, tuple[WeightFactor, ...
         raise ValueError("the empty word has no distinguished path")
     n = len(word)
     q, odd = divmod(n, 2)
-    profile = [1] * q + ([0] if odd else []) + [-1] * q
-    path = _decorate(word, profile)
+    profile = (1,) * q + (0,) * odd + (-1,) * q
     factors: list[WeightFactor] = []
     planes = word.letters[::-1]
     for t in range(n - 1, -1, -1):  # product order: step n down to step 1
@@ -269,7 +232,7 @@ def distinguished_path(word: Word) -> tuple[LatticePath, tuple[WeightFactor, ...
             factors.append(("B", q, k))
         else:
             factors.append(("A*", n - t, k))
-    return path, tuple(factors)
+    return LatticePath(word, profile), tuple(factors)
 
 
 def weight_factors_value(

@@ -49,7 +49,13 @@ class Word:
         return f"Word({body}; N={self.alphabet})"
 
     def __lt__(self, other: "Word") -> bool:
-        return compare(self, other) < 0
+        """Graded lexicographic order: shorter words first, then letterwise."""
+        if self.alphabet != other.alphabet:
+            raise ValueError(
+                f"cannot compare words over different alphabets "
+                f"({self.alphabet} vs {other.alphabet})"
+            )
+        return (len(self), self.letters) < (len(other), other.letters)
 
     @property
     def is_empty(self) -> bool:
@@ -64,65 +70,12 @@ class Word:
         """Reverse the word: the involution I(i_1...i_l) = i_l...i_1."""
         return Word(self.letters[::-1], self.alphabet)
 
-    def leading_run(self, k: int) -> int:
-        """Length of the initial run of letter ``k`` (0 if the word starts otherwise)."""
-        if not (1 <= k <= self.alphabet):
-            raise ValueError(f"letter {k} outside alphabet 1..{self.alphabet}")
-        p = 0
-        for c in self.letters:
-            if c != k:
-                break
-            p += 1
-        return p
-
     def rank(self) -> int:
         """0-based position of this word among all words of the same length."""
         r = 0
         for c in self.letters:
             r = r * self.alphabet + (c - 1)
         return r
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """Maximal-run factorization w = k_1^{e_1} ... k_p^{e_p}, adjacent letters distinct."""
-
-    blocks: tuple[tuple[int, int], ...]
-    alphabet: int
-
-    def __post_init__(self):
-        for i, (letter, exp) in enumerate(self.blocks):
-            if not (1 <= letter <= self.alphabet):
-                raise ValueError(f"block letter {letter} outside alphabet")
-            if exp < 1:
-                raise ValueError(f"block exponent must be positive, got {exp}")
-            if i > 0 and self.blocks[i - 1][0] == letter:
-                raise ValueError("adjacent blocks must carry distinct letters")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def expand(self) -> Word:
-        letters: list[int] = []
-        for letter, exp in self.blocks:
-            letters.extend([letter] * exp)
-        return Word(tuple(letters), self.alphabet)
-
-
-def compare(a: Word, b: Word) -> int:
-    """Graded lexicographic comparison: -1, 0, or +1.
-
-    Shorter words come first; equal lengths are compared letterwise.
-    """
-    if a.alphabet != b.alphabet:
-        raise ValueError(
-            f"cannot compare words over different alphabets ({a.alphabet} vs {b.alphabet})"
-        )
-    if len(a) != len(b):
-        return -1 if len(a) < len(b) else 1
-    if a.letters == b.letters:
-        return 0
-    return -1 if a.letters < b.letters else 1
 
 
 def enumerate_words(
@@ -223,21 +176,3 @@ def kernel_index(alphabet: int, degree: int, letter: int = 0) -> np.ndarray:
         + (rev[None, :] * N**mid + letter - mid) * N ** length[:, None]
         + (np.arange(len(length)) - start)[:, None]
     )
-
-
-def block_decompose(w: Word) -> BlockForm:
-    """Unique factorization into maximal runs; rejects the empty word."""
-    if w.is_empty:
-        raise ValueError("the empty word has no block decomposition")
-    blocks: list[tuple[int, int]] = []
-    current = w.letters[0]
-    count = 0
-    for c in w.letters:
-        if c == current:
-            count += 1
-        else:
-            blocks.append((current, count))
-            current, count = c, 1
-    blocks.append((current, count))
-    return BlockForm(tuple(blocks), w.alphabet)
-

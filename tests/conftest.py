@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from ncjacobi import (
     MomentFunctional,
     NcPolynomial,
     Word,
-    block_decompose,
     build_free_product,
     classical_coefficients,
     favard_moments,
@@ -101,9 +101,8 @@ def run_form_product(recurrences, sigma):
     runs k^e of ``sigma``, left to right, in ``NcPolynomial`` arithmetic."""
     N = len(recurrences)
     result = NcPolynomial.one(N)
-    if sigma.is_empty:
-        return result
-    for letter, exp in block_decompose(sigma).blocks:
+    for letter, run in itertools.groupby(sigma.letters):
+        exp = len(list(run))
         coeffs = _univariate_coeffs(recurrences[letter - 1], exp)[exp]
         xk = NcPolynomial.variable(N, letter)
         factor = NcPolynomial.constant(N, coeffs[0])

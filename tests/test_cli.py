@@ -64,6 +64,37 @@ def test_paths_json_output(workdir, capsys):
     assert ("level", "switch", "level") in kinds
 
 
+R, L, F, S = "rise", "level", "fall", "switch"
+
+
+@pytest.mark.parametrize(
+    "word, expected",
+    [
+        ("1,2", [
+            [(R, [0, 2, 0], [1, 2, 1]), (S, [1, 2, 1], [1, 1, 1]), (F, [1, 1, 1], [2, 1, 0])],
+            [(L, [0, 2, 0], [1, 2, 0]), (S, [1, 2, 0], [1, 1, 0]), (L, [1, 1, 0], [2, 1, 0])],
+        ]),
+        ("2,1,2", [
+            [(R, [0, 2, 0], [1, 2, 1]), (S, [1, 2, 1], [1, 1, 1]), (L, [1, 1, 1], [2, 1, 1]),
+             (S, [2, 1, 1], [2, 2, 1]), (F, [2, 2, 1], [3, 2, 0])],
+            [(R, [0, 2, 0], [1, 2, 1]), (S, [1, 2, 1], [1, 1, 1]), (F, [1, 1, 1], [2, 1, 0]),
+             (S, [2, 1, 0], [2, 2, 0]), (L, [2, 2, 0], [3, 2, 0])],
+            [(L, [0, 2, 0], [1, 2, 0]), (S, [1, 2, 0], [1, 1, 0]), (R, [1, 1, 0], [2, 1, 1]),
+             (S, [2, 1, 1], [2, 2, 1]), (F, [2, 2, 1], [3, 2, 0])],
+            [(L, [0, 2, 0], [1, 2, 0]), (S, [1, 2, 0], [1, 1, 0]), (L, [1, 1, 0], [2, 1, 0]),
+             (S, [2, 1, 0], [2, 2, 0]), (L, [2, 2, 0], [3, 2, 0])],
+        ]),
+    ],
+)
+def test_paths_json_geometry(workdir, capsys, word, expected):
+    # every step between points (t, plane, height), switches included, in file order
+    assert run(["paths", "--word", word, "--out", "p.json"]) == 0
+    obj = json.load(open("p.json"))
+    assert obj["paths"] == [
+        [{"kind": kind, "from": frm, "to": to} for kind, frm, to in path] for path in expected
+    ]
+
+
 def test_paths_with_family_weights(workdir, capsys):
     assert run(["freeproduct", "--spec", "laguerre(0)", "--depth", "2",
                 "--out", "fam.json"]) == 0
@@ -333,6 +364,30 @@ def test_unreadable_or_unwritable_file_exits_2(workdir, capsys, argv, path):
     assert captured.err.startswith("error: ")
     assert f"'{path}'" in captured.err
     assert not os.path.exists("missing")
+
+
+@pytest.mark.parametrize(
+    "out, basis",
+    [("fam.json", "missing/b.json"), ("missing/f.json", "b.json")],
+    ids=["bad-basis", "bad-out"],
+)
+def test_freeproduct_writes_both_files_or_neither(workdir, capsys, out, basis):
+    assert run(["freeproduct", "--spec", "hermite,legendre", "--depth", "2",
+                "--out", out, "--basis", basis]) == 2
+    captured = capsys.readouterr()
+    assert "ok:" not in captured.out
+    assert captured.err.startswith("error: ") and "missing/" in captured.err
+    assert os.listdir(".") == []
+
+
+def test_verify_rejects_negative_depth(workdir, capsys):
+    assert run(["freeproduct", "--spec", "hermite", "--depth", "2", "--out", "fam.json"]) == 0
+    assert run(["moments", "--family", "fam.json", "--max-degree", "2", "--out", "m.json"]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--moments", "m.json", "--depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --depth must be >= 0\n"
 
 
 def test_cli_chain_builds_no_word_or_polynomial_objects(workdir, capsys, monkeypatch):

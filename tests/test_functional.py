@@ -9,7 +9,6 @@ from ncjacobi import (
     Word,
     favard_moments,
     functional_free_product,
-    graded_rank,
     hankel_check,
     kernel_table,
     random_admissible_family,
@@ -377,8 +376,12 @@ def test_values_indexed_by_graded_rank(alphabet, degree, seed):
     phi = favard_moments(random_admissible_family(alphabet, degree, seed=seed), degree)
     words = words_up_to(alphabet, phi.word_bound)
     assert phi.values.shape == (len(words),)
-    for w in words:
-        assert phi.values[graded_rank(w)] == phi.moment(w)
+    for i, w in enumerate(words):
+        assert phi.values[i] == phi.moment(w)
+    with pytest.raises(ValueError, match="beyond stored bound"):
+        phi.moment(Word((1,) * (phi.word_bound + 1), alphabet))
+    with pytest.raises(ValueError, match="beyond stored bound"):
+        phi.moment(Word((1,), alphabet + 1))
 
 
 def test_values_are_read_only(random_phi):

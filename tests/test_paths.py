@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncjacobi import (
+    LatticePath,
     NotStrictlyPositiveError,
     Word,
     build_free_product,
@@ -53,6 +54,10 @@ def naive_profiles(n):
     return out
 
 
+def step_kinds(path):
+    return tuple(s["kind"] for s in path.to_json_obj())
+
+
 def hermite_fam(n=1, depth=4):
     return build_free_product([classical_coefficients("hermite", depth + 1)] * n, depth)
 
@@ -100,22 +105,30 @@ def test_path_counts_equal_motzkin_numbers():
 
 def test_paths_for_double_letter():
     paths = enumerate_paths(Word((1, 1), 1))
-    kinds = sorted(tuple(s.kind for s in p.steps) for p in paths)
-    assert kinds == [("level", "level"), ("rise", "fall")]
+    assert sorted(map(step_kinds, paths)) == [("level", "level"), ("rise", "fall")]
 
 
 def test_paths_consume_blocks_right_to_left():
     paths = enumerate_paths(Word((1, 2), 2))
     assert len(paths) == 2
     for p in paths:
-        advancing = p.advancing()
-        assert p.steps[0].frm == (0, 2, 0)  # starts in the plane of the last letter
-        assert advancing[0].frm[1] == 2
-        assert advancing[1].frm[1] == 1
-        assert p.steps[-1].to == (2, 1, 0)
-        switches = [s for s in p.steps if s.kind == "switch"]
+        steps = p.to_json_obj()
+        advancing = [s for s in steps if s["kind"] != "switch"]
+        assert steps[0]["from"] == [0, 2, 0]  # starts in the plane of the last letter
+        assert advancing[0]["from"][1] == 2
+        assert advancing[1]["from"][1] == 1
+        assert steps[-1]["to"] == [2, 1, 0]
+        switches = [s for s in steps if s["kind"] == "switch"]
         assert len(switches) == 1
-        assert switches[0].frm[1] == 2 and switches[0].to[1] == 1
+        assert switches[0]["from"][1] == 2 and switches[0]["to"][1] == 1
+
+
+def test_lattice_path_rejects_bad_profiles():
+    word = Word((1, 2), 2)
+    for profile in [(1,), (1, -1, 0), (2, -2), (-1, 1), (1, 0)]:
+        with pytest.raises(ValueError):
+            LatticePath(word, profile)
+    assert LatticePath(word, (1, -1)) in enumerate_paths(word)
 
 
 def test_paths_triple_letter_count():
@@ -135,14 +148,14 @@ def test_enumerate_paths_rejects_empty_and_capped():
 
 def test_path_weight_hermite_rise_fall():
     fam = hermite_fam()
-    paths = {tuple(s.kind for s in p.steps): p for p in enumerate_paths(Word((1, 1), 1))}
+    paths = {step_kinds(p): p for p in enumerate_paths(Word((1, 1), 1))}
     assert path_weight(fam, paths[("rise", "fall")]) == 1.0
     assert path_weight(fam, paths[("level", "level")]) == 0.0
 
 
 def test_path_weight_laguerre_rise_level_fall():
     fam = laguerre_fam()
-    paths = {tuple(s.kind for s in p.steps): p for p in enumerate_paths(Word((1, 1, 1), 1))}
+    paths = {step_kinds(p): p for p in enumerate_paths(Word((1, 1, 1), 1))}
     assert path_weight(fam, paths[("rise", "level", "fall")]) == 3.0
     by_kind = {
         ("rise", "level", "fall"): 3.0,
@@ -214,7 +227,7 @@ def test_moments_from_paths_insufficient_depth():
 def test_distinguished_even_example():
     path, factors = distinguished_path(Word((1, 1, 1, 1), 1))
     assert factors == (("A*", 1, 1), ("A*", 2, 1), ("A", 2, 1), ("A", 1, 1))
-    assert [s.kind for s in path.steps] == ["rise", "rise", "fall", "fall"]
+    assert step_kinds(path) == ("rise", "rise", "fall", "fall")
     fam = hermite_fam()
     assert weight_factors_value(fam, factors) == pytest.approx(2.0, abs=1e-14)
     assert path_weight(fam, path) == pytest.approx(2.0, abs=1e-14)
@@ -268,7 +281,7 @@ def test_distinguished_is_unique_maximal_path():
         else:
             # odd words: other peak-reaching paths exist but level off lower
             level_heights = {
-                s.frm[2] for p in others for s in p.steps if s.kind == "level"
+                s["from"][2] for p in others for s in p.to_json_obj() if s["kind"] == "level"
             }
             assert peak not in level_heights
 

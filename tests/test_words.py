@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncjacobi import (
-    BlockForm,
     Word,
-    block_decompose,
-    compare,
     enumerate_words,
     graded_rank,
     words_up_to,
@@ -28,15 +25,20 @@ def small_words(alphabet=2, max_len=4):
 
 
 def test_compare_examples():
-    assert compare(w([]), w([1])) == -1
-    assert compare(w([1, 2]), w([2, 1])) == -1
-    assert compare(w([2]), w([1, 1])) == -1  # length dominates
-    assert compare(w([1, 1]), w([1, 1])) == 0
+    assert w([]) < w([1])
+    assert w([1, 2]) < w([2, 1])
+    assert w([2]) < w([1, 1])  # length dominates
+    assert w([1, 1]) == w([1, 1]) and not w([1, 1]) < w([1, 1])
+    assert sorted([w([1, 1]), w([2]), w([2, 1]), w([]), w([1, 2])]) == [
+        w([]), w([2]), w([1, 1]), w([1, 2]), w([2, 1])
+    ]
 
 
 def test_compare_rejects_mixed_alphabets():
     with pytest.raises(ValueError):
-        compare(Word((1,), 2), Word((1,), 3))
+        Word((1,), 2) < Word((1,), 3)
+    with pytest.raises(ValueError):
+        sorted([Word((1,), 2), Word((1,), 3)])
 
 
 def test_order_agrees_with_length_then_letters_key():
@@ -47,13 +49,13 @@ def test_order_agrees_with_length_then_letters_key():
         ka = (len(a), a.letters)
         for b in all_words:
             kb = (len(b), b.letters)
-            expected = -1 if ka < kb else (0 if ka == kb else 1)
-            assert compare(a, b) == expected
+            assert (a < b, a == b, a > b) == (ka < kb, ka == kb, ka > kb)
 
 
 def test_words_up_to_is_strictly_increasing():
     ws = words_up_to(3, 4)
-    assert all(compare(a, b) == -1 for a, b in zip(ws, ws[1:]))
+    assert all(a < b for a, b in zip(ws, ws[1:]))
+    assert sorted(reversed(ws)) == ws
     assert [graded_rank(x) for x in ws] == list(range(len(ws)))
 
 
@@ -94,7 +96,7 @@ def test_enumerate_examples():
 def test_enumerate_count_and_order(alphabet, length):
     ws = enumerate_words(alphabet, length)
     assert len(ws) == alphabet**length
-    assert all(compare(a, b) == -1 for a, b in zip(ws, ws[1:]))
+    assert all(a < b for a, b in zip(ws, ws[1:]))
 
 
 @pytest.mark.parametrize("alphabet,length", [(2, 3), (3, 2)])
@@ -122,44 +124,6 @@ def test_rank_is_position_in_enumeration():
     for n in range(4):
         for i, word in enumerate(enumerate_words(2, n)):
             assert word.rank() == i
-
-
-# -- blocks and leading runs ------------------------------------------------
-
-
-def test_block_decompose_example():
-    assert block_decompose(w([1, 1, 2, 2])).blocks == ((1, 2), (2, 2))
-
-
-def test_block_decompose_empty_word_rejected():
-    with pytest.raises(ValueError):
-        block_decompose(w([]))
-
-
-def test_leading_run_examples():
-    assert w([1, 1, 2]).leading_run(1) == 2
-    assert w([1, 1, 2]).leading_run(2) == 0
-    assert w([2, 2, 2]).leading_run(2) == 3
-
-
-@given(small_words(alphabet=3, max_len=6).filter(lambda x: len(x) > 0))
-def test_block_form_round_trip(word):
-    form = block_decompose(word)
-    assert form.expand() == word
-    letters = [b[0] for b in form.blocks]
-    assert all(x != y for x, y in zip(letters, letters[1:]))
-    first_letter, first_exp = form.blocks[0]
-    assert word.leading_run(first_letter) == first_exp
-    for k in range(1, 4):
-        if k != first_letter:
-            assert word.leading_run(k) == 0
-
-
-def test_block_form_validation():
-    with pytest.raises(ValueError):
-        BlockForm(((1, 2), (1, 1)), 2)  # adjacent same letter
-    with pytest.raises(ValueError):
-        BlockForm(((1, 0),), 2)  # zero exponent
 
 
 def test_word_validation():
