@@ -14,8 +14,8 @@ import sys
 
 from . import freeproduct as fp
 from . import jsonio
-from .functional import DEFAULT_POSITIVITY_TOL, NotStrictlyPositiveError
-from .jacobi import DEFAULT_VALIDATE_TOL, favard_moments, validate
+from .functional import POSITIVITY_TOL, NotStrictlyPositiveError
+from .jacobi import favard_moments, validate
 from .orthopoly import ResidualError, extract_recurrence, orthonormalize
 from .paths import enumerate_paths, motzkin_number, path_weight
 from .words import Word
@@ -43,19 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="input family file")
     p.add_argument("--max-degree", type=int, required=True, help="table degree bound")
     p.add_argument("--out", required=True, help="output moment file")
-    p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("jacobi", help="moment table JSON -> family JSON")
     p.add_argument("--moments", required=True, help="input moment file")
     p.add_argument("--depth", type=int, required=True, help="levels to recover")
     p.add_argument("--out", required=True, help="output family file")
-    p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("orthonormalize", help="moment table JSON -> basis JSON")
     p.add_argument("--moments", required=True, help="input moment file")
     p.add_argument("--depth", type=int, required=True, help="orthonormalization depth")
     p.add_argument("--out", required=True, help="output basis file")
-    p.add_argument("--tolerance", type=float, default=None)
 
     p = sub.add_parser("freeproduct", help="one-variable recurrences -> family JSON")
     p.add_argument(
@@ -81,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None, help="family file to validate")
     p.add_argument("--moments", default=None, help="moment file to validate")
     p.add_argument("--depth", type=int, default=None, help="positivity depth (moments)")
-    p.add_argument("--tolerance", type=float, default=None)
 
     return parser
 
@@ -96,12 +92,16 @@ def _load(loader, path: str):
         raise CliFailure(f"error: {exc}", 2) from exc
 
 
-def _tol(args, default: float = DEFAULT_POSITIVITY_TOL) -> float:
-    return args.tolerance if args.tolerance is not None else default
+def _check_depth(depth: int, phi) -> None:
+    """A table command's recovery depth must lie in 0..max_degree of its table."""
+    if depth < 0:
+        raise CliFailure("error: --depth must be >= 0", 2)
+    if depth > phi.max_degree:
+        raise CliFailure(f"error: --depth {depth} exceeds table degree {phi.max_degree}", 2)
 
 
 def _require_admissible(family, args):
-    report = validate(family, tol=_tol(args, DEFAULT_VALIDATE_TOL))
+    report = validate(family)
     if not report.ok:
         raise CliFailure(
             f"FAIL: family {args.family}: {report.violations[0]}"
@@ -115,9 +115,8 @@ def cmd_moments(args) -> int:
     if args.max_degree < 0:
         raise CliFailure("error: --max-degree must be >= 0", 2)
     _require_admissible(family, args)
-    tol = _tol(args)
     try:
-        phi = favard_moments(family, args.max_degree, tol=tol)
+        phi = favard_moments(family, args.max_degree)
     except (ValueError, NotStrictlyPositiveError) as exc:
         raise CliFailure(f"FAIL: {exc}", 1) from exc
     jsonio.save_moments(args.out, phi)
@@ -130,10 +129,9 @@ def cmd_moments(args) -> int:
 
 def cmd_jacobi(args) -> int:
     phi = _load(jsonio.load_moments, args.moments)
-    if args.depth < 0:
-        raise CliFailure("error: --depth must be >= 0", 2)
+    _check_depth(args.depth, phi)
     try:
-        basis = orthonormalize(phi, args.depth, tol=_tol(args))
+        basis = orthonormalize(phi, args.depth)
         family = extract_recurrence(basis, phi)
     except (NotStrictlyPositiveError, ResidualError) as exc:
         raise CliFailure(f"FAIL: {exc}", 1) from exc
@@ -146,14 +144,9 @@ def cmd_jacobi(args) -> int:
 
 def cmd_orthonormalize(args) -> int:
     phi = _load(jsonio.load_moments, args.moments)
-    if args.depth < 0:
-        raise CliFailure("error: --depth must be >= 0", 2)
-    if args.depth > phi.max_degree:
-        raise CliFailure(
-            f"error: depth {args.depth} exceeds table degree {phi.max_degree}", 2
-        )
+    _check_depth(args.depth, phi)
     try:
-        basis = orthonormalize(phi, args.depth, tol=_tol(args))
+        basis = orthonormalize(phi, args.depth)
     except NotStrictlyPositiveError as exc:
         raise CliFailure(f"FAIL: {exc}", 1) from exc
     jsonio.write_json(args.out, basis.to_json_obj())
@@ -232,7 +225,7 @@ def cmd_verify(args) -> int:
     failures = 0
     if args.family is not None:
         family = _load(jsonio.load_family, args.family)
-        report = validate(family, tol=_tol(args, DEFAULT_VALIDATE_TOL))
+        report = validate(family)
         if report.ok:
             print(
                 f"ok: family {args.family} admissible "
@@ -245,17 +238,11 @@ def cmd_verify(args) -> int:
     else:
         phi = _load(jsonio.load_moments, args.moments)
         depth = args.depth if args.depth is not None else phi.max_degree
-        if depth < 0:
-            raise CliFailure("error: --depth must be >= 0", 2)
-        if depth > phi.max_degree:
-            raise CliFailure(
-                f"error: --depth {depth} exceeds table degree {phi.max_degree}", 2
-            )
+        _check_depth(depth, phi)
         print(f"ok: moment table unital and reversal-symmetric (loaded {args.moments})")
         # K(aw, t) and K(w, I(a)t) both read s_{I(w)at}: no table can break it
         print("ok: kernel shift invariance K(aw,t) = K(w,I(a)t) holds by construction")
-        tol = _tol(args)
-        report = phi.gram(depth, tol=tol)
+        report = phi.gram(depth)
         if report.positive:
             print(
                 f"ok: strictly positive at degree {depth} "
@@ -264,7 +251,7 @@ def cmd_verify(args) -> int:
         else:
             print(
                 f"FAIL: not strictly positive at degree {depth} "
-                f"(Gram pivot {report.pivots[-1]:.6g} <= {tol:g})"
+                f"(Gram pivot {report.pivots[-1]:.6g} <= {POSITIVITY_TOL:g})"
             )
             failures += 1
     return 1 if failures else 0
@@ -286,10 +273,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and tolerance <= 0:
-        print("error: --tolerance must be > 0", file=sys.stderr)
-        return 2
     try:
         return COMMANDS[args.command](args)
     except CliFailure as exc:

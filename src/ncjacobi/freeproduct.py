@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jsonio
 from .functional import json_floats
-from .jacobi import AdmissibleFamily
+from .jacobi import THREE_TERM_TOL, AdmissibleFamily
 from .ncpoly import NcPolynomial
 from .orthopoly import OrthonormalBasis, three_term_residuals
 from .words import Word, level_offsets, prepend_index
@@ -239,18 +239,13 @@ class ThreeTermReport:
     depth: int
     max_residual: float
     residuals: dict[tuple[int, int], float]
-    tolerance: float
 
     @property
     def ok(self) -> bool:
-        return self.max_residual <= self.tolerance
+        return self.max_residual <= THREE_TERM_TOL
 
 
-def verify_three_term(
-    recurrences: Sequence[OneDimRecurrence],
-    depth: int,
-    tolerance: float = 1e-12,
-) -> ThreeTermReport:
+def verify_three_term(recurrences: Sequence[OneDimRecurrence], depth: int) -> ThreeTermReport:
     """Check X_k Phi_n = Phi_{n+1} A_{n+1,k} + Phi_n B_{n,k} + Phi_{n-1} A*_{n,k}
     coefficientwise for all letters k and levels n < depth."""
     if depth < 1:
@@ -262,5 +257,4 @@ def verify_three_term(
         depth=depth,
         max_residual=max(residuals.values(), default=0.0),
         residuals=residuals,
-        tolerance=tolerance,
     )

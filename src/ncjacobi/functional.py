@@ -22,22 +22,23 @@ from .ncpoly import NcPolynomial
 from .words import Word, enumerate_words, graded_rank, kernel_index, letters_up_to
 from .words import level_offsets, reversal_index, word_at, words_up_to
 
-DEFAULT_POSITIVITY_TOL = 1e-10
-DEFAULT_SYMMETRY_TOL = 1e-12
+POSITIVITY_TOL = 1e-10  # a Gram pivot must exceed this
+SYMMETRY_TOL = 1e-12  # relative reversal-symmetry and unit-mass bound of a table
 
 
 class NotStrictlyPositiveError(ValueError):
     """A Gram pivot fell below tolerance where strict positivity was required."""
 
 
-def upper_cholesky(mat: np.ndarray, tol: float = DEFAULT_POSITIVITY_TOL):
+def upper_cholesky(mat: np.ndarray):
     """Factor a symmetric matrix as R^T R with R upper triangular, diag(R) > 0.
 
     Returns ``(R, pivots, completed)``.  ``pivots`` are the successive Schur
     complements of the diagonal (the LDL^T diagonal); the factorization stops
-    at the first pivot that is not > tol (a NaN pivot included), in which case
-    ``R`` is None and ``completed`` is False.  Reads the upper triangle only.
-    LAPACK factors; the row loop runs only when a pivot fails, to name it.
+    at the first pivot that is not > POSITIVITY_TOL (a NaN pivot included), in
+    which case ``R`` is None and ``completed`` is False.  Reads the upper
+    triangle only.  LAPACK factors; the row loop runs only when LAPACK fails or
+    leaves a pivot not above POSITIVITY_TOL, to name the pivot that fails.
     """
     a = np.asarray(mat, dtype=float)
     n = a.shape[0]
@@ -45,14 +46,14 @@ def upper_cholesky(mat: np.ndarray, tol: float = DEFAULT_POSITIVITY_TOL):
         raise ValueError("matrix must be square")
     with contextlib.suppress(np.linalg.LinAlgError):
         r = np.linalg.cholesky(a.T).T
-        if np.all(np.diag(r) ** 2 > tol):
+        if np.all(np.diag(r) ** 2 > POSITIVITY_TOL):
             return r, (np.diag(r) ** 2).tolist(), True
     r = np.zeros((n, n))
     pivots: list[float] = []
     for j in range(n):
         d = a[j, j] - r[:j, j] @ r[:j, j]
         pivots.append(float(d))
-        if not d > tol:
+        if not d > POSITIVITY_TOL:
             return None, pivots, False
         r[j, j] = math.sqrt(d)
         r[j, j + 1 :] = (a[j, j + 1 :] - r[:j, j] @ r[:j, j + 1 :]) / r[j, j]
@@ -139,7 +140,7 @@ class MomentFunctional:
         rev = reversal_index(alphabet, self.word_bound)
         bad = ~np.isfinite(values)
         if not bad.any():
-            scale = DEFAULT_SYMMETRY_TOL * np.maximum(1.0, np.abs(values))
+            scale = SYMMETRY_TOL * np.maximum(1.0, np.abs(values))
             bad = np.abs(values - values[rev]) > scale
         if bad.any():
             i = int(np.argmax(bad))
@@ -147,7 +148,7 @@ class MomentFunctional:
                 f"moment table has a non-finite or reversal-asymmetric value at "
                 f"{word_at(alphabet, i)}: {values[i]} vs {values[rev[i]]} at its reversal"
             )
-        if abs(values[0] - 1.0) > DEFAULT_SYMMETRY_TOL:
+        if abs(values[0] - 1.0) > SYMMETRY_TOL:
             raise ValueError(f"functional is not unital: s_empty = {values[0]!r}")
         values.flags.writeable = False
         self._values = values
@@ -192,14 +193,14 @@ class MomentFunctional:
 
     # -- positivity --------------------------------------------------------
 
-    def gram(self, degree: int, tol: float = DEFAULT_POSITIVITY_TOL) -> GramReport:
+    def gram(self, degree: int) -> GramReport:
         """Gram matrix of all monomials of length <= degree, graded-lex order."""
         if degree > self.max_degree:
             raise ValueError(
                 f"gram degree {degree} exceeds max_degree {self.max_degree}"
             )
         g = self._values[kernel_index(self.alphabet, degree)]
-        r, pivots, completed = upper_cholesky(g, tol=tol)
+        r, pivots, completed = upper_cholesky(g)
         return GramReport(
             alphabet=self.alphabet,
             degree=degree,
@@ -210,10 +211,8 @@ class MomentFunctional:
             factor=r,
         )
 
-    def is_strictly_positive(
-        self, degree: int, tol: float = DEFAULT_POSITIVITY_TOL
-    ) -> bool:
-        return self.gram(degree, tol=tol).positive
+    def is_strictly_positive(self, degree: int) -> bool:
+        return self.gram(degree).positive
 
     # -- serialization -----------------------------------------------------
 

@@ -17,10 +17,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .functional import MomentFunctional, NotStrictlyPositiveError, json_floats, json_int
+from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
+from .functional import json_floats, json_int
 from .words import Word, level_offsets, reversal_index
 
-DEFAULT_VALIDATE_TOL = 1e-12
+VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(A_n) exceeds it
+THREE_TERM_TOL = 1e-12  # bound on the product construction's three-term residual
 
 
 @dataclass(eq=False)
@@ -99,9 +101,7 @@ class ValidationReport:
     violations: list[str] = field(default_factory=list)
 
 
-def validate(
-    family: AdmissibleFamily, tol: float = DEFAULT_VALIDATE_TOL
-) -> ValidationReport:
+def validate(family: AdmissibleFamily) -> ValidationReport:
     """Check finiteness of every block, symmetry of B blocks and
     triangularity/positivity of each A_n."""
     violations: list[str] = []
@@ -111,7 +111,7 @@ def validate(
             b = family.B[(n, k)]
             if not np.isfinite(b).all():
                 violations.append(f"B[{n},{k}] has a non-finite entry")
-            elif np.max(np.abs(b - b.T), initial=0.0) > tol:
+            elif np.max(np.abs(b - b.T), initial=0.0) > VALIDATE_TOL:
                 violations.append(f"B[{n},{k}] not symmetric")
     for n in range(1, family.depth + 1):
         a = family.concat_A(n)
@@ -119,9 +119,9 @@ def validate(
             violations.append(f"A_{n} = [A_{n},1 .. A_{n},{N}] has a non-finite entry")
             continue
         below = np.tril(a, k=-1)
-        if np.max(np.abs(below), initial=0.0) > tol:
+        if np.max(np.abs(below), initial=0.0) > VALIDATE_TOL:
             violations.append(f"A_{n} = [A_{n},1 .. A_{n},{N}] not upper triangular")
-        if np.min(np.diag(a)) <= tol:
+        if np.min(np.diag(a)) <= VALIDATE_TOL:
             violations.append(f"A_{n} diagonal not strictly positive")
     return ValidationReport(ok=not violations, violations=violations)
 
@@ -190,11 +190,7 @@ def operator_moment(family: AdmissibleFamily, sigma: Word, level: int | None = N
     return float(v[0])
 
 
-def favard_moments(
-    family: AdmissibleFamily,
-    degree: int,
-    tol: float = 1e-10,
-) -> MomentFunctional:
+def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
     """Moment table of the functional determined by the family.
 
     Covers every word of length <= 2*degree + 1 (the odd top level is what the
@@ -202,9 +198,11 @@ def favard_moments(
     s_{ab} = <J_{I(a)} e0, J_b e0> from the Fock vectors J_w e0 on the section
     through level ``degree``.  Each reversal orbit keeps one value, so the
     table is exactly reversal-symmetric.  The Fock matrix V over |w| <= degree
-    is the triangular factor of the Gram matrix G = V^T V, so positivity is
-    certified by the QR pivots diag(R)^2 of V, without forming G and squaring
-    its conditioning.
+    is upper triangular (J_w e0 reaches no level above |w|, and its level-|w|
+    entries below the diagonal vanish where each A_n is upper triangular), so
+    it is the Cholesky factor of the Gram matrix G = V^T V: positivity is
+    certified by its pivots diag(V)^2, without forming G and squaring its
+    conditioning.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -225,12 +223,11 @@ def favard_moments(
     values = np.concatenate(levels)
     values = values[np.minimum(np.arange(values.size), rev)]
     phi = MomentFunctional.from_values(N, degree, values)
-    r = np.linalg.qr(np.hstack(fock[: degree + 1]), mode="r")
-    pivot = float(np.min(np.diag(r) ** 2))
-    if not pivot > tol:
+    pivot = float(np.min(np.diag(np.hstack(fock[: degree + 1])) ** 2))
+    if not pivot > POSITIVITY_TOL:
         raise NotStrictlyPositiveError(
             f"moments of an admissible family failed strict positivity at degree "
-            f"{degree} (min pivot {pivot:.3e}, tol {tol}); the family data is "
+            f"{degree} (min pivot {pivot:.3e}, tol {POSITIVITY_TOL}); the family data is "
             f"inconsistent"
         )
     return phi

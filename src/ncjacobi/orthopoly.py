@@ -15,7 +15,8 @@ import functools
 
 import numpy as np
 
-from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
+from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
+from .functional import solve_triangular
 from .jacobi import AdmissibleFamily, section
 from .ncpoly import NcPolynomial
 from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
@@ -82,15 +83,13 @@ class OrthonormalBasis:
         return {"N": self.alphabet, "depth": self.depth, "basis": basis}
 
 
-def orthonormalize(
-    phi: MomentFunctional, depth: int, tol: float = 1e-10
-) -> OrthonormalBasis:
+def orthonormalize(phi: MomentFunctional, depth: int) -> OrthonormalBasis:
     """Gram-Schmidt over monomials up to ``depth`` in graded-lex order."""
-    report = phi.gram(depth, tol=tol)
+    report = phi.gram(depth)
     if not report.positive:
         raise NotStrictlyPositiveError(
             f"functional not strictly positive at depth {depth}: Gram pivot "
-            f"{report.pivots[-1]:.3e} <= {tol}"
+            f"{report.pivots[-1]:.3e} <= {POSITIVITY_TOL}"
         )
     rinv = solve_triangular(report.factor, np.eye(len(report.gram)))
     return OrthonormalBasis(phi.alphabet, depth, rinv.T)

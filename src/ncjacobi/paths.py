@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
-from .functional import upper_cholesky
+from .functional import POSITIVITY_TOL, upper_cholesky
 from .jacobi import AdmissibleFamily, fock_levels, section
 from .words import Word, level_offsets, reversal_index
 
@@ -261,9 +261,7 @@ def _path_sums(N: int, A: Mapping, B: Mapping, n: int, height_cap: int, letter: 
     return r.T @ (J[letter - 1] @ r if letter else r)
 
 
-def jacobi_from_moments(
-    phi: MomentFunctional, depth: int, tol: float = 1e-10
-) -> AdmissibleFamily:
+def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
     """Recover the coefficient family of a strictly positive moment table.
 
     Level n works on the kernel matrix [s_{I(s)t}] over length-n words minus
@@ -304,11 +302,11 @@ def jacobi_from_moments(
         # conjugate by the inverse of I_N (x) atilde, block by block
         y = (kmat - low.T @ low).reshape(N, d, N, d).swapaxes(1, 2)
         m = (inv.T @ y @ inv).swapaxes(1, 2).reshape(dim, dim)
-        r, pivots, completed = upper_cholesky((m + m.T) / 2.0, tol=tol)
+        r, pivots, completed = upper_cholesky((m + m.T) / 2.0)
         if not completed:
             raise NotStrictlyPositiveError(
                 f"coefficient recovery at level {n} hit pivot {pivots[-1]:.3e} "
-                f"<= {tol}; the moment table is not strictly positive there"
+                f"<= {POSITIVITY_TOL}; the moment table is not strictly positive there"
             )
         a = r.reshape(dim, N, d).swapaxes(0, 1)  # A_{n,k} over k
         atilde = np.hstack(a @ atilde)

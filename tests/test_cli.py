@@ -390,6 +390,44 @@ def test_verify_rejects_negative_depth(workdir, capsys):
     assert captured.err == "error: --depth must be >= 0\n"
 
 
+TABLE_COMMANDS = (
+    ["jacobi", "--out", "x.json"],
+    ["orthonormalize", "--out", "x.json"],
+    ["verify"],
+)
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_table_commands_share_one_depth_check(workdir, capsys, command):
+    assert run(["freeproduct", "--spec", "hermite", "--depth", "2", "--out", "fam.json"]) == 0
+    assert run(["moments", "--family", "fam.json", "--max-degree", "2", "--out", "m.json"]) == 0
+    capsys.readouterr()
+    for depth, line in (("5", "error: --depth 5 exceeds table degree 2\n"),
+                        ("-1", "error: --depth must be >= 0\n")):
+        assert run([*command, "--moments", "m.json", "--depth", depth]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line
+    assert not os.path.exists("x.json")
+
+
+def test_gram_pivot_threshold_is_fixed(workdir, capsys):
+    # the Gram pivot 1e-11 passes LAPACK's Cholesky but not the fixed 1e-10 bound
+    obj = {"N": 1, "max_degree": 1, "moments": [
+        {"word": [1] * n, "value": v} for n, v in enumerate([1.0, 0.0, 1e-11, 0.0])
+    ]}
+    with open("thin.json", "w") as fh:
+        json.dump(obj, fh)
+    np.linalg.cholesky(MomentFunctional.from_json_obj(obj).gram(1).gram)
+    capsys.readouterr()
+    for command in TABLE_COMMANDS:
+        assert run([*command, "--moments", "thin.json", "--depth", "1"]) == 1
+        fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL:")]
+        assert len(fail) == 1 and "1e-10" in fail[0]
+    assert not os.path.exists("x.json")
+    with pytest.raises(ncjacobi.NotStrictlyPositiveError, match="1e-10"):
+        ncjacobi.jacobi_from_moments(jsonio.load_moments("thin.json"), 1)
+
+
 def test_cli_chain_builds_no_word_or_polynomial_objects(workdir, capsys, monkeypatch):
     # the file-to-file commands work on graded-rank arrays from input to output
     def forbidden(*args, **kwargs):
@@ -565,8 +603,10 @@ def test_exit_codes(workdir, capsys):
     # usage errors -> 2
     assert run(["verify"]) == 2
     assert run(["paths", "--word", "1,x"]) == 2
+    # the positivity threshold is fixed: --tolerance is an unknown flag
     assert run(["moments", "--family", "fam.json", "--max-degree", "2",
-                "--out", "x.json", "--tolerance", "-1"]) == 2
+                "--out", "x.json", "--tolerance", "1e-12"]) == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 def _package_env():

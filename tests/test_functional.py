@@ -236,7 +236,7 @@ def test_apply_positive_on_squares(random_phi):
 
 def test_upper_cholesky_known_matrix():
     g = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]])
-    r, pivots, completed = upper_cholesky(g, tol=1e-12)
+    r, pivots, completed = upper_cholesky(g)
     assert completed
     assert np.allclose(r.T @ r, g, atol=1e-14)
     assert np.allclose(pivots, [1.0, 1.0, 2.0])
@@ -280,7 +280,7 @@ def small_pivot_matrix(pivot):
 def test_upper_cholesky_rejects_small_pivot_lapack_accepts():
     g = small_pivot_matrix(1e-12)
     np.linalg.cholesky(g)  # LAPACK factors it: the pivot is positive
-    r, pivots, completed = upper_cholesky(g, tol=1e-10)
+    r, pivots, completed = upper_cholesky(g)
     assert not completed and r is None
     assert (r, pivots, completed) == row_loop_cholesky(g, 1e-10)
     assert len(pivots) == 3 and 0.0 < pivots[-1] <= 1e-10
@@ -336,7 +336,7 @@ def test_solve_triangular_agrees_with_substitution(n, seed):
 
 def test_upper_cholesky_stops_at_nonpositive_pivot():
     g = np.array([[1.0, 1.0], [1.0, 1.0]])
-    r, pivots, completed = upper_cholesky(g, tol=1e-12)
+    r, pivots, completed = upper_cholesky(g)
     assert not completed
     assert r is None
     assert pivots[-1] <= 1e-12

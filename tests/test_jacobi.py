@@ -20,6 +20,9 @@ from ncjacobi import (
     words_up_to,
 )
 
+from ncjacobi.freeproduct import parse_recurrence_spec
+from ncjacobi.jacobi import fock_levels
+
 from conftest import GAUSSIAN_MOMENTS
 
 SQRT2 = math.sqrt(2.0)
@@ -278,3 +281,34 @@ def test_favard_rejects_zero_a_diagonal():
     assert not validate(fam).ok
     with pytest.raises(NotStrictlyPositiveError, match="strict positivity"):
         favard_moments(fam, 3)
+
+
+# -- the Fock matrix is the Gram factor ---------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def fock_case(case):
+    """A seeded (N, depth, seed) family, or a free product from a spec, at a depth."""
+    if isinstance(case[0], int):
+        N, depth, seed = case
+        return random_admissible_family(N, depth, seed=seed), depth
+    spec, depth = case
+    return build_free_product(parse_recurrence_spec(spec, depth + 1), depth), depth
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(2, 3, 1), (3, 3, 2), ("hermite,legendre", 4), ("chebyshev_t,laguerre(0.5),hermite", 3)],
+)
+def test_fock_matrix_is_gram_factor(case):
+    # V = [J_w e0] over |w| <= d is upper triangular, so its QR changes nothing
+    # and favard_moments reads the positivity pivots off diag(V)
+    fam, d = fock_case(case)
+    J = [truncate(fam, k, d) for k in range(1, fam.alphabet + 1)]
+    v = np.hstack(fock_levels(J, d))
+    assert np.all(np.tril(v, -1) == 0.0)
+    assert np.array_equal(np.linalg.qr(v, mode="r"), v)
+    report = favard_moments(fam, d).gram(d)
+    bound = np.linalg.cond(report.gram) * EPS
+    assert np.max(np.abs(report.factor - v)) <= bound * np.max(np.abs(v))

@@ -1,11 +1,16 @@
 """Every public name and every function that the benchmark's tracer wraps still
 resolves, so deleting one fails here in well under a second instead of only in
-the traced benchmark smoke run."""
+the traced benchmark smoke run.  The command-line options and the keyword
+parameters of the public API are pinned too, so a new flag or threshold knob
+has to be added here on purpose."""
 
+import argparse
 import importlib.util
+import inspect
 from pathlib import Path
 
 import ncjacobi
+from ncjacobi.cli import build_parser
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -34,3 +39,49 @@ def test_traced_names_resolve():
 def test_public_names_resolve():
     missing = [name for name in ncjacobi.__all__ if not hasattr(ncjacobi, name)]
     assert not missing, missing
+
+
+OPTIONS = {
+    "moments": {"--family", "--max-degree", "--out"},
+    "jacobi": {"--moments", "--depth", "--out"},
+    "orthonormalize": {"--moments", "--depth", "--out"},
+    "freeproduct": {"--spec", "--depth", "--out", "--basis"},
+    "paths": {"--word", "--alphabet", "--count-only", "--family", "--out"},
+    "verify": {"--family", "--moments", "--depth"},
+}
+
+
+def test_command_options_are_pinned():
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    found = {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert found == OPTIONS
+
+
+def public_callables():
+    """Every public function, class constructor and public method."""
+    for name in ncjacobi.__all__:
+        obj = getattr(ncjacobi, name)
+        if not inspect.isclass(obj):
+            yield name, obj
+        elif not issubclass(obj, Exception):
+            yield name, obj
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if callable(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", member
+
+
+def test_no_public_callable_takes_a_tolerance():
+    knobs = [
+        f"{name}({param})"
+        for name, fn in public_callables()
+        for param in inspect.signature(fn).parameters
+        if param in ("tol", "tolerance")
+    ]
+    assert not knobs, knobs
