@@ -195,6 +195,8 @@ class MomentFunctional:
 
     def gram(self, degree: int) -> GramReport:
         """Gram matrix of all monomials of length <= degree, graded-lex order."""
+        if degree < 0:
+            raise ValueError("degree must be >= 0")
         if degree > self.max_degree:
             raise ValueError(
                 f"gram degree {degree} exceeds max_degree {self.max_degree}"

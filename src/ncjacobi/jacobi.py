@@ -223,7 +223,9 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
     values = np.concatenate(levels)
     values = values[np.minimum(np.arange(values.size), rev)]
     phi = MomentFunctional.from_values(N, degree, values)
-    pivot = float(np.min(np.diag(np.hstack(fock[: degree + 1])) ** 2))
+    # diag(V) level by level: the level-n rows of the level-n Fock vectors
+    diag = [np.diag(fock[n][offs[n] : offs[n + 1]]) for n in range(degree + 1)]
+    pivot = float(np.min(np.concatenate(diag) ** 2))
     if not pivot > POSITIVITY_TOL:
         raise NotStrictlyPositiveError(
             f"moments of an admissible family failed strict positivity at degree "

@@ -129,6 +129,9 @@ def level_offsets(alphabet: int, level: int) -> list[int]:
 
 def word_at(alphabet: int, index: int) -> Word:
     """The word at graded rank ``index``: the inverse of ``graded_rank``."""
+    _check_alphabet(alphabet)
+    if index < 0:
+        raise ValueError(f"graded rank must be >= 0, got {index}")
     n = 0
     while index >= alphabet**n:
         index -= alphabet**n
@@ -136,8 +139,27 @@ def word_at(alphabet: int, index: int) -> Word:
     return Word(tuple(index // alphabet**i % alphabet + 1 for i in range(n)[::-1]), alphabet)
 
 
+# The index builders below depend only on their arguments, so each table is
+# built once per size and process and shared read-only by every caller; a
+# negative length gives the tables over no words.
+
+
+def _check_alphabet(alphabet: int) -> None:
+    if alphabet < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
 def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
     """Graded rank of the reversal of every word of length <= max_length."""
+    _check_alphabet(alphabet)
+    if max_length < 0:
+        return _read_only(np.zeros(0, dtype=np.int64))
     offs = level_offsets(alphabet, max_length)
     rev = np.zeros(1, dtype=np.int64)  # level ranks of the reversals, length i
     out = [rev]
@@ -145,18 +167,24 @@ def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
         # I(w c) = c I(w): rank c * N**i + rev(w), at position rank(w) * N + c
         rev = (rev[:, None] + np.arange(alphabet) * alphabet**i).ravel()
         out.append(offs[i + 1] + rev)
-    return np.concatenate(out)
+    return _read_only(np.concatenate(out))
 
 
+@functools.lru_cache(maxsize=32)
 def prepend_index(alphabet: int, max_length: int) -> np.ndarray:
     """Graded rank of k w at [k - 1, graded rank of w], over the words w of
     length <= max_length: where X_k moves the coefficient of each word."""
+    _check_alphabet(alphabet)
+    max_length = max(max_length, -1)
     offs = np.array(level_offsets(alphabet, max_length + 1))
     length = np.repeat(np.arange(max_length + 1), np.diff(offs[:-1]))
     level_rank = np.arange(offs[-2]) - offs[length]
-    return offs[length + 1] + np.arange(alphabet)[:, None] * alphabet**length + level_rank
+    return _read_only(
+        offs[length + 1] + np.arange(alphabet)[:, None] * alphabet**length + level_rank
+    )
 
 
+@functools.lru_cache(maxsize=32)
 def kernel_index(alphabet: int, degree: int, letter: int = 0) -> np.ndarray:
     """Graded rank of I(b) k a at row a, column b, over words of length <= degree.
 
@@ -165,13 +193,16 @@ def kernel_index(alphabet: int, degree: int, letter: int = 0) -> np.ndarray:
     letter k the matrix [<X_k X_a, X_b>] = [s_{I(b) k a}].  With b empty the
     word is k a, so column 0 maps each word to its letter-k prepend.
     """
+    _check_alphabet(alphabet)
+    if not 0 <= letter <= alphabet:
+        raise ValueError(f"letter {letter} outside 0..{alphabet}")
     N, mid = alphabet, int(letter > 0)
     offs = np.array(level_offsets(N, 2 * degree + mid))
     length = np.repeat(np.arange(degree + 1), np.diff(offs[: degree + 2]))
     start = offs[length]
     rev = reversal_index(N, degree) - start
     # level rank of I(b) k a: (rank(I(b)) N + k - 1) N^|a| + rank(a)
-    return (
+    return _read_only(
         offs[length[:, None] + length[None, :] + mid]
         + (rev[None, :] * N**mid + letter - mid) * N ** length[:, None]
         + (np.arange(len(length)) - start)[:, None]

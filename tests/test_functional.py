@@ -11,6 +11,7 @@ from ncjacobi import (
     functional_free_product,
     hankel_check,
     kernel_table,
+    orthonormalize,
     random_admissible_family,
     upper_cholesky,
     words_up_to,
@@ -136,6 +137,19 @@ def test_gram_degree_zero(gaussian_phi):
     report = gaussian_phi.gram(0)
     assert report.gram.tolist() == [[1.0]]
     assert report.positive
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda phi: phi.gram(-1),
+        lambda phi: phi.is_strictly_positive(-1),
+        lambda phi: orthonormalize(phi, -1),
+    ],
+)
+def test_negative_gram_degree_is_rejected(gaussian_phi, call):
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        call(gaussian_phi)
 
 
 def test_gram_is_deterministic(random_phi):

@@ -9,6 +9,7 @@ from ncjacobi import (
     Word,
     build_free_product,
     classical_coefficients,
+    coefficient_oracle,
     extract_recurrence,
     favard_moments,
     moments_from_paths,
@@ -297,6 +298,12 @@ def fock_case(case):
     return build_free_product(parse_recurrence_spec(spec, depth + 1), depth), depth
 
 
+def fock_matrix(fam, d):
+    """V = [J_w e0] over the words w of length <= d, in rank order."""
+    J = [truncate(fam, k, d) for k in range(1, fam.alphabet + 1)]
+    return np.hstack(fock_levels(J, d))
+
+
 @pytest.mark.parametrize(
     "case",
     [(2, 3, 1), (3, 3, 2), ("hermite,legendre", 4), ("chebyshev_t,laguerre(0.5),hermite", 3)],
@@ -305,10 +312,40 @@ def test_fock_matrix_is_gram_factor(case):
     # V = [J_w e0] over |w| <= d is upper triangular, so its QR changes nothing
     # and favard_moments reads the positivity pivots off diag(V)
     fam, d = fock_case(case)
-    J = [truncate(fam, k, d) for k in range(1, fam.alphabet + 1)]
-    v = np.hstack(fock_levels(J, d))
+    v = fock_matrix(fam, d)
     assert np.all(np.tril(v, -1) == 0.0)
     assert np.array_equal(np.linalg.qr(v, mode="r"), v)
     report = favard_moments(fam, d).gram(d)
     bound = np.linalg.cond(report.gram) * EPS
     assert np.max(np.abs(report.factor - v)) <= bound * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("N,d", [(2, 3), (3, 3), (2, 5), (3, 4)])
+def test_fock_diagonal_is_product_of_a_diagonals(N, d, seed):
+    # the level-n part of J_k J_{w'} e0 is A_{n,k} times the level-(n-1) part of
+    # J_{w'} e0, and both factors are triangular: d_{kw'} = A_n[c, c] d_{w'} with
+    # c the level rank of k w', the other terms of the sum being exact zeros
+    fam = random_admissible_family(N, d, seed=seed)
+    expected = np.ones(1)
+    for n in range(1, d + 1):
+        level = np.diag(fam.concat_A(n)) * np.tile(expected[-(N ** (n - 1)) :], N)
+        expected = np.concatenate([expected, level])
+    assert np.array_equal(np.diag(fock_matrix(fam, d)), expected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("N,d", [(1, 3), (2, 2), (3, 1), (2, 3)])
+def test_fock_diagonal_gives_leading_coefficients_and_minors(N, d, seed):
+    # G = V^T V with V upper triangular: the orthonormal polynomial p_a has
+    # leading coefficient 1 / diag(V)_a, and the leading minor D_a of G over the
+    # words up to a is the product of diag(V)^2 over those words
+    fam = random_admissible_family(N, d, seed=seed)
+    diag = np.diag(fock_matrix(fam, d))
+    phi = favard_moments(fam, d)
+    g = phi.gram(d).gram
+    bound = np.linalg.cond(g) * EPS
+    for i, a in enumerate(words_up_to(N, d)):
+        assert abs(coefficient_oracle(phi, a, a) * diag[i] - 1.0) <= bound
+    minors = [np.linalg.det(g[: i + 1, : i + 1]) for i in range(len(g))]
+    assert np.allclose(minors, np.cumprod(diag**2), rtol=bound, atol=0.0)

@@ -9,6 +9,8 @@ from ncjacobi import (
     graded_rank,
     words_up_to,
 )
+from ncjacobi.words import kernel_index, letters_up_to, prepend_index, reversal_index
+from ncjacobi.words import word_at
 
 
 def w(letters, alphabet=2):
@@ -133,3 +135,77 @@ def test_word_validation():
         Word((3,), 2)
     with pytest.raises(ValueError):
         Word((), 0)
+
+
+# -- graded-rank index tables ----------------------------------------------------
+
+
+def words_by_rank(alphabet, max_length):
+    return [Word(ls, alphabet) for ls in letters_up_to(alphabet, max_length)]
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+@pytest.mark.parametrize("length", range(5))
+def test_reversal_index_ranks_the_involution(alphabet, length):
+    rev = reversal_index(alphabet, length)
+    words = words_by_rank(alphabet, length)
+    assert rev.tolist() == [graded_rank(x.involute()) for x in words]
+    assert [word_at(alphabet, i) for i in range(len(words))] == words
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+@pytest.mark.parametrize("length", range(5))
+def test_prepend_index_ranks_the_prepended_word(alphabet, length):
+    prepend = prepend_index(alphabet, length)
+    words = words_by_rank(alphabet, length)
+    assert prepend.shape == (alphabet, len(words))
+    for k in range(1, alphabet + 1):
+        expected = [graded_rank(Word((k,), alphabet).concat(x)) for x in words]
+        assert prepend[k - 1].tolist() == expected
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+@pytest.mark.parametrize("degree", range(5))
+def test_kernel_index_ranks_reversed_column_letter_row(alphabet, degree):
+    words = words_by_rank(alphabet, degree)
+    for letter in range(alphabet + 1):
+        mid = Word((letter,) if letter else (), alphabet)
+        expected = [
+            [graded_rank(b.involute().concat(mid).concat(a)) for b in words] for a in words
+        ]
+        assert kernel_index(alphabet, degree, letter).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [(reversal_index, (2, 4)), (prepend_index, (3, 2)), (kernel_index, (2, 2, 1))],
+)
+def test_index_tables_are_shared_and_read_only(build, args):
+    table = build(*args)
+    assert build(*args) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table.flat[0] = -1
+    assert build.cache_info().maxsize == 32
+
+
+def test_index_tables_over_no_words():
+    assert reversal_index(2, -1).shape == (0,)
+    assert prepend_index(2, -1).shape == (2, 0)
+    assert kernel_index(2, -1).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: word_at(0, 3),
+        lambda: word_at(2, -3),
+        lambda: reversal_index(0, 2),
+        lambda: prepend_index(0, 2),
+        lambda: kernel_index(0, 1),
+        lambda: kernel_index(2, 1, 3),
+        lambda: kernel_index(2, 1, -1),
+    ],
+)
+def test_index_helpers_reject_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()
