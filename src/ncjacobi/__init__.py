@@ -23,7 +23,6 @@ from .jacobi import (
     favard_moments,
     operator_moment,
     random_admissible_family,
-    truncate,
     validate,
 )
 from .orthopoly import (
@@ -93,7 +92,6 @@ __all__ = [
     "product_basis",
     "product_polynomial",
     "random_admissible_family",
-    "truncate",
     "upper_cholesky",
     "validate",
     "verify_three_term",

@@ -17,7 +17,7 @@ from . import jsonio
 from .functional import POSITIVITY_TOL, NotStrictlyPositiveError
 from .jacobi import favard_moments, validate
 from .orthopoly import ResidualError, extract_recurrence, orthonormalize
-from .paths import enumerate_paths, motzkin_number, path_weight
+from .paths import DEFAULT_PATH_CAP, enumerate_paths, motzkin_number, path_weight
 from .words import Word
 
 
@@ -193,10 +193,13 @@ def cmd_paths(args) -> int:
     if args.count_only:
         print(count)
         return 0
-    try:
-        paths = enumerate_paths(word)
-    except ValueError as exc:
-        raise CliFailure(f"error: {exc}", 2) from exc
+    if len(word) > DEFAULT_PATH_CAP:
+        raise CliFailure(
+            f"error: path lists are written for words of length <= {DEFAULT_PATH_CAP} "
+            f"({count} paths at length {len(word)}); use --count-only for the count",
+            2,
+        )
+    paths = enumerate_paths(word)
     obj = {
         "word": list(word.letters),
         "count": count,

@@ -60,15 +60,6 @@ def upper_cholesky(mat: np.ndarray):
     return r, pivots, True
 
 
-def solve_triangular(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """T^{-1} B for upper triangular T with nonzero diagonal, through LAPACK's LU.
-
-    Partial pivoting swaps nothing on an upper triangular matrix: LU is plain
-    back substitution, and entries that the structure of T and B makes zero
-    come out exactly zero."""
-    return np.linalg.solve(t, b)
-
-
 @dataclass
 class GramReport:
     """Gram matrix of monomials up to a degree, with its positivity verdict."""

@@ -149,39 +149,24 @@ def fock_levels(J: Sequence[np.ndarray], top: int) -> list[np.ndarray]:
     return fock
 
 
-def truncate(family: AdmissibleFamily, k: int, level: int) -> np.ndarray:
-    """Finite section of J_k through level blocks 0..level: symmetric and
-    block-tridiagonal, of size sum N^j over j <= level."""
-    if not (1 <= k <= family.alphabet):
-        raise ValueError(f"letter {k} outside alphabet 1..{family.alphabet}")
-    if level > family.depth:
-        raise ValueError(f"level {level} exceeds family depth {family.depth}")
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return section(family.alphabet, family.A, family.B, k, level)
+def operator_moment(family: AdmissibleFamily, sigma: Word) -> float:
+    """<J_sigma e0, e0> computed on the section through level
+    min(floor(|sigma|/2) + 1, depth).
 
-
-def operator_moment(family: AdmissibleFamily, sigma: Word, level: int | None = None) -> float:
-    """<J_sigma e0, e0> computed on a finite section.
-
-    The section level defaults to min(floor(|sigma|/2) + 1, depth); any level
-    >= floor(|sigma|/2) gives the exact value, since a product of |sigma|
-    tridiagonal factors cannot return to level 0 from higher up.
+    Any level >= floor(|sigma|/2) gives the exact value, since a product of
+    |sigma| tridiagonal factors cannot return to level 0 from higher up.
     """
     if sigma.alphabet != family.alphabet:
         raise ValueError("word alphabet does not match family")
     n = len(sigma)
     if n == 0:
         return 1.0
-    minimal = n // 2
-    if level is None:
-        level = min(minimal + 1, family.depth)
-    if level < minimal:
+    if family.depth < n // 2:
         raise ValueError(
-            f"section level {level} below exact bound {minimal} for |sigma|={n}"
+            f"family depth {family.depth} below exact section level {n // 2} "
+            f"for |sigma|={n}"
         )
-    if family.depth < level:
-        raise ValueError(f"family depth {family.depth} insufficient for level {level}")
+    level = min(n // 2 + 1, family.depth)
     J = {k: section(family.alphabet, family.A, family.B, k, level) for k in set(sigma.letters)}
     v = np.zeros(level_offsets(family.alphabet, level)[-1])
     v[0] = 1.0

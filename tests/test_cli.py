@@ -486,6 +486,40 @@ def test_paths_count_only_long_word(workdir, capsys):
     assert capsys.readouterr().out.strip() == str(ncjacobi.motzkin_number(3000))
 
 
+def test_paths_over_the_list_limit_names_it(workdir, capsys):
+    # longer words get their count through --count-only, not a path list
+    cap = ncjacobi.paths.DEFAULT_PATH_CAP
+    assert run(["paths", "--word", ",".join(["1"] * (cap + 1))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: path lists are written for words of length <= {cap} "
+        f"({ncjacobi.motzkin_number(cap + 1)} paths at length {cap + 1}); "
+        f"use --count-only for the count\n"
+    )
+    assert run(["paths", "--word", ",".join(["1"] * cap), "--out", "p.json"]) == 0
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+def test_jacobi_refuses_a_table_float64_cannot_determine(workdir, capsys, seed):
+    # both tables are positive definite as stored, yet the blocks recovered from
+    # them were off by 0.94 (seed 7) and 25.6 (seed 13)
+    from ncjacobi import random_admissible_family
+    from ncjacobi.orthopoly import RECOVERY_LIMIT
+
+    jsonio.save_family("fam.json", random_admissible_family(3, 4, seed=seed))
+    assert run(["moments", "--family", "fam.json", "--max-degree", "4", "--out", "m.json"]) == 0
+    assert run(["verify", "--moments", "m.json"]) == 0
+    capsys.readouterr()
+    assert run(["jacobi", "--moments", "m.json", "--depth", "4", "--out", "rec.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (line,) = captured.out.splitlines()
+    assert line.startswith("FAIL: recovery condition estimate eps n sum G_jj C_ij^2 = ")
+    assert f"exceeds {RECOVERY_LIMIT:g}" in line
+    assert not os.path.exists("rec.json")
+
+
 def test_written_file_honours_umask(workdir):
     old = os.umask(0o022)
     try:

@@ -17,11 +17,11 @@ from ncjacobi import (
     orthonormalize,
     product_basis,
     product_polynomial,
-    truncate,
     validate,
     verify_three_term,
 )
 from ncjacobi.freeproduct import parse_recurrence_spec
+from ncjacobi.jacobi import section
 from ncjacobi.orthopoly import three_term_residuals
 
 from conftest import run_form_product
@@ -193,7 +193,7 @@ def test_build_requires_long_enough_recurrences():
 def test_one_letter_build_degenerates_to_input():
     rec = classical_coefficients("laguerre", 4)
     fam = build_free_product([rec], 4)
-    t = truncate(fam, 1, 4)
+    t = section(1, fam.A, fam.B, 1, 4)
     expected = np.diag([rec.b_at(n) for n in range(5)]) + np.diag(
         [rec.a_at(n) for n in range(1, 5)], 1
     ) + np.diag([rec.a_at(n) for n in range(1, 5)], -1)

@@ -16,17 +16,21 @@ from ncjacobi import (
     operator_moment,
     orthonormalize,
     random_admissible_family,
-    truncate,
     validate,
     words_up_to,
 )
 
 from ncjacobi.freeproduct import parse_recurrence_spec
-from ncjacobi.jacobi import fock_levels
+from ncjacobi.jacobi import fock_levels, section
 
 from conftest import GAUSSIAN_MOMENTS
 
 SQRT2 = math.sqrt(2.0)
+
+
+def sections(fam, level):
+    """[J_1 .. J_N] through ``level``."""
+    return [section(fam.alphabet, fam.A, fam.B, k, level) for k in range(1, fam.alphabet + 1)]
 
 
 def chebyshev_family(depth=5):
@@ -109,7 +113,7 @@ def test_random_family_is_admissible():
 
 
 def test_truncate_hermite_example(hermite_family):
-    t = truncate(hermite_family, 1, 2)
+    t = sections(hermite_family, 2)[0]
     assert np.allclose(
         t,
         [[0.0, 1.0, 0.0], [1.0, 0.0, SQRT2], [0.0, SQRT2, 0.0]],
@@ -118,14 +122,14 @@ def test_truncate_hermite_example(hermite_family):
 
 
 def test_truncate_level_zero(hermite2_family):
-    t = truncate(hermite2_family, 2, 0)
+    t = sections(hermite2_family, 0)[1]
     assert t.shape == (1, 1)
     assert t[0, 0] == hermite2_family.B[(0, 2)][0, 0]
 
 
 def test_truncate_laguerre_pair_example():
     fam = build_free_product([classical_coefficients("laguerre", 3)] * 2, 2)
-    t = truncate(fam, 1, 1)
+    t = sections(fam, 1)[0]
     assert np.allclose(
         t,
         [[1.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]],
@@ -135,16 +139,11 @@ def test_truncate_laguerre_pair_example():
 
 def test_truncate_is_symmetric_block_tridiagonal():
     fam = random_admissible_family(2, 3, seed=8)
-    t = truncate(fam, 1, 3)
+    t = sections(fam, 3)[0]
     assert np.array_equal(t, t.T)
     # zero outside the three block diagonals: entries between level 0 and 2+
     assert np.all(t[0, 3:] == 0.0)
     assert np.all(t[1:3, 7:] == 0.0)
-
-
-def test_truncate_rejects_level_beyond_depth(hermite2_family):
-    with pytest.raises(ValueError, match="depth"):
-        truncate(hermite2_family, 1, 5)
 
 
 # -- operator moments --------------------------------------------------------------
@@ -168,14 +167,18 @@ def test_operator_moment_chebyshev_example():
 
 
 def test_operator_moment_truncation_stability():
+    # <J_w e0, e0> is the same on every section through a level >= |w| // 2
     fam = random_admissible_family(2, 5, seed=13)
     for letters in [(1, 1), (1, 2, 1), (2, 2, 1, 1), (1, 2, 2, 1, 2)]:
         w = Word(letters, 2)
         base = len(w) // 2
-        values = {
-            operator_moment(fam, w, level=lvl)
-            for lvl in range(base, min(base + 3, fam.depth) + 1)
-        }
+        values = {operator_moment(fam, w)}
+        for lvl in range(base, min(base + 3, fam.depth) + 1):
+            J = sections(fam, lvl)
+            v = np.eye(len(J[0]), 1)
+            for k in reversed(letters):
+                v = J[k - 1] @ v
+            values.add(float(v[0, 0]))
         assert max(values) - min(values) <= 1e-10
 
 
@@ -192,7 +195,7 @@ def test_moments_follow_an_edited_family():
     assert operator_moment(fam, w) == pytest.approx(moments_from_paths(fam, w), abs=1e-12)
     for u in words_up_to(2, 5):
         assert after.moment(u) == pytest.approx(moments_from_paths(fam, u), abs=1e-10)
-    assert np.array_equal(truncate(fam, 1, 1)[1:3, 1:3], fam.B[(1, 1)])
+    assert np.array_equal(sections(fam, 1)[0][1:3, 1:3], fam.B[(1, 1)])
 
 
 def test_operator_moment_insufficient_depth():
@@ -300,8 +303,7 @@ def fock_case(case):
 
 def fock_matrix(fam, d):
     """V = [J_w e0] over the words w of length <= d, in rank order."""
-    J = [truncate(fam, k, d) for k in range(1, fam.alphabet + 1)]
-    return np.hstack(fock_levels(J, d))
+    return np.hstack(fock_levels(sections(fam, d), d))
 
 
 @pytest.mark.parametrize(

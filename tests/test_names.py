@@ -1,8 +1,8 @@
 """Every public name and every function that the benchmark's tracer wraps still
 resolves, so deleting one fails here in well under a second instead of only in
-the traced benchmark smoke run.  The command-line options and the keyword
-parameters of the public API are pinned too, so a new flag or threshold knob
-has to be added here on purpose."""
+the traced benchmark smoke run.  The public names, the command-line options and
+the keyword parameters of the public API are pinned too, so a new name, flag or
+threshold knob has to be added here on purpose."""
 
 import argparse
 import importlib.util
@@ -39,6 +39,25 @@ def test_traced_names_resolve():
 def test_public_names_resolve():
     missing = [name for name in ncjacobi.__all__ if not hasattr(ncjacobi, name)]
     assert not missing, missing
+
+
+PUBLIC = {
+    "AdmissibleFamily", "GramReport", "LatticePath", "MomentFunctional", "NcPolynomial",
+    "NotStrictlyPositiveError", "OneDimRecurrence", "OrthonormalBasis", "ResidualError",
+    "ThreeTermReport", "ValidationReport", "Word", "a_matrix_from_coefficients",
+    "build_free_product", "classical_coefficients", "coefficient_oracle",
+    "distinguished_path", "enumerate_paths", "enumerate_words", "extract_recurrence",
+    "favard_moments", "functional_free_product", "graded_rank", "hankel_check",
+    "jacobi_from_moments", "kernel_table", "moments_from_paths", "motzkin_binomial_sum",
+    "motzkin_number", "operator_moment", "orthonormalize", "path_weight", "product_basis",
+    "product_polynomial", "random_admissible_family", "upper_cholesky", "validate",
+    "verify_three_term", "weight_factors_value", "words_up_to",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(ncjacobi.__all__) == len(PUBLIC)
+    assert set(ncjacobi.__all__) == PUBLIC
 
 
 OPTIONS = {

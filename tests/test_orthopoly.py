@@ -22,6 +22,7 @@ from ncjacobi import (
     random_admissible_family,
     validate,
 )
+from ncjacobi.orthopoly import RECOVERY_LIMIT
 
 from conftest import (
     EXPONENTIAL_MOMENTS,
@@ -59,14 +60,6 @@ def test_gaussian_basis_matches_hand_gram_schmidt(gaussian_phi):
 def test_depth_zero_basis(gaussian_phi):
     basis = orthonormalize(gaussian_phi, 0)
     assert basis.polynomial(Word((), 1)) == NcPolynomial.one(1)
-
-
-def test_monic_rescaling(gaussian_phi):
-    basis = orthonormalize(gaussian_phi, 2)
-    xx = Word((1, 1), 1)
-    p = basis.monic_polynomial(xx)
-    assert p.coefficient(xx) == pytest.approx(1.0, abs=1e-14)
-    assert p.coefficient(Word((), 1)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_hermite_pair_product_word(hermite2_family):
@@ -170,8 +163,31 @@ def test_extract_round_trips_random_family(random_setup):
 def test_extract_detects_mismatched_functional(random_setup):
     _, phi, basis = random_setup
     other = favard_moments(random_admissible_family(2, 3, seed=99), 3)
-    with pytest.raises(ResidualError):
+    with pytest.raises(ResidualError, match="three-term residual"):
         extract_recurrence(basis, other)
+
+
+@pytest.mark.parametrize("alphabet, depth", [(2, 5), (3, 3), (3, 4), (2, 6)])
+def test_accepted_recovery_is_within_its_estimate(alphabet, depth):
+    # the sweep behind RECOVERY_LIMIT: every table extract_recurrence accepts
+    # recovers the family within eps * est and within 1e-2; every table it refuses
+    # names the estimate.  Refusals cover most of (3,4) and all of (2,6) here
+    eps = np.finfo(float).eps
+    for seed in range(1000, 1100):
+        fam = random_admissible_family(alphabet, depth, seed=seed)
+        try:
+            phi = favard_moments(fam, depth)
+            basis = orthonormalize(phi, depth)
+        except NotStrictlyPositiveError:
+            continue
+        c, g = basis.coeffs, np.diag(phi.gram(depth).gram)
+        est = len(c) * np.sum(c * c * g)
+        if eps * est > RECOVERY_LIMIT:
+            with pytest.raises(ResidualError, match="recovery condition estimate"):
+                extract_recurrence(basis, phi)
+        else:
+            error = fam.blocks_close(extract_recurrence(basis, phi))
+            assert error <= min(eps * est, 1e-2)
 
 
 def test_low_degree_components_vanish(random_setup):

@@ -25,7 +25,8 @@ from ncjacobi import (
 )
 import ncjacobi.paths
 from ncjacobi.freeproduct import parse_recurrence_spec
-from ncjacobi.paths import _path_sums, _transfer_sum
+from ncjacobi.jacobi import fock_levels, section
+from ncjacobi.paths import _transfer_sum
 
 from conftest import EXPONENTIAL_MOMENTS, GAUSSIAN_MOMENTS, one_dim_functional
 
@@ -339,13 +340,21 @@ def test_batched_path_sums_match_per_word_and_enumerated_paths(alphabet, n, seed
     """The peel's batched non-maximal sums, entry by entry, against the height-capped
     per-word recursion and against every enumerated path but the distinguished one."""
     fam = random_admissible_family(alphabet, n, seed=seed)
+
+    def path_sums(B, cap, letter=0):
+        # R^T R, or R^T J_k R, with R the level-n Fock vectors of the sections
+        # through the height cap (module docstring of ncjacobi.paths)
+        J = [section(alphabet, fam.A, B, k, cap) for k in range(1, alphabet + 1)]
+        r = fock_levels(J, n)[n]
+        return r.T @ (J[letter - 1] @ r if letter else r)
+
     B0 = {**fam.B, **{(n, k): np.zeros_like(fam.B[(n, k)]) for k in range(1, alphabet + 1)}}
     ws = enumerate_words(alphabet, n)
     middles = [(0, Word((), alphabet), n - 1, fam.B)] + [
         (k, Word((k,), alphabet), n, B0) for k in range(1, alphabet + 1)
     ]
     for letter, mid, cap, B in middles:
-        batched = _path_sums(alphabet, fam.A, B, n, cap, letter)
+        batched = path_sums(B, cap, letter)
         assert batched.shape == (len(ws), len(ws))
         for i, sigma in enumerate(ws):
             for j, tau in enumerate(ws):
@@ -357,8 +366,8 @@ def test_batched_path_sums_match_per_word_and_enumerated_paths(alphabet, n, seed
                 rest -= weight_factors_value(fam, factors)
                 assert batched[i, j] == pytest.approx(rest, abs=1e-10)
     # raising the even cap to n adds back exactly the maximal paths
-    nonmaximal = _path_sums(alphabet, fam.A, fam.B, n, n - 1)
-    every = _path_sums(alphabet, fam.A, fam.B, n, n)
+    nonmaximal = path_sums(fam.B, n - 1)
+    every = path_sums(fam.B, n)
     assert np.allclose(every, nonmaximal + maximal_weight_matrix(fam, n), atol=1e-12)
 
 
