@@ -9,7 +9,6 @@ symmetric triangular factorization of the Gram matrix of monomials.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -44,12 +43,16 @@ def upper_cholesky(mat: np.ndarray):
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    with contextlib.suppress(np.linalg.LinAlgError):
+    try:
         r = np.linalg.cholesky(a.T).T
-        if np.all(np.diag(r) ** 2 > POSITIVITY_TOL):
-            return r, (np.diag(r) ** 2).tolist(), True
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        pivots = r.diagonal() ** 2
+        if np.all(pivots > POSITIVITY_TOL):
+            return r, pivots.tolist(), True
     r = np.zeros((n, n))
-    pivots: list[float] = []
+    pivots = []
     for j in range(n):
         d = a[j, j] - r[:j, j] @ r[:j, j]
         pivots.append(float(d))

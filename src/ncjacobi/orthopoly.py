@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
-from .jacobi import AdmissibleFamily, section
+from .jacobi import AdmissibleFamily
 from .ncpoly import NcPolynomial
 from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
 from .words import words_up_to
@@ -94,8 +94,7 @@ def orthonormalize(phi: MomentFunctional, depth: int) -> OrthonormalBasis:
             f"functional not strictly positive at depth {depth}: Gram pivot "
             f"{report.pivots[-1]:.3e} <= {POSITIVITY_TOL}"
         )
-    rinv = np.linalg.solve(report.factor, np.eye(len(report.gram)))
-    return OrthonormalBasis(phi.alphabet, depth, rinv.T)
+    return OrthonormalBasis(phi.alphabet, depth, np.linalg.inv(report.factor).T)
 
 
 def coefficient_oracle(phi: MomentFunctional, alpha: Word, beta: Word) -> float:
@@ -197,20 +196,28 @@ def three_term_residuals(c: np.ndarray, N: int, A: dict, B: dict) -> dict:
     words tau of level n, at (n, k) for each level n below the depth of the blocks.
 
     Row tau of ``c`` holds the coefficients of p_tau by graded rank; J_k is the
-    section that A and B assemble.
+    section that A and B assemble.  All letters are checked in one pass.
     """
     depth = len(B) // N - 1
     offs = level_offsets(N, depth)
-    rows, prepend = offs[depth], prepend_index(N, depth - 1)
-    residuals = {}
-    for k in range(1, N + 1):
-        # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
-        shifted = np.zeros((rows, len(c)))
-        shifted[:, prepend[k - 1]] = c[:rows, :rows]
-        resid = np.abs(shifted - section(N, A, B, k, depth)[:rows] @ c)
-        for n in range(depth):
-            residuals[(n, k)] = float(np.max(resid[offs[n] : offs[n + 1]]))
-    return residuals
+    rows = offs[depth]
+    # the rows of the sections J_k below the top level, stacked over k
+    sections = np.zeros((N, rows, len(c)))
+    for n in range(depth):
+        here, up = slice(offs[n], offs[n + 1]), slice(offs[n + 1], offs[n + 2])
+        sections[:, here, here] = [B[(n, k)] for k in range(1, N + 1)]
+        sections[:, here, up] = [A[(n + 1, k)].T for k in range(1, N + 1)]
+        if n:
+            down = slice(offs[n - 1], offs[n])
+            sections[:, here, down] = [A[(n, k)] for k in range(1, N + 1)]
+    resid = sections @ c
+    del sections
+    # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
+    letters = np.arange(N)[:, None]
+    resid[letters, :, prepend_index(N, depth - 1)] -= c[:rows, :rows].T
+    np.abs(resid, out=resid)
+    worst = np.maximum.reduceat(resid.max(axis=2), offs[:depth], axis=1)
+    return {(n, k): float(worst[k - 1, n]) for k in range(1, N + 1) for n in range(depth)}
 
 
 def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:
@@ -222,9 +229,11 @@ def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:
     """
     if not (1 <= n <= basis.depth):
         raise ValueError(f"level {n} outside 1..{basis.depth}")
-    c_n = basis.diag_block(n)
-    c_prev = basis.diag_block(n - 1)
-    rhs = np.kron(np.eye(basis.alphabet), c_prev.T)
+    N, c_n = basis.alphabet, basis.diag_block(n)
+    c_prev = basis.diag_block(n - 1).T
+    size = N * len(c_prev)
+    # I_N (x) C_{n-1}^T as one broadcast product, with the signed zeros of np.kron
+    rhs = (np.eye(N)[:, None, :, None] * c_prev[:, None, :]).reshape(size, size)
     # LAPACK's LU pivots nothing on the upper triangular C_n^T, so the solve is
     # back substitution: the entries of A_n below the diagonal come out exactly 0
     return np.linalg.solve(c_n.T, rhs)

@@ -258,10 +258,14 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
 
     Level n works on the kernel matrix [s_{I(s)t}] over length-n words minus
     the sum over the non-maximal paths, those of height < n, taken for all words
-    at once (module docstring); conjugating by the accumulated product of earlier
-    levels (block-replicated to size N^n) leaves A_n^T A_n, and A_n is its
-    upper-triangular factor.  The words I(s)kt, summed with B_n = 0, yield
-    B_{n,k} the same way; the level-n rows of V_n are the accumulated product.
+    at once (module docstring).  What remains is the Schur complement of the
+    shorter words in the Gram matrix G = R^T R.  It equals A~_n^T A~_n, where
+    A~_n, the level-n rows of V_n, is the level-n diagonal block of R and
+    A~_n = A_n (I_N (x) A~_{n-1}).  So one Cholesky factorization gives A~_n, and
+    A_n = A~_n (I_N (x) A~_{n-1})^{-1}, block by block over the letters.  Its
+    pivots diag(A~_n)^2 are the Gram pivots of the level's words, the quantity
+    ``MomentFunctional.gram`` tests.  The words I(s)kt, summed with B_n = 0,
+    give A~_n^T B_{n,k} A~_n, and B_{n,k} follows with A~_n^{-1}.
     Requires moments for every word of length <= 2*depth + 1.
     """
     N = phi.alphabet
@@ -283,26 +287,23 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
     J = np.zeros((N, offs[depth + 1], offs[depth + 1]))
     J[:, 0, 0] = s[1 : N + 1]
     jv = J[:, :1, :1]  # J_k V for the Fock level V, here V_0 = e0
-    atilde = inv = np.ones((1, 1))  # accumulated product and its inverse
+    atilde = inv = np.ones((1, 1))  # A~_{n-1}, the top rows of V_{n-1}, and its inverse
     letters = np.arange(N)[:, None, None]
     for n in range(1, depth + 1):
         dim, d = N**n, N ** (n - 1)
         prev, lo, hi = offs[n - 1 : n + 2]
         rev_n = rev[lo:hi, None] - lo
-        low = np.hstack(jv)  # V_n below level n
+        low = jv.swapaxes(0, 1).reshape(lo, dim)  # V_n below level n
         kmat = s[offs[2 * n] + rev_n * dim + np.arange(dim)]
-        # conjugate by the inverse of I_N (x) atilde, block by block
-        y = (kmat - low.T @ low).reshape(N, d, N, d).swapaxes(1, 2)
-        m = (inv.T @ y @ inv).swapaxes(1, 2).reshape(dim, dim)
-        r, pivots, completed = upper_cholesky((m + m.T) / 2.0)
+        r, pivots, completed = upper_cholesky(kmat - low.T @ low)
         if not completed:
             raise NotStrictlyPositiveError(
                 f"coefficient recovery at level {n} hit pivot {pivots[-1]:.3e} "
                 f"<= {POSITIVITY_TOL}; the moment table is not strictly positive there"
             )
-        a = r.reshape(dim, N, d).swapaxes(0, 1)  # A_{n,k} over k
-        atilde = np.hstack(a @ atilde)
-        inv = np.linalg.solve(atilde, np.eye(dim))
+        # r = A~_n = A_n (I_N (x) A~_{n-1}): A_{n,k} is column block k of r times inv
+        a = r.reshape(dim, N, d).swapaxes(0, 1) @ inv
+        atilde, inv = r, np.linalg.inv(r)
         v = np.vstack([low, atilde])
         J[:, lo:hi, prev:lo] = a
         J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)

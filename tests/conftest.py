@@ -14,6 +14,8 @@ from ncjacobi import (
     random_admissible_family,
 )
 from ncjacobi.freeproduct import _univariate_coeffs
+from ncjacobi.jacobi import section
+from ncjacobi.words import level_offsets, prepend_index
 
 # frozen one-variable moment sequences, checked against numerical quadrature
 # of the defining weights in test_freeproduct.py
@@ -94,6 +96,29 @@ def substitution_solve(t, b):
     for i in range(len(t) - 1, -1, -1):
         x[i] = (x[i] - t[i, i + 1 :] @ x[i + 1 :]) / t[i, i]
     return x
+
+
+def per_letter_residuals(c, N, A, B):
+    """Oracle for ``three_term_residuals``: one letter at a time, each through the
+    dense section J_k and an explicitly shifted copy of the coefficients."""
+    depth = len(B) // N - 1
+    offs = level_offsets(N, depth)
+    rows, prepend = offs[depth], prepend_index(N, depth - 1)
+    residuals = {}
+    for k in range(1, N + 1):
+        shifted = np.zeros((rows, len(c)))
+        shifted[:, prepend[k - 1]] = c[:rows, :rows]
+        resid = np.abs(shifted - section(N, A, B, k, depth)[:rows] @ c)
+        for n in range(depth):
+            residuals[(n, k)] = float(np.max(resid[offs[n] : offs[n + 1]]))
+    return residuals
+
+
+def kron_a_matrix(basis, n):
+    """Oracle for ``a_matrix_from_coefficients``: the right-hand side
+    I_N (x) C_{n-1}^T built by ``np.kron``."""
+    rhs = np.kron(np.eye(basis.alphabet), basis.diag_block(n - 1).T)
+    return np.linalg.solve(basis.diag_block(n).T, rhs)
 
 
 def run_form_product(recurrences, sigma):

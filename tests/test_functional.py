@@ -326,11 +326,13 @@ def random_upper(n, seed):
 
 
 def test_solve_triangular_keeps_structural_zeros():
-    # orthonormalize and a_matrix_from_coefficients solve upper triangular systems
-    # with np.linalg.solve; LU pivots nothing there, so forced zeros stay exact
+    # a_matrix_from_coefficients solves upper triangular systems with np.linalg.solve,
+    # and orthonormalize and the path peel invert them with np.linalg.inv, the same
+    # LU solve against the identity; LU pivots nothing there, so forced zeros stay exact
     t = random_upper(20, 1)
     inverse = np.linalg.solve(t, np.eye(20))
     assert np.all(np.tril(inverse, -1) == 0.0)
+    assert np.array_equal(np.linalg.inv(t), inverse)
     for j in (0, 7, 19):
         x = np.linalg.solve(t, np.eye(20)[j])
         assert x.shape == (20,)

@@ -21,13 +21,17 @@ from ncjacobi import (
     product_basis,
     random_admissible_family,
     validate,
+    verify_three_term,
 )
-from ncjacobi.orthopoly import RECOVERY_LIMIT
+from ncjacobi.freeproduct import build, parse_recurrence_spec
+from ncjacobi.orthopoly import RECOVERY_LIMIT, three_term_residuals
 
 from conftest import (
     EXPONENTIAL_MOMENTS,
     GAUSSIAN_MOMENTS,
+    kron_a_matrix,
     one_dim_functional,
+    per_letter_residuals,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -271,6 +275,62 @@ def test_a_matrix_and_basis_exactly_triangular(alphabet, depth, seed):
     assert np.all(np.triu(basis.coeffs, 1) == 0.0)
     for n in range(1, depth + 1):
         assert np.all(np.tril(a_matrix_from_coefficients(basis, n), -1) == 0.0)
+
+
+def bitwise_equal(x, y):
+    """Equal arrays, down to the sign of every zero."""
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+FREE_CASES = [("hermite,legendre", 4), ("chebyshev_t,laguerre(0.5),hermite", 3)]
+ORACLE_CASES = [
+    *((N, d, seed) for N, d in [(2, 3), (3, 2), (2, 4), (3, 3)] for seed in range(5)),
+    (2, 0, 0),
+    (3, 0, 1),
+    *FREE_CASES,
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=str)
+def test_batched_recurrence_helpers_match_per_letter_oracles(case):
+    # the one-pass three-term check and the broadcast I_N (x) C_{n-1}^T do the
+    # arithmetic of the per-letter loop and of np.kron, so results agree bit for bit
+    if isinstance(case[0], str):
+        spec, depth = case
+        fam = build_free_product(parse_recurrence_spec(spec, depth + 1), depth)
+    else:
+        alphabet, depth, seed = case
+        fam = random_admissible_family(alphabet, depth, seed=seed)
+    N = fam.alphabet
+    phi = favard_moments(fam, depth)
+    basis = orthonormalize(phi, depth)
+    extracted = extract_recurrence(basis, phi)
+    for A, B in ((fam.A, fam.B), (extracted.A, extracted.B)):
+        residuals = three_term_residuals(basis.coeffs, N, A, B)
+        expected = per_letter_residuals(basis.coeffs, N, A, B)
+        assert list(residuals.items()) == list(expected.items())
+        assert len(residuals) == N * depth
+    assert len(extracted.A) == N * depth
+    for n in range(1, depth + 1):
+        direct, expected = a_matrix_from_coefficients(basis, n), kron_a_matrix(basis, n)
+        assert bitwise_equal(direct, expected)
+        for k, block in enumerate(np.hsplit(expected, N), start=1):
+            assert bitwise_equal(extracted.A[(n, k)], block)
+    if depth == 0:
+        assert list(extracted.B) == [(0, k) for k in range(1, N + 1)]
+        for k in range(1, N + 1):
+            assert np.array_equal(extracted.B[(0, k)], [[phi.values[k]]])
+
+
+@pytest.mark.parametrize("spec, depth", FREE_CASES)
+def test_verify_three_term_matches_per_letter_oracle(spec, depth):
+    recs = parse_recurrence_spec(spec, depth + 1)
+    family = build(recs, depth)
+    c = product_basis(recs, depth).coeffs
+    expected = per_letter_residuals(c, len(recs), family.A, family.B)
+    report = verify_three_term(recs, depth)
+    assert list(report.residuals.items()) == list(expected.items())
+    assert report.max_residual == max(expected.values())
 
 
 def test_basis_json_matches_polynomial_route(random_setup):

@@ -27,6 +27,7 @@ import ncjacobi.paths
 from ncjacobi.freeproduct import parse_recurrence_spec
 from ncjacobi.jacobi import fock_levels, section
 from ncjacobi.paths import _transfer_sum
+from ncjacobi.words import level_offsets
 
 from conftest import EXPONENTIAL_MOMENTS, GAUSSIAN_MOMENTS, one_dim_functional
 
@@ -439,7 +440,9 @@ def test_inverse_direction_builds_no_word_lists(monkeypatch):
 
 def assert_exact_structure(rec):
     for n in range(1, rec.depth + 1):
-        assert np.all(np.tril(rec.concat_A(n), -1) == 0.0)
+        a = rec.concat_A(n)
+        assert np.all(np.tril(a, -1) == 0.0)
+        assert np.all(np.diag(a) > 0.0)
     for b in rec.B.values():
         assert np.array_equal(b, b.T)
 
@@ -476,9 +479,41 @@ def test_recovery_needs_odd_word_data():
     assert phi.word_bound == 4
 
 
+def peel_pivots(rec):
+    """diag(A~_n)^2 over the words of every level: along each word, the squared
+    product of the diagonal entries of the recovered A blocks."""
+    N, diag = rec.alphabet, [np.ones(1)]
+    for n in range(1, rec.depth + 1):
+        d = N ** (n - 1)
+        own = [np.diag(rec.A[(n, k)][(k - 1) * d : k * d]) for k in range(1, N + 1)]
+        diag.append(np.concatenate(own) * np.tile(diag[-1], N))
+    return np.concatenate(diag) ** 2
+
+
+@pytest.mark.parametrize("alphabet, depth", [(2, 3), (3, 3), (2, 5)])
+def test_peel_pivots_are_the_gram_pivots(alphabet, depth):
+    # the peel's Cholesky factor at level n is A~_n, the level-n diagonal block of
+    # the Gram factor, so its pivots are the ones MomentFunctional.gram tests
+    for seed in range(5):
+        phi = favard_moments(random_admissible_family(alphabet, depth, seed=seed), depth)
+        report = phi.gram(depth)
+        rec = jacobi_from_moments(phi, depth)
+        assert_exact_structure(rec)
+        pivots = np.array(report.pivots)
+        bound = np.linalg.cond(report.gram) * np.finfo(float).eps
+        assert np.all(np.abs(peel_pivots(rec) - pivots) <= bound * pivots)
+
+
 def test_recovery_rejects_non_positive_table():
+    # the peel refuses at the level of the first Gram pivot that fails the test
     g = one_dim_functional(GAUSSIAN_MOMENTS[:6], 2)
     e = one_dim_functional(EXPONENTIAL_MOMENTS[:6], 2)
-    phi = functional_free_product([g, e])
-    with pytest.raises(NotStrictlyPositiveError):
-        jacobi_from_moments(phi, 2)
+    # (delta_{-1} + 2 delta_0 + delta_1) / 4: three points, so x^3 - x vanishes
+    three_point = one_dim_functional([1.0] + [0.5 * (1 - j % 2) for j in range(1, 8)], 3)
+    for phi, depth, level in ((functional_free_product([g, e]), 2, 2), (three_point, 3, 3)):
+        report = phi.gram(depth)
+        assert not report.positive
+        offs = level_offsets(phi.alphabet, depth)
+        assert np.searchsorted(offs, len(report.pivots) - 1, side="right") - 1 == level
+        with pytest.raises(NotStrictlyPositiveError, match=f"at level {level} hit pivot"):
+            jacobi_from_moments(phi, depth)
