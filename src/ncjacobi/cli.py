@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import freeproduct as fp
 from . import jsonio
 from .functional import POSITIVITY_TOL, NotStrictlyPositiveError
 from .jacobi import favard_moments, validate
 from .orthopoly import ResidualError, extract_recurrence, orthonormalize
-from .paths import DEFAULT_PATH_CAP, enumerate_paths, motzkin_number, path_weight
+from .paths import DEFAULT_PATH_CAP, STEP_KINDS, enumerate_paths, motzkin_number
+from .paths import path_weight
 from .words import Word
 
 
@@ -100,11 +104,11 @@ def _check_depth(depth: int, phi) -> None:
         raise CliFailure(f"error: --depth {depth} exceeds table degree {phi.max_degree}", 2)
 
 
-def _require_admissible(family, args):
+def _require_admissible(family, name: str):
     report = validate(family)
     if not report.ok:
         raise CliFailure(
-            f"FAIL: family {args.family}: {report.violations[0]}"
+            f"FAIL: {name}: {report.violations[0]}"
             + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
             1,
         )
@@ -114,7 +118,7 @@ def cmd_moments(args) -> int:
     family = _load(jsonio.load_family, args.family)
     if args.max_degree < 0:
         raise CliFailure("error: --max-degree must be >= 0", 2)
-    _require_admissible(family, args)
+    _require_admissible(family, f"family {args.family}")
     try:
         phi = favard_moments(family, args.max_degree)
     except (ValueError, NotStrictlyPositiveError) as exc:
@@ -162,7 +166,18 @@ def cmd_freeproduct(args) -> int:
         family = fp.build(recurrences, args.depth)
     except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise CliFailure(f"error: bad recurrence spec {args.spec!r}: {exc}", 2) from exc
-    basis = fp.product_basis(recurrences, args.depth) if args.basis is not None else None
+    labels = ",".join(rec.label for rec in recurrences)
+    _require_admissible(family, f"depth-{args.depth} family for {labels}")
+    basis = None
+    if args.basis is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            basis = fp.product_basis(recurrences, args.depth)
+        if not np.isfinite(basis.coeffs).all():
+            raise CliFailure(
+                f"FAIL: depth-{args.depth} product basis for {labels} has a non-finite "
+                f"coefficient",
+                1,
+            )
     jsonio.save_family(args.out, family)
     if basis is not None:
         try:
@@ -170,7 +185,6 @@ def cmd_freeproduct(args) -> int:
         except OSError:
             os.unlink(args.out)
             raise
-    labels = ",".join(rec.label for rec in recurrences)
     print(f"ok: wrote depth-{args.depth} family for {labels} to {args.out}")
     if basis is not None:
         print(f"ok: wrote {len(basis.coeffs)} product polynomials to {args.basis}")
@@ -208,11 +222,23 @@ def cmd_paths(args) -> int:
     if args.family is not None:
         family = _load(jsonio.load_family, args.family)
         try:
-            weights = [path_weight(family, p) for p in paths]
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = [path_weight(family, p) for p in paths]
         except (ValueError, KeyError) as exc:
             raise CliFailure(f"FAIL: cannot weigh paths against {args.family}: {exc}", 1) from exc
+        for i, (path, weight) in enumerate(zip(paths, weights), start=1):
+            if not math.isfinite(weight):
+                steps = ",".join(STEP_KINDS[s] for s in path.profile)
+                raise CliFailure(
+                    f"FAIL: path {i} of {count} ({steps}) has weight {weight} against "
+                    f"{args.family}, not a finite number",
+                    1,
+                )
+        total = sum(weights)
+        if not math.isfinite(total):
+            raise CliFailure(f"FAIL: weight sum over {count} paths overflows to {total}", 1)
         obj["weights"] = weights
-        print(f"ok: weight sum {sum(weights):.15g} over {count} paths")
+        print(f"ok: weight sum {total:.15g} over {count} paths")
     if args.out is not None:
         jsonio.write_json(args.out, obj)
         print(f"ok: wrote {count} paths to {args.out}")

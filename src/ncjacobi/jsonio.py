@@ -1,8 +1,10 @@
 """File-level JSON reading and writing with schema checks.
 
 Numbers are emitted with Python's shortest round-trip float repr, so every
-written file reloads to bit-identical values.  Writes go through a temporary
-file in the target directory followed by an atomic rename.
+written file reloads to bit-identical values.  Writing a NaN or an infinity
+raises ValueError and leaves no file, as reading one raises SchemaError.
+Writes go through a temporary file in the target directory followed by an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def write_json(path: str, obj: Any) -> None:
         # mkstemp creates the file 0600; give it the mode open() would have
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=1)
+            json.dump(obj, fh, indent=1, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

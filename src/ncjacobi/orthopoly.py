@@ -136,11 +136,13 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
 
     With C the coefficient matrix and G_k = [<X_k X_a, X_b>], the matrix
     M_k = C G_k C^T holds <X_k p_tau, p_sigma> at (sigma, tau); B_{n,k} is its
-    symmetrised level-n diagonal block.  A_n comes from the coefficient
-    diagonal blocks alone (``a_matrix_from_coefficients``), so it is exactly
-    upper triangular.  The blocks must reproduce X_k p_tau = sum_sigma
-    J_k[sigma, tau] p_sigma for |tau| < depth, with J_k the finite section they
-    assemble; the largest coefficient of the difference must stay within
+    symmetrised level-n diagonal block C_n G_k C_n^T, formed over the columns up
+    to level n only, since C_n, the level-n rows of C, vanishes beyond them.
+    A_n comes from the coefficient diagonal blocks alone
+    (``a_matrix_from_coefficients``), so it is exactly upper triangular.  The
+    blocks must reproduce X_k p_tau = sum_sigma J_k[sigma, tau] p_sigma for
+    |tau| < depth, with J_k the finite section they assemble; the largest
+    coefficient of the difference must stay within
     eps * ||R||_F^2 * ||R^{-1}||_F^2, where G = R^T R and C = R^{-T}.
 
     The table is refused before any block is formed when eps * est exceeds
@@ -172,13 +174,21 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
     A: dict[tuple[int, int], np.ndarray] = {}
     B: dict[tuple[int, int], np.ndarray] = {}
     for n in range(1, depth + 1):
-        for k, a in enumerate(np.hsplit(a_matrix_from_coefficients(basis, n), N), start=1):
-            A[(n, k)] = a
+        # column block k of [A_{n,1} .. A_{n,N}], as views
+        a = a_matrix_from_coefficients(basis, n)
+        for k, block in enumerate(a.reshape(len(a), N, -1).swapaxes(0, 1), start=1):
+            A[(n, k)] = block
+    g = np.empty((N, len(c), len(c)))  # G_k, stacked over k
     for k in range(1, N + 1):
-        m = c @ phi.values[kernel_index(N, depth, k)] @ c.T
-        for n in range(depth + 1):
-            b = m[offs[n] : offs[n + 1], offs[n] : offs[n + 1]]
-            B[(n, k)] = (b + b.T) / 2.0
+        np.take(phi.values, kernel_index(N, depth, k), out=g[k - 1])
+    for n in range(depth + 1):
+        lo, hi = offs[n], offs[n + 1]
+        c_n = c[lo:hi, :hi]
+        b = c_n @ g[:, :hi, :hi] @ c_n.T
+        b = (b + b.swapaxes(1, 2)) / 2.0
+        for k in range(1, N + 1):
+            B[(n, k)] = b[k - 1]
+    del g
     worst = float(np.max(list(three_term_residuals(c, N, A, B).values()), initial=0.0))
     # eps ||R||_F^2 ||R^{-1}||_F^2 >= eps cond(G), the accuracy scale of any
     # recovery from moments; ||R||_F^2 = trace(G) and R^{-1} = C^T
@@ -233,7 +243,15 @@ def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:
     c_prev = basis.diag_block(n - 1).T
     size = N * len(c_prev)
     # I_N (x) C_{n-1}^T as one broadcast product, with the signed zeros of np.kron
-    rhs = (np.eye(N)[:, None, :, None] * c_prev[:, None, :]).reshape(size, size)
+    rhs = (_identity_blocks(N) * c_prev[:, None, :]).reshape(size, size)
     # LAPACK's LU pivots nothing on the upper triangular C_n^T, so the solve is
     # back substitution: the entries of A_n below the diagonal come out exactly 0
     return np.linalg.solve(c_n.T, rhs)
+
+
+@functools.lru_cache(maxsize=8)
+def _identity_blocks(N: int) -> np.ndarray:
+    """I_N at [i, 0, j, 0], to broadcast against a square block as np.kron does."""
+    eye = np.eye(N)[:, None, :, None]
+    eye.flags.writeable = False
+    return eye

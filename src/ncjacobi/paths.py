@@ -29,7 +29,7 @@ import numpy as np
 from .functional import MomentFunctional, NotStrictlyPositiveError
 from .functional import POSITIVITY_TOL, upper_cholesky
 from .jacobi import AdmissibleFamily
-from .words import Word, level_offsets, reversal_index
+from .words import Word, level_kernel_index, level_offsets
 
 STEP_KINDS = {1: "rise", 0: "level", -1: "fall"}  # by height change
 
@@ -279,8 +279,7 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
             f"depth-{depth} correction blocks need length {2 * depth + 1}"
         )
     s = phi.values
-    offs = level_offsets(N, 2 * depth + 1)
-    rev = reversal_index(N, depth)
+    offs = level_offsets(N, depth)
     A: dict[tuple[int, int], np.ndarray] = {}
     B = {(0, k): np.array([[s[k]]]) for k in range(1, N + 1)}  # word k has rank k
     # the sections J_k through the last level recovered, stacked over k
@@ -288,14 +287,13 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
     J[:, 0, 0] = s[1 : N + 1]
     jv = J[:, :1, :1]  # J_k V for the Fock level V, here V_0 = e0
     atilde = inv = np.ones((1, 1))  # A~_{n-1}, the top rows of V_{n-1}, and its inverse
-    letters = np.arange(N)[:, None, None]
     for n in range(1, depth + 1):
         dim, d = N**n, N ** (n - 1)
         prev, lo, hi = offs[n - 1 : n + 2]
-        rev_n = rev[lo:hi, None] - lo
+        # the ranks of the words I(s)t and, over k, I(s)kt
+        even, odd = level_kernel_index(N, n)
         low = jv.swapaxes(0, 1).reshape(lo, dim)  # V_n below level n
-        kmat = s[offs[2 * n] + rev_n * dim + np.arange(dim)]
-        r, pivots, completed = upper_cholesky(kmat - low.T @ low)
+        r, pivots, completed = upper_cholesky(s[even] - low.T @ low)
         if not completed:
             raise NotStrictlyPositiveError(
                 f"coefficient recovery at level {n} hit pivot {pivots[-1]:.3e} "
@@ -304,13 +302,11 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
         # r = A~_n = A_n (I_N (x) A~_{n-1}): A_{n,k} is column block k of r times inv
         a = r.reshape(dim, N, d).swapaxes(0, 1) @ inv
         atilde, inv = r, np.linalg.inv(r)
-        v = np.vstack([low, atilde])
+        v = np.concatenate((low, atilde))
         J[:, lo:hi, prev:lo] = a
         J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)
         jv = J[:, :hi, :hi] @ v  # with B_n = 0
-        # the words I(s)kt at level rank (rev(s) N + k - 1) N^n + t, over k
-        cmat = s[offs[2 * n + 1] + (rev_n * N + letters) * dim + np.arange(dim)]
-        b = inv.T @ (cmat - v.T @ jv) @ inv
+        b = inv.T @ (s[odd] - v.T @ jv) @ inv
         b = (b + b.swapaxes(1, 2)) / 2.0
         J[:, lo:hi, lo:hi] = b
         jv[:, lo:] += b @ atilde

@@ -122,9 +122,10 @@ def graded_rank(w: Word) -> int:
     return sum(w.alphabet**n for n in range(len(w))) + w.rank()
 
 
-def level_offsets(alphabet: int, level: int) -> list[int]:
+@functools.lru_cache(maxsize=128)
+def level_offsets(alphabet: int, level: int) -> tuple[int, ...]:
     """Graded rank of the first word of each length 0..level, plus the total."""
-    return list(itertools.accumulate((alphabet**j for j in range(level + 1)), initial=0))
+    return tuple(itertools.accumulate((alphabet**j for j in range(level + 1)), initial=0))
 
 
 def word_at(alphabet: int, index: int) -> Word:
@@ -141,7 +142,8 @@ def word_at(alphabet: int, index: int) -> Word:
 
 # The index builders below depend only on their arguments, so each table is
 # built once per size and process and shared read-only by every caller; a
-# negative length gives the tables over no words.
+# negative length gives the tables over no words, except for the one level
+# that ``level_kernel_index`` is asked for.
 
 
 def _check_alphabet(alphabet: int) -> None:
@@ -207,3 +209,26 @@ def kernel_index(alphabet: int, degree: int, letter: int = 0) -> np.ndarray:
         + (rev[None, :] * N**mid + letter - mid) * N ** length[:, None]
         + (np.arange(len(length)) - start)[:, None]
     )
+
+
+@functools.lru_cache(maxsize=32)
+def level_kernel_index(alphabet: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Graded ranks of I(s) t at [s, t] and of I(s) k t at [k - 1, s, t], over
+    the words s, t of the given length, by level rank.
+
+    Indexing a moment table by them gives the level's kernel block
+    [s_{I(s)t}] and its letter-k blocks [s_{I(s)kt}]; they are built from the
+    level ranks of the reversals alone, with no full ``kernel_index``.
+    """
+    _check_alphabet(alphabet)
+    if length < 0:
+        raise ValueError(f"word length must be >= 0, got {length}")
+    N, dim = alphabet, alphabet**length
+    offs = level_offsets(N, 2 * length + 1)
+    start = offs[length]
+    rev = reversal_index(N, length)[start:, None] - start
+    t = np.arange(dim)
+    # level ranks rank(I(s)) N^n + rank(t) and (rank(I(s)) N + k - 1) N^n + rank(t)
+    even = offs[2 * length] + rev * dim + t
+    odd = offs[2 * length + 1] + (rev * N + np.arange(N)[:, None, None]) * dim + t
+    return _read_only(even), _read_only(odd)

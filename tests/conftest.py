@@ -15,7 +15,7 @@ from ncjacobi import (
 )
 from ncjacobi.freeproduct import _univariate_coeffs
 from ncjacobi.jacobi import section
-from ncjacobi.words import level_offsets, prepend_index
+from ncjacobi.words import kernel_index, level_offsets, prepend_index
 
 # frozen one-variable moment sequences, checked against numerical quadrature
 # of the defining weights in test_freeproduct.py
@@ -112,6 +112,20 @@ def per_letter_residuals(c, N, A, B):
         for n in range(depth):
             residuals[(n, k)] = float(np.max(resid[offs[n] : offs[n + 1]]))
     return residuals
+
+
+def dense_recurrence_b(basis, phi):
+    """Oracle for the B blocks of ``extract_recurrence``: the symmetrised
+    level-diagonal blocks of the full product C G_k C^T, one letter at a time."""
+    N, depth, c = basis.alphabet, basis.depth, basis.coeffs
+    offs = level_offsets(N, depth)
+    B = {}
+    for k in range(1, N + 1):
+        m = c @ phi.values[kernel_index(N, depth, k)] @ c.T
+        for n in range(depth + 1):
+            b = m[offs[n] : offs[n + 1], offs[n] : offs[n + 1]]
+            B[(n, k)] = (b + b.T) / 2.0
+    return B
 
 
 def kron_a_matrix(basis, n):

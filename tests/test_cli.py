@@ -380,6 +380,61 @@ def test_freeproduct_writes_both_files_or_neither(workdir, capsys, out, basis):
     assert os.listdir(".") == []
 
 
+def test_paths_refuses_a_non_finite_weight(workdir, capsys):
+    # admissible, but 1e200^2 overflows and the zero B blocks then meet inf
+    big = {"N": 1, "depth": 2,
+           "A": [{"n": n, "k": 1, "rows": [[1e200]]} for n in (1, 2)],
+           "B": [{"n": n, "k": 1, "rows": [[0.0]]} for n in range(3)]}
+    jsonio.write_json("big.json", big)
+    assert run(["verify", "--family", "big.json"]) == 0
+    capsys.readouterr()
+    for out in (["--out", "p.json"], []):
+        assert run(["paths", "--word", "1,1,1,1", "--family", "big.json", *out]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "FAIL: path 1 of 9 (rise,rise,fall,fall) has weight inf against big.json, "
+            "not a finite number"
+        ]
+    assert sorted(os.listdir(".")) == ["big.json"]
+
+
+def test_paths_refuses_an_overflowing_weight_sum(workdir, capsys):
+    # both paths of the word 11 weigh 1.69e308, so their sum overflows
+    fam = {"N": 1, "depth": 1, "A": [{"n": 1, "k": 1, "rows": [[1.3e154]]}],
+           "B": [{"n": 0, "k": 1, "rows": [[1.3e154]]}, {"n": 1, "k": 1, "rows": [[0.0]]}]}
+    jsonio.write_json("fam.json", fam)
+    assert run(["paths", "--word", "1,1", "--family", "fam.json", "--out", "p.json"]) == 1
+    assert capsys.readouterr().out == "FAIL: weight sum over 2 paths overflows to inf\n"
+    assert os.listdir(".") == ["fam.json"]
+
+
+@pytest.mark.parametrize(
+    "rec, spec, depth, message",
+    [
+        ({"a": [1e-200] * 3, "b": [0] * 4}, "custom:rec.json,custom:rec.json", 3,
+         "FAIL: depth-3 family for custom:rec.json,custom:rec.json: "
+         "A_1 diagonal not strictly positive (+2 more)"),
+        # admissible, but the leading coefficients 1e11^n overflow by degree 28
+        ({"a": [1e-11] * 30, "b": [0] * 31}, "custom:rec.json", 30,
+         "FAIL: depth-30 product basis for custom:rec.json has a non-finite coefficient"),
+    ],
+    ids=["inadmissible", "overflowing-basis"],
+)
+def test_freeproduct_writes_only_what_verify_accepts(workdir, capsys, rec, spec, depth, message):
+    jsonio.write_json("rec.json", rec)
+    assert run(["freeproduct", "--spec", spec, "--depth", str(depth),
+                "--out", "f.json", "--basis", "b.json"]) == 1
+    assert capsys.readouterr().out.splitlines() == [message]
+    assert sorted(os.listdir(".")) == ["rec.json"]
+
+
+def test_written_json_refuses_non_finite_numbers(workdir):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            jsonio.write_json("x.json", {"value": [1.0, value]})
+    assert os.listdir(".") == []
+
+
 def test_verify_rejects_negative_depth(workdir, capsys):
     assert run(["freeproduct", "--spec", "hermite", "--depth", "2", "--out", "fam.json"]) == 0
     assert run(["moments", "--family", "fam.json", "--max-degree", "2", "--out", "m.json"]) == 0

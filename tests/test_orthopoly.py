@@ -29,6 +29,7 @@ from ncjacobi.orthopoly import RECOVERY_LIMIT, three_term_residuals
 from conftest import (
     EXPONENTIAL_MOMENTS,
     GAUSSIAN_MOMENTS,
+    dense_recurrence_b,
     kron_a_matrix,
     one_dim_functional,
     per_letter_residuals,
@@ -316,6 +317,14 @@ def test_batched_recurrence_helpers_match_per_letter_oracles(case):
         assert bitwise_equal(direct, expected)
         for k, block in enumerate(np.hsplit(expected, N), start=1):
             assert bitwise_equal(extracted.A[(n, k)], block)
+    # B is formed from the nonzero columns of each level only, so it may differ
+    # from the full product by rounding
+    dense = dense_recurrence_b(basis, phi)
+    assert extracted.B.keys() == dense.keys()
+    cond = np.linalg.cond(phi.gram(depth).gram)
+    for key, block in extracted.B.items():
+        assert np.array_equal(block, block.T)
+        assert np.max(np.abs(block - dense[key])) <= np.finfo(float).eps * cond
     if depth == 0:
         assert list(extracted.B) == [(0, k) for k in range(1, N + 1)]
         for k in range(1, N + 1):

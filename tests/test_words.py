@@ -10,7 +10,7 @@ from ncjacobi import (
     words_up_to,
 )
 from ncjacobi.words import kernel_index, letters_up_to, prepend_index, reversal_index
-from ncjacobi.words import word_at
+from ncjacobi.words import level_kernel_index, level_offsets, word_at
 
 
 def w(letters, alphabet=2):
@@ -188,6 +188,32 @@ def test_index_tables_are_shared_and_read_only(build, args):
     assert build.cache_info().maxsize == 32
 
 
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+@pytest.mark.parametrize("length", range(5))
+def test_level_kernel_index_ranks_reversed_row_letter_column(alphabet, length):
+    words = words_by_rank(alphabet, length)[-(alphabet**length) :]
+    even, odd = level_kernel_index(alphabet, length)
+    expected = [[graded_rank(s.involute().concat(t)) for t in words] for s in words]
+    assert even.tolist() == expected
+    assert odd.shape == (alphabet, len(words), len(words))
+    for k in range(1, alphabet + 1):
+        mid = Word((k,), alphabet)
+        expected = [
+            [graded_rank(s.involute().concat(mid).concat(t)) for t in words] for s in words
+        ]
+        assert odd[k - 1].tolist() == expected
+
+
+def test_level_tables_are_shared_and_read_only():
+    tables = level_kernel_index(3, 2)
+    assert level_kernel_index(3, 2) is tables
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = -1
+    assert level_offsets(3, 2) is level_offsets(3, 2)
+    assert level_offsets(3, 2) == (0, 1, 4, 13)
+
+
 def test_index_tables_over_no_words():
     assert reversal_index(2, -1).shape == (0,)
     assert prepend_index(2, -1).shape == (2, 0)
@@ -204,6 +230,8 @@ def test_index_tables_over_no_words():
         lambda: kernel_index(0, 1),
         lambda: kernel_index(2, 1, 3),
         lambda: kernel_index(2, 1, -1),
+        lambda: level_kernel_index(0, 1),
+        lambda: level_kernel_index(2, -1),
     ],
 )
 def test_index_helpers_reject_bad_arguments(call):
