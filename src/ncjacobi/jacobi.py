@@ -13,7 +13,7 @@ induced functional are corner entries of operator products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -126,27 +126,20 @@ def validate(family: AdmissibleFamily) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=violations)
 
 
-def section(N: int, A: Mapping, B: Mapping, k: int, level: int) -> np.ndarray:
-    """J_k cut after level ``level``, from the blocks of levels 0..level only."""
+def sections(N: int, A: Mapping, B: Mapping, level: int) -> np.ndarray:
+    """[J_1 .. J_N] cut after level ``level`` and stacked as an (N, n, n) array,
+    from the blocks of levels 0..level only."""
     offs = level_offsets(N, level)
-    m = np.zeros((offs[-1], offs[-1]))
-    for n in range(level + 1):
-        sl = slice(offs[n], offs[n + 1])
-        m[sl, sl] = B[(n, k)]
-        if n:
-            hi = slice(offs[n - 1], offs[n])
-            m[sl, hi] = A[(n, k)]
-            m[hi, sl] = A[(n, k)].T
-    return m
-
-
-def fock_levels(J: Sequence[np.ndarray], top: int) -> list[np.ndarray]:
-    """[V_0 .. V_top]: V_n holds J_w e0 for |w| = n as columns in rank order,
-    built as J_{kt} e0 = J_k (J_t e0) from the section matrices J = [J_1 .. J_N]."""
-    fock = [np.eye(J[0].shape[0], 1)]
-    for _ in range(top):
-        fock.append(np.hstack([jk @ fock[-1] for jk in J]))
-    return fock
+    J = np.zeros((N, offs[-1], offs[-1]))
+    for k, m in enumerate(J, start=1):
+        for n in range(level + 1):
+            sl = slice(offs[n], offs[n + 1])
+            m[sl, sl] = B[(n, k)]
+            if n:
+                hi = slice(offs[n - 1], offs[n])
+                m[sl, hi] = A[(n, k)]
+                m[hi, sl] = A[(n, k)].T
+    return J
 
 
 def operator_moment(family: AdmissibleFamily, sigma: Word) -> float:
@@ -167,11 +160,11 @@ def operator_moment(family: AdmissibleFamily, sigma: Word) -> float:
             f"for |sigma|={n}"
         )
     level = min(n // 2 + 1, family.depth)
-    J = {k: section(family.alphabet, family.A, family.B, k, level) for k in set(sigma.letters)}
-    v = np.zeros(level_offsets(family.alphabet, level)[-1])
+    J = sections(family.alphabet, family.A, family.B, level)
+    v = np.zeros(len(J[0]))
     v[0] = 1.0
     for k in reversed(sigma.letters):
-        v = J[k] @ v
+        v = J[k - 1] @ v
     return float(v[0])
 
 
@@ -187,7 +180,8 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
     entries below the diagonal vanish where each A_n is upper triangular), so
     it is the Cholesky factor of the Gram matrix G = V^T V: positivity is
     certified by its pivots diag(V)^2, without forming G and squaring its
-    conditioning.
+    conditioning.  Moments that overflow float64, or that meet an overflowed
+    Fock vector, raise ValueError naming the shortest such word length.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -196,20 +190,31 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
             f"family depth {family.depth} cannot determine degree-{degree} moments"
         )
     N = family.alphabet
-    J = [section(N, family.A, family.B, k, degree) for k in range(1, N + 1)]
-    fock = fock_levels(J, degree + 1)
+    J = list(sections(N, family.A, family.B, degree))  # views, made once
     offs = level_offsets(N, 2 * degree + 1)
     rev = reversal_index(N, 2 * degree + 1)
-    levels = [np.ones(1)]
-    for n in range(1, 2 * degree + 2):
-        h = n // 2
-        left = fock[h][:, rev[offs[h] : offs[h + 1]] - offs[h]]
-        levels.append((left.T @ fock[n - h]).ravel())
+    # V_n holds J_w e0 for |w| = n in rank order, J_{kt} e0 = J_k (J_t e0) by one
+    # product per letter; an overflow is named below by its word length, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        fock = [np.eye(len(J[0]), 1)]
+        for _ in range(degree + 1):
+            fock.append(np.concatenate([jk @ fock[-1] for jk in J], axis=1))
+        levels = [np.ones(1)]
+        for n in range(1, 2 * degree + 2):
+            h = n // 2
+            left = fock[h][:, rev[offs[h] : offs[h + 1]] - offs[h]]
+            levels.append((left.T @ fock[n - h]).ravel())
     values = np.concatenate(levels)
+    if not np.isfinite(values).all():
+        n = next(n for n, level in enumerate(levels) if not np.isfinite(level).all())
+        raise ValueError(
+            f"float64 overflow in the moments of words of length {n}: the family's "
+            f"blocks are too large for degree-{degree} moments, or not finite"
+        )
     values = values[np.minimum(np.arange(values.size), rev)]
     phi = MomentFunctional.from_values(N, degree, values)
     # diag(V) level by level: the level-n rows of the level-n Fock vectors
-    diag = [np.diag(fock[n][offs[n] : offs[n + 1]]) for n in range(degree + 1)]
+    diag = [fock[n][offs[n] : offs[n + 1]].diagonal() for n in range(degree + 1)]
     pivot = float(np.min(np.concatenate(diag) ** 2))
     if not pivot > POSITIVITY_TOL:
         raise NotStrictlyPositiveError(

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
-from .jacobi import AdmissibleFamily
+from .jacobi import AdmissibleFamily, sections
 from .ncpoly import NcPolynomial
 from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
 from .words import words_up_to
@@ -211,17 +211,8 @@ def three_term_residuals(c: np.ndarray, N: int, A: dict, B: dict) -> dict:
     depth = len(B) // N - 1
     offs = level_offsets(N, depth)
     rows = offs[depth]
-    # the rows of the sections J_k below the top level, stacked over k
-    sections = np.zeros((N, rows, len(c)))
-    for n in range(depth):
-        here, up = slice(offs[n], offs[n + 1]), slice(offs[n + 1], offs[n + 2])
-        sections[:, here, here] = [B[(n, k)] for k in range(1, N + 1)]
-        sections[:, here, up] = [A[(n + 1, k)].T for k in range(1, N + 1)]
-        if n:
-            down = slice(offs[n - 1], offs[n])
-            sections[:, here, down] = [A[(n, k)] for k in range(1, N + 1)]
-    resid = sections @ c
-    del sections
+    # the rows of the sections J_k below the top level
+    resid = sections(N, A, B, depth)[:, :rows] @ c
     # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
     letters = np.arange(N)[:, None]
     resid[letters, :, prepend_index(N, depth - 1)] -= c[:rows, :rows].T

@@ -33,7 +33,7 @@ from .words import Word, level_kernel_index, level_offsets
 
 STEP_KINDS = {1: "rise", 0: "level", -1: "fall"}  # by height change
 
-#: explicit path lists are materialized only up to this word length by default
+#: explicit path lists are materialized only up to this word length
 DEFAULT_PATH_CAP = 8
 
 
@@ -119,14 +119,14 @@ def _profiles(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], 0)
 
 
-def enumerate_paths(word: Word, cap: int = DEFAULT_PATH_CAP) -> list[LatticePath]:
+def enumerate_paths(word: Word) -> list[LatticePath]:
     """The full path set of a nonempty word, one path per height profile."""
     if word.is_empty:
         raise ValueError("the empty word has no paths")
-    if len(word) > cap:
+    if len(word) > DEFAULT_PATH_CAP:
         raise ValueError(
-            f"explicit path lists are capped at |word| = {cap} "
-            f"({motzkin_number(len(word))} paths would be materialized); raise `cap`"
+            f"explicit path lists are capped at |word| = {DEFAULT_PATH_CAP} "
+            f"({motzkin_number(len(word))} paths would be materialized)"
         )
     return [LatticePath(word, prof) for prof in _profiles(len(word))]
 

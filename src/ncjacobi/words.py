@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-#: refuse to materialize enumerations larger than this (override per call)
+#: refuse to materialize enumerations larger than this
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
@@ -78,34 +78,26 @@ class Word:
         return r
 
 
-def enumerate_words(
-    alphabet: int, length: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Word]:
+def enumerate_words(alphabet: int, length: int) -> list[Word]:
     """All alphabet**length words of the given length, in graded-lex order."""
     if alphabet < 1:
         raise ValueError("alphabet size must be >= 1")
     if length < 0:
         raise ValueError("length must be >= 0")
     count = alphabet**length
-    if count > cap:
-        raise ValueError(
-            f"enumeration of {count} words exceeds cap {cap}; raise `cap` to force"
-        )
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"enumeration of {count} words exceeds cap {DEFAULT_ENUMERATION_CAP}")
     return [
         Word(letters, alphabet)
         for letters in itertools.product(range(1, alphabet + 1), repeat=length)
     ]
 
 
-def words_up_to(
-    alphabet: int, max_length: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Word]:
+def words_up_to(alphabet: int, max_length: int) -> list[Word]:
     """All words of length <= max_length in graded-lex order."""
     total = sum(alphabet**n for n in range(max_length + 1))
-    if total > cap:
-        raise ValueError(
-            f"enumeration of {total} words exceeds cap {cap}; raise `cap` to force"
-        )
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"enumeration of {total} words exceeds cap {DEFAULT_ENUMERATION_CAP}")
     return [w for n in range(max_length + 1) for w in enumerate_words(alphabet, n)]
 
 

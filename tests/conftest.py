@@ -14,7 +14,7 @@ from ncjacobi import (
     random_admissible_family,
 )
 from ncjacobi.freeproduct import _univariate_coeffs
-from ncjacobi.jacobi import section
+from ncjacobi.jacobi import sections
 from ncjacobi.words import kernel_index, level_offsets, prepend_index
 
 # frozen one-variable moment sequences, checked against numerical quadrature
@@ -98,17 +98,27 @@ def substitution_solve(t, b):
     return x
 
 
+def per_letter_fock(J, top):
+    """Oracle for the Fock levels of ``favard_moments``: [V_0 .. V_top], V_n holding
+    J_w e0 for |w| = n as columns in rank order, J_{kt} e0 = J_k (J_t e0) formed
+    with one 2-D product per letter of the stacked sections J."""
+    fock = [np.eye(J.shape[1], 1)]
+    for _ in range(top):
+        fock.append(np.hstack([J[k] @ fock[-1] for k in range(len(J))]))
+    return fock
+
+
 def per_letter_residuals(c, N, A, B):
     """Oracle for ``three_term_residuals``: one letter at a time, each through the
     dense section J_k and an explicitly shifted copy of the coefficients."""
     depth = len(B) // N - 1
     offs = level_offsets(N, depth)
     rows, prepend = offs[depth], prepend_index(N, depth - 1)
-    residuals = {}
+    J, residuals = sections(N, A, B, depth), {}
     for k in range(1, N + 1):
         shifted = np.zeros((rows, len(c)))
         shifted[:, prepend[k - 1]] = c[:rows, :rows]
-        resid = np.abs(shifted - section(N, A, B, k, depth)[:rows] @ c)
+        resid = np.abs(shifted - J[k - 1, :rows] @ c)
         for n in range(depth):
             residuals[(n, k)] = float(np.max(resid[offs[n] : offs[n + 1]]))
     return residuals

@@ -409,6 +409,30 @@ def test_paths_refuses_an_overflowing_weight_sum(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    "a, b1, length",
+    [
+        # s_11 = 1e400, and the Fock vector J_11 e0 = 1e400 e0 overflows too
+        (1e200, 0.0, 2),
+        # the Fock vectors stay below 1e261, but s_111 = 1e360
+        (1e100, 1e160, 3),
+    ],
+    ids=["fock", "moment"],
+)
+def test_moments_names_the_overflow(workdir, capsys, a, b1, length):
+    fam = {"N": 1, "depth": 1, "A": [{"n": 1, "k": 1, "rows": [[a]]}],
+           "B": [{"n": 0, "k": 1, "rows": [[0.0]]}, {"n": 1, "k": 1, "rows": [[b1]]}]}
+    jsonio.write_json("fam.json", fam)
+    assert run(["moments", "--family", "fam.json", "--max-degree", "1", "--out", "m.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"FAIL: float64 overflow in the moments of words of length {length}: the "
+        f"family's blocks are too large for degree-1 moments, or not finite"
+    ]
+    assert captured.err == ""
+    assert os.listdir(".") == ["fam.json"]
+
+
+@pytest.mark.parametrize(
     "rec, spec, depth, message",
     [
         ({"a": [1e-200] * 3, "b": [0] * 4}, "custom:rec.json,custom:rec.json", 3,

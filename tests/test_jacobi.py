@@ -21,16 +21,12 @@ from ncjacobi import (
 )
 
 from ncjacobi.freeproduct import parse_recurrence_spec
-from ncjacobi.jacobi import fock_levels, section
+from ncjacobi.jacobi import sections
+from ncjacobi.words import enumerate_words
 
-from conftest import GAUSSIAN_MOMENTS
+from conftest import GAUSSIAN_MOMENTS, per_letter_fock
 
 SQRT2 = math.sqrt(2.0)
-
-
-def sections(fam, level):
-    """[J_1 .. J_N] through ``level``."""
-    return [section(fam.alphabet, fam.A, fam.B, k, level) for k in range(1, fam.alphabet + 1)]
 
 
 def chebyshev_family(depth=5):
@@ -113,7 +109,7 @@ def test_random_family_is_admissible():
 
 
 def test_truncate_hermite_example(hermite_family):
-    t = sections(hermite_family, 2)[0]
+    t = sections(hermite_family.alphabet, hermite_family.A, hermite_family.B, 2)[0]
     assert np.allclose(
         t,
         [[0.0, 1.0, 0.0], [1.0, 0.0, SQRT2], [0.0, SQRT2, 0.0]],
@@ -122,14 +118,14 @@ def test_truncate_hermite_example(hermite_family):
 
 
 def test_truncate_level_zero(hermite2_family):
-    t = sections(hermite2_family, 0)[1]
+    t = sections(hermite2_family.alphabet, hermite2_family.A, hermite2_family.B, 0)[1]
     assert t.shape == (1, 1)
     assert t[0, 0] == hermite2_family.B[(0, 2)][0, 0]
 
 
 def test_truncate_laguerre_pair_example():
     fam = build_free_product([classical_coefficients("laguerre", 3)] * 2, 2)
-    t = sections(fam, 1)[0]
+    t = sections(fam.alphabet, fam.A, fam.B, 1)[0]
     assert np.allclose(
         t,
         [[1.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]],
@@ -139,7 +135,7 @@ def test_truncate_laguerre_pair_example():
 
 def test_truncate_is_symmetric_block_tridiagonal():
     fam = random_admissible_family(2, 3, seed=8)
-    t = sections(fam, 3)[0]
+    t = sections(fam.alphabet, fam.A, fam.B, 3)[0]
     assert np.array_equal(t, t.T)
     # zero outside the three block diagonals: entries between level 0 and 2+
     assert np.all(t[0, 3:] == 0.0)
@@ -174,7 +170,7 @@ def test_operator_moment_truncation_stability():
         base = len(w) // 2
         values = {operator_moment(fam, w)}
         for lvl in range(base, min(base + 3, fam.depth) + 1):
-            J = sections(fam, lvl)
+            J = sections(fam.alphabet, fam.A, fam.B, lvl)
             v = np.eye(len(J[0]), 1)
             for k in reversed(letters):
                 v = J[k - 1] @ v
@@ -195,7 +191,7 @@ def test_moments_follow_an_edited_family():
     assert operator_moment(fam, w) == pytest.approx(moments_from_paths(fam, w), abs=1e-12)
     for u in words_up_to(2, 5):
         assert after.moment(u) == pytest.approx(moments_from_paths(fam, u), abs=1e-10)
-    assert np.array_equal(sections(fam, 1)[0][1:3, 1:3], fam.B[(1, 1)])
+    assert np.array_equal(sections(fam.alphabet, fam.A, fam.B, 1)[0][1:3, 1:3], fam.B[(1, 1)])
 
 
 def test_operator_moment_insufficient_depth():
@@ -290,6 +286,9 @@ def test_favard_rejects_zero_a_diagonal():
 # -- the Fock matrix is the Gram factor ---------------------------------------------
 
 EPS = np.finfo(float).eps
+FOCK_CASES = [
+    (2, 3, 1), (3, 3, 2), ("hermite,legendre", 4), ("chebyshev_t,laguerre(0.5),hermite", 3)
+]
 
 
 def fock_case(case):
@@ -303,13 +302,10 @@ def fock_case(case):
 
 def fock_matrix(fam, d):
     """V = [J_w e0] over the words w of length <= d, in rank order."""
-    return np.hstack(fock_levels(sections(fam, d), d))
+    return np.hstack(per_letter_fock(sections(fam.alphabet, fam.A, fam.B, d), d))
 
 
-@pytest.mark.parametrize(
-    "case",
-    [(2, 3, 1), (3, 3, 2), ("hermite,legendre", 4), ("chebyshev_t,laguerre(0.5),hermite", 3)],
-)
+@pytest.mark.parametrize("case", FOCK_CASES)
 def test_fock_matrix_is_gram_factor(case):
     # V = [J_w e0] over |w| <= d is upper triangular, so its QR changes nothing
     # and favard_moments reads the positivity pivots off diag(V)
@@ -320,6 +316,31 @@ def test_fock_matrix_is_gram_factor(case):
     report = favard_moments(fam, d).gram(d)
     bound = np.linalg.cond(report.gram) * EPS
     assert np.max(np.abs(report.factor - v)) <= bound * np.max(np.abs(v))
+
+
+def per_letter_table(fam, d):
+    """The moment table s_{ab} = <J_{I(a)} e0, J_b e0>, |a| = |ab| // 2, one level
+    product per word length from the per-letter Fock levels, each reversal orbit
+    read at its smaller word."""
+    N = fam.alphabet
+    fock = per_letter_fock(sections(N, fam.A, fam.B, d), d + 1)
+    table = {}
+    for n in range(2 * d + 2):
+        firsts, lasts = enumerate_words(N, n // 2), enumerate_words(N, n - n // 2)
+        left = fock[n // 2][:, [a.involute().rank() for a in firsts]]
+        products = left.T @ fock[n - n // 2]
+        for i, a in enumerate(firsts):
+            for j, b in enumerate(lasts):
+                table[a.concat(b)] = products[i, j]
+    return np.array([table[min(w, w.involute())] for w in words_up_to(N, 2 * d + 1)])
+
+
+@pytest.mark.parametrize("case", [(2, 4, seed) for seed in range(5)] + FOCK_CASES)
+def test_favard_table_is_the_per_letter_fock_table(case):
+    # bit for bit: any other summation order in the Fock products (an einsum over
+    # the stack, say) moves entries of every dense (2,4) table
+    fam, d = fock_case(case)
+    assert np.array_equal(favard_moments(fam, d).values, per_letter_table(fam, d))
 
 
 @pytest.mark.parametrize("seed", range(5))

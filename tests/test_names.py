@@ -97,10 +97,11 @@ def public_callables():
 
 
 def test_no_public_callable_takes_a_tolerance():
+    # thresholds and size caps are module constants, not per-call knobs
     knobs = [
         f"{name}({param})"
         for name, fn in public_callables()
         for param in inspect.signature(fn).parameters
-        if param in ("tol", "tolerance")
+        if param in ("tol", "tolerance", "cap")
     ]
     assert not knobs, knobs

@@ -25,11 +25,11 @@ from ncjacobi import (
 )
 import ncjacobi.paths
 from ncjacobi.freeproduct import parse_recurrence_spec
-from ncjacobi.jacobi import fock_levels, section
+from ncjacobi.jacobi import sections
 from ncjacobi.paths import _transfer_sum
 from ncjacobi.words import level_offsets
 
-from conftest import EXPONENTIAL_MOMENTS, GAUSSIAN_MOMENTS, one_dim_functional
+from conftest import EXPONENTIAL_MOMENTS, GAUSSIAN_MOMENTS, one_dim_functional, per_letter_fock
 
 SQRT2 = math.sqrt(2.0)
 
@@ -142,7 +142,7 @@ def test_enumerate_paths_rejects_empty_and_capped():
         enumerate_paths(Word((), 2))
     with pytest.raises(ValueError, match="cap"):
         enumerate_paths(Word((1,) * 9, 1))
-    assert len(enumerate_paths(Word((1,) * 9, 1), cap=9)) == motzkin_number(9)
+    assert len(list(ncjacobi.paths._profiles(9))) == motzkin_number(9)
 
 
 # -- weights --------------------------------------------------------------------
@@ -345,8 +345,8 @@ def test_batched_path_sums_match_per_word_and_enumerated_paths(alphabet, n, seed
     def path_sums(B, cap, letter=0):
         # R^T R, or R^T J_k R, with R the level-n Fock vectors of the sections
         # through the height cap (module docstring of ncjacobi.paths)
-        J = [section(alphabet, fam.A, B, k, cap) for k in range(1, alphabet + 1)]
-        r = fock_levels(J, n)[n]
+        J = sections(alphabet, fam.A, B, cap)
+        r = per_letter_fock(J, n)[n]
         return r.T @ (J[letter - 1] @ r if letter else r)
 
     B0 = {**fam.B, **{(n, k): np.zeros_like(fam.B[(n, k)]) for k in range(1, alphabet + 1)}}

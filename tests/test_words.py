@@ -117,7 +117,7 @@ def test_enumerate_splits_by_first_letter(alphabet, length):
 
 def test_enumerate_cap():
     with pytest.raises(ValueError, match="cap"):
-        enumerate_words(10, 7, cap=10**6)
+        enumerate_words(10, 7)
     with pytest.raises(ValueError, match="cap"):
         words_up_to(10, 7)
 
