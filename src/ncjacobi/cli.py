@@ -71,10 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paths", help="word -> path list / count")
     p.add_argument("--word", required=True, help="comma-separated letters, e.g. 1,2,1")
-    p.add_argument("--alphabet", type=int, default=None, help="default: largest letter")
     p.add_argument("--count-only", action="store_true", help="print the count only")
     p.add_argument(
-        "--family", default=None, help="family file: also report per-path weights"
+        "--family", default=None, help="family file: fixes the alphabet, adds per-path weights"
     )
     p.add_argument("--out", default=None, help="optional JSON output file")
 
@@ -96,12 +95,12 @@ def _load(loader, path: str):
         raise CliFailure(f"error: {exc}", 2) from exc
 
 
-def _check_depth(depth: int, phi) -> None:
-    """A table command's recovery depth must lie in 0..max_degree of its table."""
+def _check_depth(option: str, depth: int, bound: int, what: str) -> None:
+    """A requested depth must lie in 0..bound, the depth its input can serve."""
     if depth < 0:
-        raise CliFailure("error: --depth must be >= 0", 2)
-    if depth > phi.max_degree:
-        raise CliFailure(f"error: --depth {depth} exceeds table degree {phi.max_degree}", 2)
+        raise CliFailure(f"error: {option} must be >= 0", 2)
+    if depth > bound:
+        raise CliFailure(f"error: {option} {depth} exceeds {what} {bound}", 2)
 
 
 def _require_admissible(family, name: str):
@@ -116,8 +115,7 @@ def _require_admissible(family, name: str):
 
 def cmd_moments(args) -> int:
     family = _load(jsonio.load_family, args.family)
-    if args.max_degree < 0:
-        raise CliFailure("error: --max-degree must be >= 0", 2)
+    _check_depth("--max-degree", args.max_degree, family.depth, "family depth")
     _require_admissible(family, f"family {args.family}")
     try:
         phi = favard_moments(family, args.max_degree)
@@ -133,7 +131,7 @@ def cmd_moments(args) -> int:
 
 def cmd_jacobi(args) -> int:
     phi = _load(jsonio.load_moments, args.moments)
-    _check_depth(args.depth, phi)
+    _check_depth("--depth", args.depth, phi.max_degree, "table degree")
     try:
         basis = orthonormalize(phi, args.depth)
         family = extract_recurrence(basis, phi)
@@ -148,7 +146,7 @@ def cmd_jacobi(args) -> int:
 
 def cmd_orthonormalize(args) -> int:
     phi = _load(jsonio.load_moments, args.moments)
-    _check_depth(args.depth, phi)
+    _check_depth("--depth", args.depth, phi.max_degree, "table degree")
     try:
         basis = orthonormalize(phi, args.depth)
     except NotStrictlyPositiveError as exc:
@@ -198,9 +196,9 @@ def cmd_paths(args) -> int:
         raise CliFailure(f"error: cannot parse word {args.word!r}: {exc}", 2) from exc
     if not letters:
         raise CliFailure("error: word must be nonempty", 2)
-    alphabet = args.alphabet if args.alphabet is not None else max(letters)
+    family = None if args.family is None else _load(jsonio.load_family, args.family)
     try:
-        word = Word(letters, alphabet)
+        word = Word(letters, max(letters) if family is None else family.alphabet)
     except ValueError as exc:
         raise CliFailure(f"error: {exc}", 2) from exc
     count = motzkin_number(len(word))
@@ -213,19 +211,19 @@ def cmd_paths(args) -> int:
             f"({count} paths at length {len(word)}); use --count-only for the count",
             2,
         )
+    if family is not None and len(word) // 2 > family.depth:
+        raise CliFailure(
+            f"error: length-{len(word)} word climbs above family depth {family.depth}", 2
+        )
     paths = enumerate_paths(word)
     obj = {
         "word": list(word.letters),
         "count": count,
         "paths": [p.to_json_obj() for p in paths],
     }
-    if args.family is not None:
-        family = _load(jsonio.load_family, args.family)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                weights = [path_weight(family, p) for p in paths]
-        except (ValueError, KeyError) as exc:
-            raise CliFailure(f"FAIL: cannot weigh paths against {args.family}: {exc}", 1) from exc
+    if family is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = [path_weight(family, p) for p in paths]
         for i, (path, weight) in enumerate(zip(paths, weights), start=1):
             if not math.isfinite(weight):
                 steps = ",".join(STEP_KINDS[s] for s in path.profile)
@@ -267,7 +265,7 @@ def cmd_verify(args) -> int:
     else:
         phi = _load(jsonio.load_moments, args.moments)
         depth = args.depth if args.depth is not None else phi.max_degree
-        _check_depth(depth, phi)
+        _check_depth("--depth", depth, phi.max_degree, "table degree")
         print(f"ok: moment table unital and reversal-symmetric (loaded {args.moments})")
         # K(aw, t) and K(w, I(a)t) both read s_{I(w)at}: no table can break it
         print("ok: kernel shift invariance K(aw,t) = K(w,I(a)t) holds by construction")

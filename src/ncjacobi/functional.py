@@ -195,7 +195,8 @@ class MomentFunctional:
             raise ValueError(
                 f"gram degree {degree} exceeds max_degree {self.max_degree}"
             )
-        g = self._values[kernel_index(self.alphabet, degree)]
+        index = kernel_index(self.alphabet, degree)
+        g = self._values[index[: index.shape[1]]]  # the rows |a| <= degree
         r, pivots, completed = upper_cholesky(g)
         return GramReport(
             alphabet=self.alphabet,

@@ -5,7 +5,7 @@ G = R^T R: the coefficient rows are the rows of R^{-T}, so each polynomial is
 supported on words at or below its own index and has a positive leading
 coefficient.  A determinant formula provides a slow independent route to the
 same coefficients.  The three-term blocks are sub-blocks of C G_k C^T, with C
-the coefficient matrix and G_k the moment kernel with letter k in the middle:
+the coefficient matrix and G_k the rows of the moment kernel at the words k a:
 the block, non-commuting form of Golub-Welsch.
 """
 
@@ -159,7 +159,8 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             f"level-{depth} blocks needs length {2 * depth + 1}"
         )
     eps = np.finfo(float).eps
-    g_diag = phi.values[np.diag(kernel_index(N, depth))]
+    kernel = kernel_index(N, depth)
+    g_diag = phi.values[kernel.diagonal()]
     # ||R D||_F^2 ||(R D)^-1||_F^2 >= cond(D G D), where ||R D||_F^2 = trace(D G D)
     # = n and (R D)^-1 = D^-1 C^T
     c2 = c * c
@@ -178,9 +179,9 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
         a = a_matrix_from_coefficients(basis, n)
         for k, block in enumerate(a.reshape(len(a), N, -1).swapaxes(0, 1), start=1):
             A[(n, k)] = block
-    g = np.empty((N, len(c), len(c)))  # G_k, stacked over k
-    for k in range(1, N + 1):
-        np.take(phi.values, kernel_index(N, depth, k), out=g[k - 1])
+    g = np.empty((N, len(c), len(c)))  # G_k, the kernel's rows at k a, stacked over k
+    for k, rows in enumerate(prepend_index(N, depth)):
+        np.take(phi.values, kernel[rows], out=g[k])
     for n in range(depth + 1):
         lo, hi = offs[n], offs[n + 1]
         c_n = c[lo:hi, :hi]

@@ -134,8 +134,8 @@ def word_at(alphabet: int, index: int) -> Word:
 
 # The index builders below depend only on their arguments, so each table is
 # built once per size and process and shared read-only by every caller; a
-# negative length gives the tables over no words, except for the one level
-# that ``level_kernel_index`` is asked for.
+# negative length gives the tables over no such words (``kernel_index`` still
+# has its rows up to length degree + 1), and ``level_kernel_index`` refuses it.
 
 
 def _check_alphabet(alphabet: int) -> None:
@@ -179,28 +179,25 @@ def prepend_index(alphabet: int, max_length: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def kernel_index(alphabet: int, degree: int, letter: int = 0) -> np.ndarray:
-    """Graded rank of I(b) k a at row a, column b, over words of length <= degree.
+def kernel_index(alphabet: int, degree: int) -> np.ndarray:
+    """Graded rank of I(b) a at row a, column b, over the words a of length
+    <= degree + 1 and b of length <= degree.
 
-    k is ``letter``, or no letter at all when it is 0: indexing a moment table
-    by the result gives the Gram matrix [<X_a, X_b>] = [s_{I(b) a}], or with
-    letter k the matrix [<X_k X_a, X_b>] = [s_{I(b) k a}].  With b empty the
-    word is k a, so column 0 maps each word to its letter-k prepend.
+    Indexing a moment table by the result gives the kernel [s_{I(b) a}].  Its
+    first rows, over |a| <= degree, are the Gram matrix [<X_a, X_b>], and its
+    rows at the words k a, ``prepend_index(alphabet, degree)[k - 1]``, are the
+    letter-k kernel [<X_k X_a, X_b>] = [s_{I(b) k a}].
     """
     _check_alphabet(alphabet)
-    if not 0 <= letter <= alphabet:
-        raise ValueError(f"letter {letter} outside 0..{alphabet}")
-    N, mid = alphabet, int(letter > 0)
-    offs = np.array(level_offsets(N, 2 * degree + mid))
-    length = np.repeat(np.arange(degree + 1), np.diff(offs[: degree + 2]))
-    start = offs[length]
-    rev = reversal_index(N, degree) - start
-    # level rank of I(b) k a: (rank(I(b)) N + k - 1) N^|a| + rank(a)
-    return _read_only(
-        offs[length[:, None] + length[None, :] + mid]
-        + (rev[None, :] * N**mid + letter - mid) * N ** length[:, None]
-        + (np.arange(len(length)) - start)[:, None]
-    )
+    N = alphabet
+    offs = np.array(level_offsets(N, 2 * degree + 2))  # a spare level serves degree -1
+    length = np.repeat(np.arange(degree + 2), np.diff(offs[: degree + 3]))
+    start, cols = offs[length], offs[degree + 1]
+    # level rank of I(b) a: rank(I(b)) N^|a| + rank(a)
+    index = offs[length[:, None] + length[None, :cols]]
+    index += (reversal_index(N, degree) - start[:cols]) * N ** length[:, None]
+    index += (np.arange(len(length)) - start)[:, None]
+    return _read_only(index)
 
 
 @functools.lru_cache(maxsize=32)

@@ -11,11 +11,13 @@ from ncjacobi import (
     build_free_product,
     classical_coefficients,
     favard_moments,
+    graded_rank,
     random_admissible_family,
+    words_up_to,
 )
 from ncjacobi.freeproduct import _univariate_coeffs
 from ncjacobi.jacobi import sections
-from ncjacobi.words import kernel_index, level_offsets, prepend_index
+from ncjacobi.words import level_offsets, prepend_index
 
 # frozen one-variable moment sequences, checked against numerical quadrature
 # of the defining weights in test_freeproduct.py
@@ -126,12 +128,16 @@ def per_letter_residuals(c, N, A, B):
 
 def dense_recurrence_b(basis, phi):
     """Oracle for the B blocks of ``extract_recurrence``: the symmetrised
-    level-diagonal blocks of the full product C G_k C^T, one letter at a time."""
+    level-diagonal blocks of the full product C G_k C^T, one letter at a time,
+    with G_k = [s_{I(b) k a}] ranked word by word."""
     N, depth, c = basis.alphabet, basis.depth, basis.coeffs
     offs = level_offsets(N, depth)
+    words = words_up_to(N, depth)
     B = {}
     for k in range(1, N + 1):
-        m = c @ phi.values[kernel_index(N, depth, k)] @ c.T
+        mid = Word((k,), N)
+        index = [[graded_rank(b.involute().concat(mid).concat(a)) for b in words] for a in words]
+        m = c @ phi.values[index] @ c.T
         for n in range(depth + 1):
             b = m[offs[n] : offs[n + 1], offs[n] : offs[n + 1]]
             B[(n, k)] = (b + b.T) / 2.0

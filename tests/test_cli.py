@@ -9,7 +9,7 @@ import pytest
 
 import ncjacobi
 from ncjacobi import AdmissibleFamily, MomentFunctional, favard_moments, jsonio
-from ncjacobi import moments_from_paths, words_up_to
+from ncjacobi import moments_from_paths, random_admissible_family, words_up_to
 from ncjacobi.cli import main
 
 
@@ -104,6 +104,41 @@ def test_paths_with_family_weights(workdir, capsys):
     assert "weight sum 6" in out
     obj = json.load(open("p.json"))
     assert sorted(obj["weights"]) == [1.0, 1.0, 1.0, 3.0]
+
+
+def test_paths_alphabet_comes_from_the_family(workdir, capsys):
+    jsonio.save_family("fam.json", random_admissible_family(2, 2, seed=1))
+    capsys.readouterr()
+    assert run(["paths", "--word", "1,3,1", "--family", "fam.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: letter 3 outside alphabet 1..2\n"
+    # a word of letter 1 alone is weighed against the N=2 family
+    assert run(["paths", "--word", "1,1", "--family", "fam.json", "--out", "p.json"]) == 0
+    assert json.load(open("p.json"))["word"] == [1, 1]
+
+
+def test_paths_refuses_a_word_above_the_family_depth(workdir, capsys):
+    jsonio.save_family("fam.json", random_admissible_family(2, 1, seed=2))
+    capsys.readouterr()
+    assert run(["paths", "--word", "1,2,2,1", "--family", "fam.json", "--out", "p.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: length-4 word climbs above family depth 1\n"
+    assert os.listdir(".") == ["fam.json"]
+    # the count needs no weights, and length 3 stays within depth 1
+    assert run(["paths", "--word", "1,2,2,1", "--family", "fam.json", "--count-only"]) == 0
+    assert run(["paths", "--word", "1,2,1", "--family", "fam.json", "--out", "p.json"]) == 0
+
+
+def test_moments_refuses_a_degree_above_the_family_depth(workdir, capsys):
+    jsonio.save_family("fam.json", random_admissible_family(2, 3, seed=3))
+    capsys.readouterr()
+    assert run(["moments", "--family", "fam.json", "--max-degree", "5", "--out", "m.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-degree 5 exceeds family depth 3\n"
+    assert os.listdir(".") == ["fam.json"]
 
 
 def test_engines_agree(workdir):
@@ -751,3 +786,43 @@ def test_import_leaves_scipy_out(workdir):
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# runs ncjacobi.cli with the test-only packages made unimportable
+NO_TEST_DEPS = """
+import sys
+
+class NoTestDeps:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "hypothesis", "pytest"):
+            raise ModuleNotFoundError(f"{name} is blocked", name=name)
+
+sys.meta_path.insert(0, NoTestDeps())
+"""
+RUN_CLI = "from ncjacobi.cli import main; raise SystemExit(main(sys.argv[1:]))"
+
+
+def test_commands_run_without_the_test_dependencies(workdir):
+    for name in ("scipy.linalg", "hypothesis", "pytest"):
+        blocked = subprocess.run(
+            [sys.executable, "-c", NO_TEST_DEPS + f"import {name}"],
+            capture_output=True, text=True, env=_package_env(),
+        )
+        assert blocked.returncode == 1
+        assert blocked.stderr.endswith(f"ModuleNotFoundError: {name.split('.')[0]} is blocked\n")
+    pipeline = [
+        ["freeproduct", "--spec", "hermite,hermite", "--depth", "3", "--out", "fam.json"],
+        ["verify", "--family", "fam.json"],
+        ["moments", "--family", "fam.json", "--max-degree", "3", "--out", "m.json"],
+        ["jacobi", "--moments", "m.json", "--depth", "3", "--out", "rec.json"],
+        ["orthonormalize", "--moments", "m.json", "--depth", "3", "--out", "basis.json"],
+        ["verify", "--moments", "m.json"],
+        ["paths", "--word", "1,2,2,1", "--family", "fam.json", "--out", "p.json"],
+    ]
+    for argv in pipeline:
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_TEST_DEPS + RUN_CLI, *argv],
+            capture_output=True, text=True, env=_package_env(),
+        )
+        assert proc.returncode == 0, (argv, proc.stdout, proc.stderr)
+        assert proc.stderr == "" and proc.stdout.startswith("ok: ")

@@ -65,7 +65,7 @@ OPTIONS = {
     "jacobi": {"--moments", "--depth", "--out"},
     "orthonormalize": {"--moments", "--depth", "--out"},
     "freeproduct": {"--spec", "--depth", "--out", "--basis"},
-    "paths": {"--word", "--alphabet", "--count-only", "--family", "--out"},
+    "paths": {"--word", "--count-only", "--family", "--out"},
     "verify": {"--family", "--moments", "--depth"},
 }
 

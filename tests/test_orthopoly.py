@@ -25,6 +25,7 @@ from ncjacobi import (
 )
 from ncjacobi.freeproduct import build, parse_recurrence_spec
 from ncjacobi.orthopoly import RECOVERY_LIMIT, three_term_residuals
+from ncjacobi.words import kernel_index
 
 from conftest import (
     EXPONENTIAL_MOMENTS,
@@ -163,6 +164,14 @@ def test_extract_round_trips_random_family(random_setup):
     fam, phi, basis = random_setup
     recovered = extract_recurrence(basis, phi)
     assert fam.blocks_close(recovered) <= 1e-8
+
+
+def test_gram_and_letter_kernels_share_one_index_table():
+    phi = favard_moments(random_admissible_family(3, 2, seed=4), 2)
+    kernel_index.cache_clear()
+    basis = orthonormalize(phi, 2)
+    extract_recurrence(basis, phi)
+    assert kernel_index.cache_info().currsize == 1
 
 
 def test_extract_detects_mismatched_functional(random_setup):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -167,18 +168,28 @@ def test_prepend_index_ranks_the_prepended_word(alphabet, length):
 @pytest.mark.parametrize("alphabet", [1, 2, 3])
 @pytest.mark.parametrize("degree", range(5))
 def test_kernel_index_ranks_reversed_column_letter_row(alphabet, degree):
-    words = words_by_rank(alphabet, degree)
-    for letter in range(alphabet + 1):
-        mid = Word((letter,) if letter else (), alphabet)
+    rows, cols = words_by_rank(alphabet, degree + 1), words_by_rank(alphabet, degree)
+    table = kernel_index(alphabet, degree)
+    expected = [[graded_rank(b.involute().concat(a)) for b in cols] for a in rows]
+    assert table.tolist() == expected
+    # the letter-k kernel [s_{I(b) k a}] is the table's rows at the words k a
+    prepend = prepend_index(alphabet, degree)
+    for k in range(1, alphabet + 1):
+        mid = Word((k,), alphabet)
         expected = [
-            [graded_rank(b.involute().concat(mid).concat(a)) for b in words] for a in words
+            [graded_rank(b.involute().concat(mid).concat(a)) for b in cols] for a in cols
         ]
-        assert kernel_index(alphabet, degree, letter).tolist() == expected
+        assert table[prepend[k - 1]].tolist() == expected
+
+
+def test_kernel_index_has_no_letter_mode():
+    params = inspect.signature(kernel_index).parameters
+    assert list(params) == ["alphabet", "degree"]
 
 
 @pytest.mark.parametrize(
     "build,args",
-    [(reversal_index, (2, 4)), (prepend_index, (3, 2)), (kernel_index, (2, 2, 1))],
+    [(reversal_index, (2, 4)), (prepend_index, (3, 2)), (kernel_index, (2, 2))],
 )
 def test_index_tables_are_shared_and_read_only(build, args):
     table = build(*args)
@@ -217,7 +228,7 @@ def test_level_tables_are_shared_and_read_only():
 def test_index_tables_over_no_words():
     assert reversal_index(2, -1).shape == (0,)
     assert prepend_index(2, -1).shape == (2, 0)
-    assert kernel_index(2, -1).shape == (0, 0)
+    assert kernel_index(2, -1).shape == (1, 0)  # the empty word's row, no columns
 
 
 @pytest.mark.parametrize(
@@ -228,8 +239,8 @@ def test_index_tables_over_no_words():
         lambda: reversal_index(0, 2),
         lambda: prepend_index(0, 2),
         lambda: kernel_index(0, 1),
-        lambda: kernel_index(2, 1, 3),
-        lambda: kernel_index(2, 1, -1),
+        lambda: kernel_index(-1, 1),
+        lambda: prepend_index(-1, 1),
         lambda: level_kernel_index(0, 1),
         lambda: level_kernel_index(2, -1),
     ],
