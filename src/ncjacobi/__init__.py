@@ -42,7 +42,6 @@ from .paths import (
     motzkin_binomial_sum,
     motzkin_number,
     path_weight,
-    weight_factors_value,
 )
 from .freeproduct import (
     OneDimRecurrence,
@@ -95,6 +94,5 @@ __all__ = [
     "upper_cholesky",
     "validate",
     "verify_three_term",
-    "weight_factors_value",
     "words_up_to",
 ]

@@ -198,7 +198,7 @@ def cmd_paths(args) -> int:
         raise CliFailure("error: word must be nonempty", 2)
     family = None if args.family is None else _load(jsonio.load_family, args.family)
     try:
-        word = Word(letters, max(letters) if family is None else family.alphabet)
+        word = Word(letters, max(max(letters), 1) if family is None else family.alphabet)
     except ValueError as exc:
         raise CliFailure(f"error: {exc}", 2) from exc
     count = motzkin_number(len(word))

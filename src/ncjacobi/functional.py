@@ -132,10 +132,14 @@ class MomentFunctional:
         self.alphabet, self.max_degree = alphabet, max_degree
         self.word_bound = 2 * max_degree + (values.size == offs[-1])
         rev = reversal_index(alphabet, self.word_bound)
-        bad = ~np.isfinite(values)
+        bad = ~np.isfinite(values)  # first, since inf == inf
         if not bad.any():
-            scale = SYMMETRY_TOL * np.maximum(1.0, np.abs(values))
-            bad = np.abs(values - values[rev]) > scale
+            # the relative bound only where a pair differs at all
+            mirror = values[rev]
+            bad = values != mirror
+            at = np.flatnonzero(bad)
+            scale = SYMMETRY_TOL * np.maximum(1.0, np.abs(values[at]))
+            bad[at] = np.abs(values[at] - mirror[at]) > scale
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(
@@ -270,7 +274,11 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
     if alphabet < 1 or max_degree < 0:
         raise ValueError("alphabet size must be >= 1 and max_degree >= 0")
     top = 2 * max_degree + 1
-    offs = np.array(level_offsets(alphabet, top))
+    offs = level_offsets(alphabet, top)
+    # a header can count more words than memory holds, so compare in Python ints;
+    # a short table misses a word of rank <= len(words): rank only words that short
+    short = len(words) < offs[top]
+    reach = next(n for n in range(top) if offs[n + 1] > len(words)) if short else top
     lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
     letters = np.fromiter(itertools.chain.from_iterable(words), np.int64, lengths.sum())
     bad = (letters < 1) | (letters > alphabet)
@@ -279,15 +287,24 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
     if lengths.max(initial=0) > top:
         w = Word(words[np.argmax(lengths > top)], alphabet)
         raise ValueError(_outside(w, alphabet, top - 1))
+    at = range(len(words))  # the entries ranked below
+    if short:
+        at = np.flatnonzero(lengths <= reach)
+        letters, lengths = letters[np.repeat(lengths <= reach, lengths)], lengths[at]
     # level rank: the sum of (letter - 1) N^(number of letters after it)
     ends = np.cumsum(lengths)
     after = np.repeat(ends, lengths) - np.arange(letters.size) - 1
     partial = np.concatenate(([0], np.cumsum((letters - 1) * alphabet**after)))
-    index = offs[lengths] + partial[ends] - partial[ends - lengths]
-    counts = np.bincount(index, minlength=offs[-1])
+    index = np.array(offs[: reach + 2])[lengths] + partial[ends] - partial[ends - lengths]
+    counts = np.bincount(index, minlength=offs[reach + 1])
     if counts.max(initial=0) > 1:
-        w = Word(words[np.argmax(counts[index] > 1)], alphabet)
+        w = Word(words[at[np.argmax(counts[index] > 1)]], alphabet)
         raise ValueError(f"duplicate moment entry for word {w}")
+    if short:
+        raise ValueError(
+            f"moment table incomplete: {len(words)} entries for the {offs[top]} words "
+            f"up to length {top - 1}; missing word {word_at(alphabet, int(np.argmin(counts)))}"
+        )
     size = offs[-1] if counts[offs[top] :].any() else offs[top]
     if not counts[:size].all():
         word = word_at(alphabet, int(np.argmin(counts[:size])))

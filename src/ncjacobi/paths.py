@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -131,25 +131,24 @@ def enumerate_paths(word: Word) -> list[LatticePath]:
     return [LatticePath(word, prof) for prof in _profiles(len(word))]
 
 
-def path_weight(family: AdmissibleFamily, path: LatticePath) -> float:
-    """Matrix product of step weights, later steps multiplying from the left.
+def _step(A: Mapping, B: Mapping, k: int, m: int, s: int) -> np.ndarray:
+    """Weight of a step from height m in plane k: a level step weighs B_{m,k},
+    a rise A_{m+1,k} and a fall A_{m,k}^T."""
+    if s == 0:
+        return B[(m, k)]
+    return A[(m + 1, k)] if s == 1 else A[(m, k)].T
 
-    Level at height m in plane k weighs B_{m,k}; a rise from m weighs
-    A_{m+1,k}; a fall from m weighs A_{m,k}^T; switches are free.  A path starts
-    and ends at height 0, so the product is a scalar.
-    """
+
+def path_weight(family: AdmissibleFamily, path: LatticePath) -> float:
+    """Matrix product of the step weights of ``_step``, later steps multiplying
+    from the left; switches are free.  Paths end at height 0, so it is a scalar."""
     if path.max_height() > family.depth:
         raise ValueError(
             f"path reaches height {path.max_height()} above family depth {family.depth}"
         )
     v, m = np.array([1.0]), 0
     for k, s in zip(reversed(path.word.letters), path.profile):
-        if s == 0:
-            v = family.B[(m, k)] @ v
-        elif s == 1:
-            v = family.A[(m + 1, k)] @ v
-        else:
-            v = family.A[(m, k)].T @ v
+        v = _step(family.A, family.B, k, m, s) @ v
         m += s
     return float(v[0])
 
@@ -169,21 +168,12 @@ def _transfer_sum(
     for k in reversed(word.letters):
         new: dict[int, np.ndarray] = {}
         for m, vec in state.items():
-            contributions = (
-                (m, B[(m, k)] @ vec),
-                (m + 1, A[(m + 1, k)] @ vec if m + 1 <= height_cap else None),
-                (m - 1, A[(m, k)].T @ vec if m >= 1 else None),
-            )
-            for hm, contrib in contributions:
-                if contrib is None or hm > height_cap:
-                    continue
-                if hm in new:
-                    new[hm] = new[hm] + contrib
-                else:
-                    new[hm] = contrib
+            for s in (0, 1, -1):  # level, rise, fall
+                if 0 <= m + s <= height_cap:
+                    contrib = _step(A, B, k, m, s) @ vec
+                    new[m + s] = new[m + s] + contrib if m + s in new else contrib
         state = new
-    vec0 = state.get(0)
-    return float(vec0[0]) if vec0 is not None else 0.0
+    return float(state[0][0])  # the all-level path keeps height 0 reached
 
 
 def moments_from_paths(family: AdmissibleFamily, word: Word) -> float:
@@ -205,52 +195,16 @@ def moments_from_paths(family: AdmissibleFamily, word: Word) -> float:
     return _transfer_sum(family.A, family.B, word, peak)
 
 
-WeightFactor = tuple[str, int, int]  # ("A" | "A*" | "B", level, letter)
-
-
-def distinguished_path(word: Word) -> tuple[LatticePath, tuple[WeightFactor, ...]]:
-    """The unique maximal path and its weight factors in product order.
+def distinguished_path(word: Word) -> LatticePath:
+    """The unique maximal path, the one the inverse map peels off.
 
     Even length 2q: q rises then q falls. Odd length 2q+1: q rises, one level
-    step at height q, q falls.  Factors are listed as the weight product is
-    written, i.e. last step first; the level factor of the odd case is the
-    height-q diagonal block of the middle letter.
+    step at height q in the plane of the middle letter, q falls.
     """
     if word.is_empty:
         raise ValueError("the empty word has no distinguished path")
-    n = len(word)
-    q, odd = divmod(n, 2)
-    profile = (1,) * q + (0,) * odd + (-1,) * q
-    factors: list[WeightFactor] = []
-    planes = word.letters[::-1]
-    for t in range(n - 1, -1, -1):  # product order: step n down to step 1
-        s = profile[t]
-        k = planes[t]
-        if s == 1:
-            factors.append(("A", t + 1, k))
-        elif s == 0:
-            factors.append(("B", q, k))
-        else:
-            factors.append(("A*", n - t, k))
-    return LatticePath(word, profile), tuple(factors)
-
-
-def weight_factors_value(
-    family: AdmissibleFamily, factors: Sequence[WeightFactor]
-) -> float:
-    """Evaluate a factor list (as returned by distinguished_path) to a scalar."""
-    m = np.array([[1.0]])
-    for kind, level, letter in factors:
-        if kind == "A":
-            blk = family.A[(level, letter)]
-        elif kind == "A*":
-            blk = family.A[(level, letter)].T
-        else:
-            blk = family.B[(level, letter)]
-        m = m @ blk
-    if m.shape != (1, 1):
-        raise ValueError("weight factors do not contract to a scalar")
-    return float(m[0, 0])
+    q, odd = divmod(len(word), 2)
+    return LatticePath(word, (1,) * q + (0,) * odd + (-1,) * q)
 
 
 def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:

@@ -320,6 +320,60 @@ def test_moment_table_sizes_must_be_integers(workdir, capsys):
         assert f"{key!r} must be an integer" in capsys.readouterr().err
 
 
+def _one_entry_table(path, alphabet, max_degree):
+    with open(path, "w") as fh:
+        json.dump({"N": alphabet, "max_degree": max_degree,
+                   "moments": [{"word": [], "value": 1.0}]}, fh)
+
+
+@pytest.mark.parametrize("alphabet, max_degree", [(2, 40), (10, 100)])
+def test_moment_header_is_checked_against_the_entry_count(workdir, capsys, alphabet, max_degree):
+    # the header counts more words than any table holds; the count is exact in Python ints
+    _one_entry_table("m.json", alphabet, max_degree)
+    words = (alphabet ** (2 * max_degree + 1) - 1) // (alphabet - 1)
+    assert run(["verify", "--moments", "m.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: m.json: moment table incomplete: 1 entries for the {words} words up to "
+        f"length {2 * max_degree}; missing word Word(1; N={alphabet})\n"
+    )
+
+
+def test_moment_header_allocates_nothing_table_sized(workdir):
+    # N=2, max_degree 14 names 2**29 - 1 words: a table-sized count array is 8 GiB
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    _one_entry_table("m.json", 2, 14)
+    # one BLAS thread, so that per-thread buffers on a many-core host stay under the limit
+    env = {**_package_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncjacobi", "verify", "--moments", "m.json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "error: m.json: moment table incomplete: 1 entries for the 536870911 words up to "
+        "length 28;"
+    )
+
+
+@pytest.mark.parametrize("word", ["0", "0,0"])
+def test_paths_without_family_names_a_letter_below_the_alphabet(workdir, capsys, word):
+    # the alphabet is the largest letter, and at least 1, so the letter is to blame
+    assert run(["paths", "--word", word, "--count-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: letter 0 outside alphabet 1..1\n"
+
+
 @pytest.mark.parametrize("value, kind", [(False, "bool"), ("1.0", "str")])
 def test_moment_values_must_be_numbers(workdir, capsys, value, kind):
     # the word [1] holds 0.0 and the word [1, 1] holds 1.0: false and "1.0"

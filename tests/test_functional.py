@@ -461,6 +461,19 @@ def test_missing_word_rejected():
         MomentFunctional.from_values(2, 1, [1.0] + [0.0] * 5)
 
 
+@pytest.mark.parametrize("gap, accepted", [(1e-14, True), (1e-11, False)])
+def test_reversal_pair_is_checked_relative_to_its_size(gap, accepted):
+    # words e, 1, 2, 11, 12, 21, 22: the pair 12 / 21 differs by `gap` relative to 3
+    values = [1.0, 0.0, 0.0, 1.0, 3.0, 3.0 * (1 + gap), 1.0]
+    assert values[4] != values[5]
+    if accepted:
+        phi = MomentFunctional.from_values(2, 1, values)
+        assert np.array_equal(phi.values, values)
+    else:
+        with pytest.raises(ValueError, match=r"reversal-asymmetric value at Word\(12; N=2\)"):
+            MomentFunctional.from_values(2, 1, values)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("rank", [0, 3])
 def test_non_finite_moment_rejected(bad, rank):

@@ -51,7 +51,7 @@ PUBLIC = {
     "jacobi_from_moments", "kernel_table", "moments_from_paths", "motzkin_binomial_sum",
     "motzkin_number", "operator_moment", "orthonormalize", "path_weight", "product_basis",
     "product_polynomial", "random_admissible_family", "upper_cholesky", "validate",
-    "verify_three_term", "weight_factors_value", "words_up_to",
+    "verify_three_term", "words_up_to",
 }
 
 

@@ -21,7 +21,6 @@ from ncjacobi import (
     operator_moment,
     path_weight,
     random_admissible_family,
-    weight_factors_value,
 )
 import ncjacobi.paths
 from ncjacobi.freeproduct import parse_recurrence_spec
@@ -227,29 +226,36 @@ def test_moments_from_paths_insufficient_depth():
 
 
 def test_distinguished_even_example():
-    path, factors = distinguished_path(Word((1, 1, 1, 1), 1))
-    assert factors == (("A*", 1, 1), ("A*", 2, 1), ("A", 2, 1), ("A", 1, 1))
+    path = distinguished_path(Word((1, 1, 1, 1), 1))
+    assert path.profile == (1, 1, -1, -1)
     assert step_kinds(path) == ("rise", "rise", "fall", "fall")
-    fam = hermite_fam()
-    assert weight_factors_value(fam, factors) == pytest.approx(2.0, abs=1e-14)
-    assert path_weight(fam, path) == pytest.approx(2.0, abs=1e-14)
+    assert path_weight(hermite_fam(), path) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_distinguished_two_letter_form():
-    _, factors = distinguished_path(Word((1, 1), 1))
-    assert factors == (("A*", 1, 1), ("A", 1, 1))
+    assert distinguished_path(Word((1, 1), 1)) == LatticePath(Word((1, 1), 1), (1, -1))
 
 
 def test_distinguished_odd_level_weight():
-    path, factors = distinguished_path(Word((1, 1, 1), 1))
-    assert factors == (("A*", 1, 1), ("B", 1, 1), ("A", 1, 1))
-    assert weight_factors_value(hermite_fam(), factors) == 0.0
+    path = distinguished_path(Word((1, 1, 1), 1))
+    assert path.profile == (1, 0, -1)
+    assert path_weight(hermite_fam(), path) == 0.0
 
 
 def test_distinguished_middle_letter_of_mixed_word():
-    # word 2 1 2: middle letter is 1, level step sits at height 1
-    _, factors = distinguished_path(Word((2, 1, 2), 2))
-    assert factors == (("A*", 1, 2), ("B", 1, 1), ("A", 1, 2))
+    # word 2 1 2: middle letter is 1, level step sits at height 1, so the weight is
+    # A_{1,2}^T B_{1,1} A_{1,2}; a level step in the plane of letter 2 would weigh 0
+    from ncjacobi import AdmissibleFamily
+
+    fam = random_admissible_family(2, 1, seed=11)
+    B = {**fam.B, (1, 2): np.zeros_like(fam.B[(1, 2)])}
+    fam = AdmissibleFamily(2, 1, fam.A, B)
+    path = distinguished_path(Word((2, 1, 2), 2))
+    assert path.profile == (1, 0, -1)
+    a = fam.A[(1, 2)]
+    expected = (a.T @ fam.B[(1, 1)] @ a)[0, 0]
+    assert expected != 0.0
+    assert path_weight(fam, path) == pytest.approx(expected, rel=1e-14)
 
 
 def test_distinguished_rejects_empty():
@@ -261,20 +267,18 @@ def test_partition_by_distinguished_path():
     fam = random_admissible_family(2, 3, seed=43)
     for n in range(1, 6):
         for w in enumerate_words(2, n)[:: max(1, 2 ** (n - 2))]:
-            dist, factors = distinguished_path(w)
+            dist = distinguished_path(w)
             paths = enumerate_paths(w)
             assert paths.count(dist) == 1
             rest = sum(path_weight(fam, p) for p in paths if p != dist)
             total = moments_from_paths(fam, w)
-            assert rest + weight_factors_value(fam, factors) == pytest.approx(
-                total, abs=1e-10
-            )
+            assert rest + path_weight(fam, dist) == pytest.approx(total, abs=1e-10)
 
 
 def test_distinguished_is_unique_maximal_path():
     for letters in [(1, 2), (1, 1, 2), (2, 1, 1, 2), (1, 2, 1, 2, 1)]:
         w = Word(letters, 2)
-        dist, _ = distinguished_path(w)
+        dist = distinguished_path(w)
         peak = len(w) // 2
         assert dist.max_height() == peak
         others = [p for p in enumerate_paths(w) if p.max_height() == peak and p != dist]
@@ -296,8 +300,7 @@ def maximal_weight_matrix(fam, n):
     m = np.empty((len(ws), len(ws)))
     for i, s in enumerate(ws):
         for j, t in enumerate(ws):
-            _, factors = distinguished_path(s.involute().concat(t))
-            m[i, j] = weight_factors_value(fam, factors)
+            m[i, j] = path_weight(fam, distinguished_path(s.involute().concat(t)))
     return m
 
 
@@ -326,9 +329,8 @@ def test_kernel_minus_nonmaximal_paths_factors(zero_b):
         for i, s in enumerate(ws):
             for j, t in enumerate(ws):
                 w = s.involute().concat(t)
-                dist, factors = distinguished_path(w)
                 kernel[i, j] = moments_from_paths(fam, w)
-                star[i, j] = kernel[i, j] - weight_factors_value(fam, factors)
+                star[i, j] = kernel[i, j] - path_weight(fam, distinguished_path(w))
         atilde = accumulated_product(fam, n)
         assert np.allclose(kernel - star, atilde.T @ atilde, atol=1e-10)
         assert np.allclose(kernel - star, maximal_weight_matrix(fam, n), atol=1e-12)
@@ -362,9 +364,8 @@ def test_batched_path_sums_match_per_word_and_enumerated_paths(alphabet, n, seed
                 w = sigma.involute().concat(mid).concat(tau)
                 per_word = _transfer_sum(fam.A, B, w, cap)
                 assert batched[i, j] == pytest.approx(per_word, abs=1e-12)
-                _, factors = distinguished_path(w)
                 rest = sum(path_weight(fam, p) for p in enumerate_paths(w))
-                rest -= weight_factors_value(fam, factors)
+                rest -= path_weight(fam, distinguished_path(w))
                 assert batched[i, j] == pytest.approx(rest, abs=1e-10)
     # raising the even cap to n adds back exactly the maximal paths
     nonmaximal = path_sums(fam.B, n - 1)
