@@ -8,7 +8,6 @@ format error.  Report lines are prefixed "ok:" or "FAIL:" for scripting.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -85,16 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(loader, path: str):
-    """Run a jsonio loader; malformed input exits 2 (unreadable input too, in main)."""
-    try:
-        return loader(path)
-    except json.JSONDecodeError as exc:
-        raise CliFailure(f"error: {path} is not valid JSON: {exc}", 2) from exc
-    except jsonio.SchemaError as exc:
-        raise CliFailure(f"error: {exc}", 2) from exc
-
-
 def _check_depth(option: str, depth: int, bound: int, what: str) -> None:
     """A requested depth must lie in 0..bound, the depth its input can serve."""
     if depth < 0:
@@ -114,7 +103,7 @@ def _require_admissible(family, name: str):
 
 
 def cmd_moments(args) -> int:
-    family = _load(jsonio.load_family, args.family)
+    family = jsonio.load_family(args.family)
     _check_depth("--max-degree", args.max_degree, family.depth, "family depth")
     _require_admissible(family, f"family {args.family}")
     try:
@@ -130,7 +119,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    phi = _load(jsonio.load_moments, args.moments)
+    phi = jsonio.load_moments(args.moments)
     _check_depth("--depth", args.depth, phi.max_degree, "table degree")
     try:
         basis = orthonormalize(phi, args.depth)
@@ -145,7 +134,7 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_orthonormalize(args) -> int:
-    phi = _load(jsonio.load_moments, args.moments)
+    phi = jsonio.load_moments(args.moments)
     _check_depth("--depth", args.depth, phi.max_degree, "table degree")
     try:
         basis = orthonormalize(phi, args.depth)
@@ -157,12 +146,14 @@ def cmd_orthonormalize(args) -> int:
 
 
 def cmd_freeproduct(args) -> int:
+    if args.basis is not None and os.path.realpath(args.basis) == os.path.realpath(args.out):
+        raise CliFailure(f"error: --out and --basis name the same file {args.out}", 2)
     if args.depth < 0:
         raise CliFailure("error: --depth must be >= 0", 2)
     try:
         recurrences = fp.parse_recurrence_spec(args.spec, max(args.depth, 1))
         family = fp.build(recurrences, args.depth)
-    except (ValueError, KeyError, TypeError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliFailure(f"error: bad recurrence spec {args.spec!r}: {exc}", 2) from exc
     labels = ",".join(rec.label for rec in recurrences)
     _require_admissible(family, f"depth-{args.depth} family for {labels}")
@@ -190,13 +181,15 @@ def cmd_freeproduct(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    if args.count_only and args.out is not None:
+        raise CliFailure("error: --out is not used with --count-only", 2)
     try:
         letters = tuple(int(tok) for tok in args.word.split(",") if tok.strip())
     except ValueError as exc:
         raise CliFailure(f"error: cannot parse word {args.word!r}: {exc}", 2) from exc
     if not letters:
         raise CliFailure("error: word must be nonempty", 2)
-    family = None if args.family is None else _load(jsonio.load_family, args.family)
+    family = None if args.family is None else jsonio.load_family(args.family)
     try:
         word = Word(letters, max(max(letters), 1) if family is None else family.alphabet)
     except ValueError as exc:
@@ -241,17 +234,18 @@ def cmd_paths(args) -> int:
         jsonio.write_json(args.out, obj)
         print(f"ok: wrote {count} paths to {args.out}")
     else:
-        json.dump(obj, sys.stdout, indent=1)
-        print()
+        print(jsonio.dumps(obj), end="")
     return 0
 
 
 def cmd_verify(args) -> int:
     if (args.family is None) == (args.moments is None):
         raise CliFailure("error: verify needs exactly one of --family / --moments", 2)
+    if args.family is not None and args.depth is not None:
+        raise CliFailure("error: --depth is not used with --family", 2)
     failures = 0
     if args.family is not None:
-        family = _load(jsonio.load_family, args.family)
+        family = jsonio.load_family(args.family)
         report = validate(family)
         if report.ok:
             print(
@@ -263,7 +257,7 @@ def cmd_verify(args) -> int:
                 print(f"FAIL: family {args.family}: {violation}")
             failures += len(report.violations)
     else:
-        phi = _load(jsonio.load_moments, args.moments)
+        phi = jsonio.load_moments(args.moments)
         depth = args.depth if args.depth is not None else phi.max_degree
         _check_depth("--depth", depth, phi.max_degree, "table degree")
         print(f"ok: moment table unital and reversal-symmetric (loaded {args.moments})")
@@ -306,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         stream = sys.stderr if exc.code == 2 else sys.stdout
         print(str(exc), file=stream)
         return exc.code
-    except OSError as exc:  # an input that cannot be read or an output that cannot be written
+    except (OSError, jsonio.SchemaError) as exc:  # an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,6 +66,9 @@ class OneDimRecurrence:
     def from_json_obj(cls, obj: Mapping, label: str = "custom") -> "OneDimRecurrence":
         if not isinstance(obj, Mapping):
             raise TypeError('a recurrence file holds one object {"a": [...], "b": [...]}')
+        for key in "ab":
+            if key not in obj:
+                raise jsonio.SchemaError(f"recurrence is missing required key {key!r}")
         a, b = (json_floats(obj[key], 1, f"recurrence {key!r}") for key in "ab")
         return cls(label=label, a=tuple(a), b=tuple(b))
 

@@ -1,10 +1,9 @@
-"""File-level JSON reading and writing with schema checks.
+"""File-level JSON reading and writing with schema checks; no other module calls json.
 
-Numbers are emitted with Python's shortest round-trip float repr, so every
-written file reloads to bit-identical values.  Writing a NaN or an infinity
-raises ValueError and leaves no file, as reading one raises SchemaError.
-Writes go through a temporary file in the target directory followed by an
-atomic rename.
+Every written file or listing is the text of ``dumps``: shortest round-trip float
+reprs, so files reload bit-identically, while a NaN or an infinity raises ValueError
+and leaves no file.  An input that cannot be read as the expected JSON raises
+SchemaError naming the file.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -19,10 +18,15 @@ from .jacobi import AdmissibleFamily
 
 
 class SchemaError(ValueError):
-    """Input file parsed as JSON but does not match the expected schema."""
+    """Input file is not valid JSON or does not match the expected schema."""
+
+
+def dumps(obj: Any) -> str:
+    return json.dumps(obj, indent=1, allow_nan=False) + "\n"
 
 
 def write_json(path: str, obj: Any) -> None:
+    text = dumps(obj)
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(prefix=".ncjacobi-", suffix=".json", dir=directory)
@@ -34,8 +38,7 @@ def write_json(path: str, obj: Any) -> None:
         # mkstemp creates the file 0600; give it the mode open() would have
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=1, allow_nan=False)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,8 +52,11 @@ def read_json(path: str) -> Any:
     def reject(token: str):
         raise SchemaError(f"{path}: non-finite number {token} is not allowed")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=reject)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _require(obj: Mapping, keys: tuple[str, ...], what: str, path: str) -> None:

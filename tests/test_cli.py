@@ -469,6 +469,112 @@ def test_freeproduct_writes_both_files_or_neither(workdir, capsys, out, basis):
     assert os.listdir(".") == []
 
 
+UNREADABLE_COMMANDS = {
+    "moment": ["jacobi", "--moments", "bad.json", "--depth", "1", "--out", "out.json"],
+    "family": ["moments", "--family", "bad.json", "--max-degree", "1", "--out", "out.json"],
+    "recurrence": ["freeproduct", "--spec", "custom:bad.json", "--depth", "1",
+                   "--out", "out.json"],
+}
+NOT_JSON = "bad.json is not valid JSON: "
+SPEC = "bad recurrence spec 'custom:bad.json': "
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("moment", b'{"N": 1,', NOT_JSON + "Expecting property name enclosed in double quotes: "
+         "line 1 column 9 (char 8)"),
+        ("family", b'{"N": 1,', NOT_JSON + "Expecting property name enclosed in double quotes: "
+         "line 1 column 9 (char 8)"),
+        ("recurrence", b'{"N": 1,', SPEC + NOT_JSON + "Expecting property name enclosed in "
+         "double quotes: line 1 column 9 (char 8)"),
+        ("moment", b"\xff\xfe{", NOT_JSON + "'utf-8' codec can't decode byte 0xff in "
+         "position 0: invalid start byte"),
+        ("family", b"\xff\xfe{", NOT_JSON + "'utf-8' codec can't decode byte 0xff in "
+         "position 0: invalid start byte"),
+        ("recurrence", b"\xff\xfe{", SPEC + NOT_JSON + "'utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte"),
+        ("moment", b'{"N": 1, "moments": []}',
+         "bad.json: moment table is missing required key 'max_degree'"),
+        ("family", b'{"N": 1, "depth": 1, "A": []}',
+         "bad.json: coefficient family is missing required key 'B'"),
+        ("recurrence", b'{"a": [1.0]}', SPEC + "recurrence is missing required key 'b'"),
+    ],
+    ids=[f"{kind}-{defect}" for defect in ("syntax", "not-utf8", "missing-key")
+         for kind in ("moment", "family", "recurrence")],
+)
+def test_unreadable_input_file_exits_2(workdir, capsys, kind, content, message):
+    Path("bad.json").write_bytes(content)
+    assert run(UNREADABLE_COMMANDS[kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert sorted(os.listdir(".")) == ["bad.json"]
+
+
+@pytest.mark.parametrize("basis", ["same.json", "./same.json", "sub/../same.json"])
+def test_freeproduct_refuses_one_file_for_out_and_basis(workdir, capsys, basis):
+    os.mkdir("sub")
+    assert run(["freeproduct", "--spec", "hermite,hermite", "--depth", "2",
+                "--out", "same.json", "--basis", basis]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out and --basis name the same file same.json\n"
+    assert os.listdir(".") == ["sub"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["paths", "--word", "1,2", "--count-only", "--out", "x.json"],
+         "--out is not used with --count-only"),
+        (["verify", "--family", "fam.json", "--depth", "7"], "--depth is not used with --family"),
+    ],
+    ids=["paths-count-only-out", "verify-family-depth"],
+)
+def test_options_the_chosen_mode_ignores_are_refused(workdir, capsys, argv, message):
+    assert run(["freeproduct", "--spec", "hermite,hermite", "--depth", "2",
+                "--out", "fam.json"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert os.listdir(".") == ["fam.json"]
+
+
+def test_paths_stdout_is_the_out_file(workdir, capsys):
+    assert run(["freeproduct", "--spec", "hermite,legendre", "--depth", "2",
+                "--out", "fam.json"]) == 0
+    capsys.readouterr()
+    argv = ["paths", "--word", "1,2,2,1", "--family", "fam.json"]
+    assert run(argv) == 0
+    ok, listing = capsys.readouterr().out.split("\n", 1)
+    assert ok.startswith("ok: weight sum ")
+    assert run(argv + ["--out", "p.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == [ok, "ok: wrote 9 paths to p.json"]
+    assert Path("p.json").read_text() == listing
+
+
+def test_every_written_file_is_the_serializer_text(workdir):
+    recs = [ncjacobi.classical_coefficients(k, 3) for k in ("chebyshev_t", "laguerre")]
+    family = ncjacobi.build_free_product(recs, 3)
+    phi = favard_moments(family, 2)
+    jsonio.save_family("fam.json", family)
+    jsonio.save_moments("m.json", phi)
+    assert run(["orthonormalize", "--moments", "m.json", "--depth", "2",
+                "--out", "basis.json"]) == 0
+    assert run(["freeproduct", "--spec", "chebyshev_t,laguerre", "--depth", "3",
+                "--out", "fam2.json", "--basis", "product.json"]) == 0
+    for path, obj in [
+        ("fam.json", family),
+        ("m.json", phi),
+        ("basis.json", ncjacobi.orthonormalize(phi, 2)),
+        ("product.json", ncjacobi.product_basis(recs, 3)),
+    ]:
+        assert Path(path).read_text() == json.dumps(obj.to_json_obj(), indent=1) + "\n"
+
+
 def test_paths_refuses_a_non_finite_weight(workdir, capsys):
     # admissible, but 1e200^2 overflows and the zero B blocks then meet inf
     big = {"N": 1, "depth": 2,
