@@ -2,7 +2,8 @@
 
 Subcommands: moments, jacobi, orthonormalize, freeproduct, paths, verify.
 Exit codes: 0 success, 1 validation or numerical failure, 2 usage or input
-format error.  Report lines are prefixed "ok:" or "FAIL:" for scripting.
+format error.  Report lines are prefixed "ok:" or "FAIL:" for scripting.  A check
+raises where its rule lives; ``main`` alone prints a refusal and picks its exit code.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from .paths import path_weight
 from .words import Word
 
 
-class CliFailure(Exception):
-    """Abort with a diagnostic; carries the exit code."""
+class UsageError(Exception):
+    """A request the command cannot serve: printed as an "error:" line on stderr, exit 2."""
 
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+
+class Refused(Exception):
+    """Input that fails a check: each argument is printed as a "FAIL:" line on stdout,
+    exit 1."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,74 +89,66 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_depth(option: str, depth: int, bound: int, what: str) -> None:
     """A requested depth must lie in 0..bound, the depth its input can serve."""
     if depth < 0:
-        raise CliFailure(f"error: {option} must be >= 0", 2)
+        raise UsageError(f"{option} must be >= 0")
     if depth > bound:
-        raise CliFailure(f"error: {option} {depth} exceeds {what} {bound}", 2)
+        raise UsageError(f"{option} {depth} exceeds {what} {bound}")
 
 
 def _require_admissible(family, name: str):
     report = validate(family)
     if not report.ok:
-        raise CliFailure(
-            f"FAIL: {name}: {report.violations[0]}"
-            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else ""),
-            1,
+        raise Refused(
+            f"{name}: {report.violations[0]}"
+            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
         )
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> None:
     family = jsonio.load_family(args.family)
     _check_depth("--max-degree", args.max_degree, family.depth, "family depth")
     _require_admissible(family, f"family {args.family}")
     try:
         phi = favard_moments(family, args.max_degree)
-    except (ValueError, NotStrictlyPositiveError) as exc:
-        raise CliFailure(f"FAIL: {exc}", 1) from exc
+    except ValueError as exc:  # float64 overflow, or a Gram pivot at or below tolerance
+        raise Refused(str(exc)) from exc
     jsonio.save_moments(args.out, phi)
     print(
         f"ok: wrote {phi.values.size} moments of degree <= {args.max_degree} "
         f"(words up to length {phi.word_bound}) to {args.out}"
     )
-    return 0
 
 
-def cmd_jacobi(args) -> int:
+def cmd_jacobi(args) -> None:
     phi = jsonio.load_moments(args.moments)
     _check_depth("--depth", args.depth, phi.max_degree, "table degree")
-    try:
-        basis = orthonormalize(phi, args.depth)
-        family = extract_recurrence(basis, phi)
-    except (NotStrictlyPositiveError, ResidualError) as exc:
-        raise CliFailure(f"FAIL: {exc}", 1) from exc
-    except ValueError as exc:
-        raise CliFailure(f"error: {exc}", 2) from exc
+    if phi.word_bound < 2 * args.depth + 1:
+        raise UsageError(
+            f"moment table stores words up to length {phi.word_bound}; extracting "
+            f"level-{args.depth} blocks needs length {2 * args.depth + 1}"
+        )
+    family = extract_recurrence(orthonormalize(phi, args.depth), phi)
     jsonio.save_family(args.out, family)
     print(f"ok: recovered depth-{args.depth} family from {args.moments} to {args.out}")
-    return 0
 
 
-def cmd_orthonormalize(args) -> int:
+def cmd_orthonormalize(args) -> None:
     phi = jsonio.load_moments(args.moments)
     _check_depth("--depth", args.depth, phi.max_degree, "table degree")
-    try:
-        basis = orthonormalize(phi, args.depth)
-    except NotStrictlyPositiveError as exc:
-        raise CliFailure(f"FAIL: {exc}", 1) from exc
+    basis = orthonormalize(phi, args.depth)
     jsonio.write_json(args.out, basis.to_json_obj())
     print(f"ok: wrote {basis.coeffs.shape[0]} orthonormal polynomials to {args.out}")
-    return 0
 
 
-def cmd_freeproduct(args) -> int:
+def cmd_freeproduct(args) -> None:
     if args.basis is not None and os.path.realpath(args.basis) == os.path.realpath(args.out):
-        raise CliFailure(f"error: --out and --basis name the same file {args.out}", 2)
+        raise UsageError(f"--out and --basis name the same file {args.out}")
     if args.depth < 0:
-        raise CliFailure("error: --depth must be >= 0", 2)
+        raise UsageError("--depth must be >= 0")
     try:
         recurrences = fp.parse_recurrence_spec(args.spec, max(args.depth, 1))
         family = fp.build(recurrences, args.depth)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise CliFailure(f"error: bad recurrence spec {args.spec!r}: {exc}", 2) from exc
+        raise UsageError(f"bad recurrence spec {args.spec!r}: {exc}") from exc
     labels = ",".join(rec.label for rec in recurrences)
     _require_admissible(family, f"depth-{args.depth} family for {labels}")
     basis = None
@@ -162,10 +156,8 @@ def cmd_freeproduct(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             basis = fp.product_basis(recurrences, args.depth)
         if not np.isfinite(basis.coeffs).all():
-            raise CliFailure(
-                f"FAIL: depth-{args.depth} product basis for {labels} has a non-finite "
-                f"coefficient",
-                1,
+            raise Refused(
+                f"depth-{args.depth} product basis for {labels} has a non-finite coefficient"
             )
     jsonio.save_family(args.out, family)
     if basis is not None:
@@ -177,37 +169,40 @@ def cmd_freeproduct(args) -> int:
     print(f"ok: wrote depth-{args.depth} family for {labels} to {args.out}")
     if basis is not None:
         print(f"ok: wrote {len(basis.coeffs)} product polynomials to {args.basis}")
-    return 0
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args) -> None:
     if args.count_only and args.out is not None:
-        raise CliFailure("error: --out is not used with --count-only", 2)
+        raise UsageError("--out is not used with --count-only")
     try:
         letters = tuple(int(tok) for tok in args.word.split(",") if tok.strip())
     except ValueError as exc:
-        raise CliFailure(f"error: cannot parse word {args.word!r}: {exc}", 2) from exc
+        raise UsageError(f"cannot parse word {args.word!r}: {exc}") from exc
     if not letters:
-        raise CliFailure("error: word must be nonempty", 2)
+        raise UsageError("word must be nonempty")
     family = None if args.family is None else jsonio.load_family(args.family)
     try:
         word = Word(letters, max(max(letters), 1) if family is None else family.alphabet)
     except ValueError as exc:
-        raise CliFailure(f"error: {exc}", 2) from exc
+        raise UsageError(str(exc)) from exc
+    # M_n < 3^n has at most floor(n log10 3) + 1 digits; 0 means no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(word) * math.log10(3) >= limit:
+        raise UsageError(
+            f"the path count of a length-{len(word)} word may exceed Python's "
+            f"{limit}-digit limit on printing an integer"
+        )
     count = motzkin_number(len(word))
     if args.count_only:
         print(count)
-        return 0
+        return
     if len(word) > DEFAULT_PATH_CAP:
-        raise CliFailure(
-            f"error: path lists are written for words of length <= {DEFAULT_PATH_CAP} "
-            f"({count} paths at length {len(word)}); use --count-only for the count",
-            2,
+        raise UsageError(
+            f"path lists are written for words of length <= {DEFAULT_PATH_CAP} "
+            f"({count} paths at length {len(word)}); use --count-only for the count"
         )
     if family is not None and len(word) // 2 > family.depth:
-        raise CliFailure(
-            f"error: length-{len(word)} word climbs above family depth {family.depth}", 2
-        )
+        raise UsageError(f"length-{len(word)} word climbs above family depth {family.depth}")
     paths = enumerate_paths(word)
     obj = {
         "word": list(word.letters),
@@ -220,14 +215,13 @@ def cmd_paths(args) -> int:
         for i, (path, weight) in enumerate(zip(paths, weights), start=1):
             if not math.isfinite(weight):
                 steps = ",".join(STEP_KINDS[s] for s in path.profile)
-                raise CliFailure(
-                    f"FAIL: path {i} of {count} ({steps}) has weight {weight} against "
-                    f"{args.family}, not a finite number",
-                    1,
+                raise Refused(
+                    f"path {i} of {count} ({steps}) has weight {weight} against "
+                    f"{args.family}, not a finite number"
                 )
         total = sum(weights)
         if not math.isfinite(total):
-            raise CliFailure(f"FAIL: weight sum over {count} paths overflows to {total}", 1)
+            raise Refused(f"weight sum over {count} paths overflows to {total}")
         obj["weights"] = weights
         print(f"ok: weight sum {total:.15g} over {count} paths")
     if args.out is not None:
@@ -235,27 +229,19 @@ def cmd_paths(args) -> int:
         print(f"ok: wrote {count} paths to {args.out}")
     else:
         print(jsonio.dumps(obj), end="")
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     if (args.family is None) == (args.moments is None):
-        raise CliFailure("error: verify needs exactly one of --family / --moments", 2)
+        raise UsageError("verify needs exactly one of --family / --moments")
     if args.family is not None and args.depth is not None:
-        raise CliFailure("error: --depth is not used with --family", 2)
-    failures = 0
+        raise UsageError("--depth is not used with --family")
     if args.family is not None:
         family = jsonio.load_family(args.family)
         report = validate(family)
-        if report.ok:
-            print(
-                f"ok: family {args.family} admissible "
-                f"(N={family.alphabet}, depth={family.depth})"
-            )
-        else:
-            for violation in report.violations:
-                print(f"FAIL: family {args.family}: {violation}")
-            failures += len(report.violations)
+        if not report.ok:
+            raise Refused(*(f"family {args.family}: {v}" for v in report.violations))
+        print(f"ok: family {args.family} admissible (N={family.alphabet}, depth={family.depth})")
     else:
         phi = jsonio.load_moments(args.moments)
         depth = args.depth if args.depth is not None else phi.max_degree
@@ -264,18 +250,12 @@ def cmd_verify(args) -> int:
         # K(aw, t) and K(w, I(a)t) both read s_{I(w)at}: no table can break it
         print("ok: kernel shift invariance K(aw,t) = K(w,I(a)t) holds by construction")
         report = phi.gram(depth)
-        if report.positive:
-            print(
-                f"ok: strictly positive at degree {depth} "
-                f"(min Gram pivot {report.min_pivot:.6g})"
-            )
-        else:
-            print(
-                f"FAIL: not strictly positive at degree {depth} "
+        if not report.positive:
+            raise Refused(
+                f"not strictly positive at degree {depth} "
                 f"(Gram pivot {report.pivots[-1]:.6g} <= {POSITIVITY_TOL:g})"
             )
-            failures += 1
-    return 1 if failures else 0
+        print(f"ok: strictly positive at degree {depth} (min Gram pivot {report.min_pivot:.6g})")
 
 
 COMMANDS = {
@@ -295,14 +275,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return COMMANDS[args.command](args)
-    except CliFailure as exc:
-        stream = sys.stderr if exc.code == 2 else sys.stdout
-        print(str(exc), file=stream)
-        return exc.code
-    except (OSError, jsonio.SchemaError) as exc:  # an unreadable input or unwritable output
+        COMMANDS[args.command](args)
+    except (Refused, NotStrictlyPositiveError, ResidualError) as exc:
+        for reason in exc.args if isinstance(exc, Refused) else (exc,):
+            print(f"FAIL: {reason}")
+        return 1
+    except (UsageError, OSError, jsonio.SchemaError) as exc:  # bad usage or an unusable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry() -> None:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import jsonio
-from .functional import json_floats
+from .functional import json_fields, json_floats
 from .jacobi import THREE_TERM_TOL, AdmissibleFamily
 from .ncpoly import NcPolynomial
 from .orthopoly import OrthonormalBasis, three_term_residuals
@@ -66,10 +66,8 @@ class OneDimRecurrence:
     def from_json_obj(cls, obj: Mapping, label: str = "custom") -> "OneDimRecurrence":
         if not isinstance(obj, Mapping):
             raise TypeError('a recurrence file holds one object {"a": [...], "b": [...]}')
-        for key in "ab":
-            if key not in obj:
-                raise jsonio.SchemaError(f"recurrence is missing required key {key!r}")
-        a, b = (json_floats(obj[key], 1, f"recurrence {key!r}") for key in "ab")
+        fields = json_fields(obj, ("a", "b"), "recurrence")
+        a, b = (json_floats(v, 1, f"recurrence {key!r}") for key, v in zip("ab", fields))
         return cls(label=label, a=tuple(a), b=tuple(b))
 
 

@@ -230,15 +230,29 @@ class MomentFunctional:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "MomentFunctional":
+        *_, moments = json_fields(obj, ("N", "max_degree", "moments"), "moment table")
+        if not isinstance(moments, list):
+            raise TypeError("'moments' must be a list of word/value entries")
+        entries = [json_fields(entry, ("word", "value"), "moment entry") for entry in moments]
         alphabet, max_degree = json_int(obj, "N"), json_int(obj, "max_degree")
-        words = [entry["word"] for entry in obj["moments"]]
+        words = [word for word, _ in entries]
         stray = set(map(type, itertools.chain.from_iterable(words))) - {int}
         if stray:
             raise TypeError(f"word letters must be integers, got {stray.pop().__name__}")
-        values = [entry["value"] for entry in obj["moments"]]
-        values = json_floats(values, 1, "moment values")
+        values = json_floats([value for _, value in entries], 1, "moment values")
         table = _by_rank(alphabet, max_degree, words, values)
         return cls.from_values(alphabet, max_degree, table)
+
+
+def json_fields(obj, keys: Sequence[str], what: str) -> list:
+    """The values at ``keys`` if ``obj`` is a JSON object holding them all; a
+    non-object or the first missing key raises TypeError naming ``what``."""
+    if not isinstance(obj, Mapping):
+        raise TypeError(f"expected a JSON object for {what}")
+    for key in keys:
+        if key not in obj:
+            raise TypeError(f"{what} is missing required key {key!r}")
+    return [obj[key] for key in keys]
 
 
 def json_int(obj: Mapping, key: str) -> int:

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
-from .functional import json_floats, json_int
+from .functional import json_fields, json_floats, json_int
 from .words import Word, level_offsets, reversal_index
 
 VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(A_n) exceeds it
@@ -84,10 +84,16 @@ class AdmissibleFamily:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "AdmissibleFamily":
+        sides = json_fields(obj, ("N", "depth", "A", "B"), "coefficient family")[2:]
+        for side, entries in zip("AB", sides):
+            if not isinstance(entries, list):
+                raise TypeError(f"{side!r} must be a list of block entries")
+            for entry in entries:
+                json_fields(entry, ("n", "k", "rows"), f"{side} block")
         N, depth = json_int(obj, "N"), json_int(obj, "depth")
         blocks = ({}, {})
-        for side, out in zip("AB", blocks):
-            for entry in obj[side]:
+        for side, entries, out in zip("AB", sides, blocks):
+            for entry in entries:
                 key = (json_int(entry, "n"), json_int(entry, "k"))
                 if key in out:
                     raise ValueError(f"duplicate {side} block for (n,k)={key}")

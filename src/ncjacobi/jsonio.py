@@ -1,9 +1,10 @@
-"""File-level JSON reading and writing with schema checks; no other module calls json.
+"""File-level JSON reading and writing; no other module calls json.
 
 Every written file or listing is the text of ``dumps``: shortest round-trip float
 reprs, so files reload bit-identically, while a NaN or an infinity raises ValueError
-and leaves no file.  An input that cannot be read as the expected JSON raises
-SchemaError naming the file.  Writes go through a temporary file and an atomic rename.
+and leaves no file.  An input that is not JSON, or that the ``from_json_obj`` of its
+class refuses (each class checks its own keys, shapes and types), raises SchemaError
+naming the file.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Mapping
+from typing import Any, Callable
 
 from .functional import MomentFunctional
 from .jacobi import AdmissibleFamily
@@ -59,25 +60,18 @@ def read_json(path: str) -> Any:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _require(obj: Mapping, keys: tuple[str, ...], what: str, path: str) -> None:
-    if not isinstance(obj, Mapping):
-        raise SchemaError(f"{path}: expected a JSON object for {what}")
-    for key in keys:
-        if key not in obj:
-            raise SchemaError(f"{path}: {what} is missing required key {key!r}")
+def _load(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` applied to the JSON in ``path``; whatever it refuses raises
+    SchemaError naming the file."""
+    obj = read_json(path)
+    try:
+        return parse(obj)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def load_moments(path: str) -> MomentFunctional:
-    obj = read_json(path)
-    _require(obj, ("N", "max_degree", "moments"), "moment table", path)
-    if not isinstance(obj["moments"], list):
-        raise SchemaError(f"{path}: 'moments' must be a list of word/value entries")
-    for entry in obj["moments"]:
-        _require(entry, ("word", "value"), "moment entry", path)
-    try:
-        return MomentFunctional.from_json_obj(obj)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _load(path, MomentFunctional.from_json_obj)
 
 
 def save_moments(path: str, phi: MomentFunctional) -> None:
@@ -85,17 +79,7 @@ def save_moments(path: str, phi: MomentFunctional) -> None:
 
 
 def load_family(path: str) -> AdmissibleFamily:
-    obj = read_json(path)
-    _require(obj, ("N", "depth", "A", "B"), "coefficient family", path)
-    for side in ("A", "B"):
-        if not isinstance(obj[side], list):
-            raise SchemaError(f"{path}: {side!r} must be a list of block entries")
-        for entry in obj[side]:
-            _require(entry, ("n", "k", "rows"), f"{side} block", path)
-    try:
-        return AdmissibleFamily.from_json_obj(obj)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _load(path, AdmissibleFamily.from_json_obj)
 
 
 def save_family(path: str, family: AdmissibleFamily) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -99,26 +99,6 @@ def motzkin_binomial_sum(n: int) -> int:
     return total // n
 
 
-def _profiles(n: int) -> Iterator[tuple[int, ...]]:
-    """All rise/level/fall profiles (+1/0/-1) of length n, nonnegative, ending at 0."""
-
-    def rec(prefix: list[int], h: int):
-        if len(prefix) == n:
-            if h == 0:
-                yield tuple(prefix)
-            return
-        remaining = n - len(prefix)
-        for s in (1, 0, -1):
-            nh = h + s
-            if nh < 0 or nh > remaining - 1:
-                continue
-            prefix.append(s)
-            yield from rec(prefix, nh)
-            prefix.pop()
-
-    yield from rec([], 0)
-
-
 def enumerate_paths(word: Word) -> list[LatticePath]:
     """The full path set of a nonempty word, one path per height profile."""
     if word.is_empty:
@@ -128,7 +108,13 @@ def enumerate_paths(word: Word) -> list[LatticePath]:
             f"explicit path lists are capped at |word| = {DEFAULT_PATH_CAP} "
             f"({motzkin_number(len(word))} paths would be materialized)"
         )
-    return [LatticePath(word, prof) for prof in _profiles(len(word))]
+    # rise/level/fall profiles (+1/0/-1) that stay nonnegative and end at 0
+    profiles = itertools.product((1, 0, -1), repeat=len(word))
+    return [
+        LatticePath(word, prof)
+        for prof in profiles
+        if sum(prof) == 0 and min(itertools.accumulate(prof)) >= 0
+    ]
 
 
 def _step(A: Mapping, B: Mapping, k: int, m: int, s: int) -> np.ndarray:
@@ -142,6 +128,8 @@ def _step(A: Mapping, B: Mapping, k: int, m: int, s: int) -> np.ndarray:
 def path_weight(family: AdmissibleFamily, path: LatticePath) -> float:
     """Matrix product of the step weights of ``_step``, later steps multiplying
     from the left; switches are free.  Paths end at height 0, so it is a scalar."""
+    if path.word.alphabet != family.alphabet:
+        raise ValueError("word alphabet does not match family")
     if path.max_height() > family.depth:
         raise ValueError(
             f"path reaches height {path.max_height()} above family depth {family.depth}"

@@ -512,6 +512,13 @@ def test_unreadable_input_file_exits_2(workdir, capsys, kind, content, message):
     assert sorted(os.listdir(".")) == ["bad.json"]
 
 
+@pytest.mark.parametrize("cls, key", [(MomentFunctional, "max_degree"), (AdmissibleFamily, "depth")])
+def test_from_json_obj_names_a_missing_key(cls, key):
+    # each class checks its own keys, so a bare object fails the same way as a file
+    with pytest.raises(TypeError, match=f"is missing required key '{key}'"):
+        cls.from_json_obj({"N": 1})
+
+
 @pytest.mark.parametrize("basis", ["same.json", "./same.json", "sub/../same.json"])
 def test_freeproduct_refuses_one_file_for_out_and_basis(workdir, capsys, basis):
     os.mkdir("sub")
@@ -684,6 +691,25 @@ def test_table_commands_share_one_depth_check(workdir, capsys, command):
     assert not os.path.exists("x.json")
 
 
+def test_jacobi_refuses_a_table_without_its_odd_level_before_factoring(workdir, capsys, monkeypatch):
+    phi = favard_moments(random_admissible_family(2, 2, seed=1), 2)
+    even = phi.values[: ncjacobi.words.level_offsets(2, 5)[-2]]  # words up to length 4
+    jsonio.save_moments("even.json", MomentFunctional.from_values(2, 2, even))
+
+    def forbidden(*args):
+        raise AssertionError("orthonormalize ran on a table jacobi must refuse")
+
+    monkeypatch.setattr(ncjacobi.cli, "orthonormalize", forbidden)
+    assert run(["jacobi", "--moments", "even.json", "--depth", "2", "--out", "x.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: moment table stores words up to length 4; extracting level-2 blocks "
+        "needs length 5\n"
+    )
+    assert not os.path.exists("x.json")
+
+
 def test_gram_pivot_threshold_is_fixed(workdir, capsys):
     # the Gram pivot 1e-11 passes LAPACK's Cholesky but not the fixed 1e-10 bound
     obj = {"N": 1, "max_degree": 1, "moments": [
@@ -758,6 +784,27 @@ def test_jacobi_command_matches_path_peel(workdir, capsys, alphabet, depth, seed
 def test_paths_count_only_long_word(workdir, capsys):
     assert run(["paths", "--word", ",".join(["1"] * 3000), "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == str(ncjacobi.motzkin_number(3000))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int-to-str has no digit limit"
+)
+def test_paths_count_only_refuses_a_count_past_the_digit_limit(workdir, capsys):
+    # M_n < 3^n: 9000 letters give at most 4295 digits, 9025 may give 4306
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(["paths", "--word", ",".join(["1"] * 9025), "--count-only"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the path count of a length-9025 word may exceed Python's 4300-digit "
+            "limit on printing an integer\n"
+        )
+        assert run(["paths", "--word", ",".join(["1"] * 9000), "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{ncjacobi.motzkin_number(9000)}\n"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_paths_over_the_list_limit_names_it(workdir, capsys):
@@ -915,6 +962,63 @@ def test_exit_codes(workdir, capsys):
     assert run(["moments", "--family", "fam.json", "--max-degree", "2",
                 "--out", "x.json", "--tolerance", "1e-12"]) == 2
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+def _two_asymmetric_blocks():
+    assert run(["freeproduct", "--spec", "hermite,hermite", "--depth", "2",
+                "--out", "fam.json"]) == 0
+    obj = json.load(open("fam.json"))
+    for entry in obj["B"]:
+        if entry["n"] == 1:
+            entry["rows"] = [[0.0, 1.0], [0.0, 0.0]]
+    Path("bad.json").write_text(json.dumps(obj))
+
+
+def _flat_table():
+    Path("bad.json").write_text(json.dumps({"N": 1, "max_degree": 1, "moments": [
+        {"word": [1] * n, "value": 1.0} for n in range(4)]}))
+
+
+def _ill_conditioned_table():
+    jsonio.save_moments("bad.json", favard_moments(random_admissible_family(3, 4, seed=7), 4))
+
+
+TABLE = ["--moments", "bad.json", "--out", "x.json"]
+
+
+@pytest.mark.parametrize(
+    "setup, argv, code, lines",
+    [
+        (_two_asymmetric_blocks, ["verify", "--family", "bad.json"], 1,
+         ["FAIL: family bad.json: B[1,1] not symmetric",
+          "FAIL: family bad.json: B[1,2] not symmetric"]),
+        (_flat_table, ["jacobi", *TABLE, "--depth", "1"], 1,
+         ["FAIL: functional not strictly positive at depth 1: Gram pivot 0.000e+00 <= 1e-10"]),
+        (_ill_conditioned_table, ["jacobi", *TABLE, "--depth", "4"], 1,
+         ["FAIL: recovery condition estimate eps n sum G_jj C_ij^2 = "]),
+        (None, ["paths", "--word", "1,x"], 2,
+         ["error: cannot parse word '1,x': invalid literal for int() with base 10: 'x'"]),
+        (None, ["verify", "--moments", "bad.json"], 2,
+         ["error: [Errno 2] No such file or directory: 'bad.json'"]),
+        (lambda: Path("bad.json").write_text("{"), ["verify", "--family", "bad.json"], 2,
+         ["error: bad.json is not valid JSON: "]),
+    ],
+    ids=["Refused", "NotStrictlyPositiveError", "ResidualError", "UsageError", "OSError",
+         "SchemaError"],
+)
+def test_each_refusal_class_has_one_stream_prefix_and_code(workdir, capsys, setup, argv,
+                                                          code, lines):
+    if setup is not None:
+        setup()
+    capsys.readouterr()
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    printed, silent = (captured.out, captured.err) if code == 1 else (captured.err, captured.out)
+    assert silent == ""
+    assert len(printed.splitlines()) == len(lines)
+    for line, start in zip(printed.splitlines(), lines):
+        assert line.startswith(start)
+    assert not os.path.exists("x.json")
 
 
 def _package_env():

@@ -25,7 +25,7 @@ from ncjacobi import (
 import ncjacobi.paths
 from ncjacobi.freeproduct import parse_recurrence_spec
 from ncjacobi.jacobi import sections
-from ncjacobi.paths import _transfer_sum
+from ncjacobi.paths import DEFAULT_PATH_CAP, _transfer_sum
 from ncjacobi.words import level_offsets
 
 from conftest import EXPONENTIAL_MOMENTS, GAUSSIAN_MOMENTS, one_dim_functional, per_letter_fock
@@ -141,7 +141,8 @@ def test_enumerate_paths_rejects_empty_and_capped():
         enumerate_paths(Word((), 2))
     with pytest.raises(ValueError, match="cap"):
         enumerate_paths(Word((1,) * 9, 1))
-    assert len(list(ncjacobi.paths._profiles(9))) == motzkin_number(9)
+    at_cap = enumerate_paths(Word((1,) * DEFAULT_PATH_CAP, 1))
+    assert sorted(p.profile for p in at_cap) == sorted(naive_profiles(DEFAULT_PATH_CAP))
 
 
 # -- weights --------------------------------------------------------------------
@@ -173,6 +174,16 @@ def test_path_weight_depth_exceeded():
     deep = [p for p in enumerate_paths(Word((1,) * 4, 1)) if p.max_height() == 2]
     with pytest.raises(ValueError, match="height"):
         path_weight(fam, deep[0])
+
+
+@pytest.mark.parametrize("letters, word_alphabet, family_alphabet", [((3, 3), 3, 2), ((1, 1), 2, 3)])
+def test_path_routes_check_the_word_alphabet(letters, word_alphabet, family_alphabet):
+    fam = random_admissible_family(family_alphabet, 2, seed=0)
+    word = Word(letters, word_alphabet)
+    for route, arg in [(moments_from_paths, word), (operator_moment, word),
+                       *((path_weight, p) for p in enumerate_paths(word))]:
+        with pytest.raises(ValueError, match="word alphabet does not match family"):
+            route(fam, arg)
 
 
 # -- moment sums -----------------------------------------------------------------
