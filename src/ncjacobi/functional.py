@@ -132,10 +132,10 @@ class MomentFunctional:
         self.alphabet, self.max_degree = alphabet, max_degree
         self.word_bound = 2 * max_degree + (values.size == offs[-1])
         rev = reversal_index(alphabet, self.word_bound)
+        mirror = values[rev]
         bad = ~np.isfinite(values)  # first, since inf == inf
-        if not bad.any():
-            # the relative bound only where a pair differs at all
-            mirror = values[rev]
+        if not bad.any() and not (values == mirror).all():
+            # some pair differs: the relative bound, only where one does
             bad = values != mirror
             at = np.flatnonzero(bad)
             scale = SYMMETRY_TOL * np.maximum(1.0, np.abs(values[at]))
@@ -368,11 +368,12 @@ def _kernel_pairs(alphabet: int, depth: int):
 def functional_free_product(
     parts: Sequence[MomentFunctional],
 ) -> MomentFunctional:
-    """Free product of one-variable functionals, one per letter.
+    """Boolean product of one-variable functionals, one per letter.
 
     On a word with maximal-run form k_1^{e_1}...k_p^{e_p} the moment is the
-    product of the parts' moments part_{k_j}(X^{e_j}).  The result is unital
-    and reversal-symmetric but in general not strictly positive.
+    product of the parts' moments part_{k_j}(X^{e_j}): the Boolean product
+    (Speicher and Woroudi, 1997), not the free one of ``build_free_product``.
+    The result is unital and reversal-symmetric, in general not strictly positive.
     """
     if not parts:
         raise ValueError("free product needs at least one factor")

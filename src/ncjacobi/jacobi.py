@@ -180,14 +180,15 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
     Covers every word of length <= 2*degree + 1 (the odd top level is what the
     family's deepest diagonal-correction blocks show up in), as
     s_{ab} = <J_{I(a)} e0, J_b e0> from the Fock vectors J_w e0 on the section
-    through level ``degree``.  Each reversal orbit keeps one value, so the
-    table is exactly reversal-symmetric.  The Fock matrix V over |w| <= degree
-    is upper triangular (J_w e0 reaches no level above |w|, and its level-|w|
-    entries below the diagonal vanish where each A_n is upper triangular), so
-    it is the Cholesky factor of the Gram matrix G = V^T V: positivity is
-    certified by its pivots diag(V)^2, without forming G and squaring its
-    conditioning.  Moments that overflow float64, or that meet an overflowed
-    Fock vector, raise ValueError naming the shortest such word length.
+    through level ``degree``, kept in one matrix and filled by one batched
+    product per level.  Each reversal orbit keeps one value, so the table is
+    exactly reversal-symmetric.  The Fock matrix V over |w| <= degree is upper
+    triangular (J_w e0 reaches no level above |w|, and its level-|w| entries
+    below the diagonal vanish where each A_n is upper triangular), so it is the
+    Cholesky factor of the Gram matrix G = V^T V: positivity is certified by its
+    pivots diag(V)^2, without forming G and squaring its conditioning.  Moments
+    that overflow float64, or that meet an overflowed Fock vector, raise
+    ValueError naming the shortest such word length.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -196,32 +197,35 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
             f"family depth {family.depth} cannot determine degree-{degree} moments"
         )
     N = family.alphabet
-    J = list(sections(N, family.A, family.B, degree))  # views, made once
+    J = sections(N, family.A, family.B, degree)
     offs = level_offsets(N, 2 * degree + 1)
+    level = [slice(lo, hi) for lo, hi in zip(offs, offs[1:])]
     rev = reversal_index(N, 2 * degree + 1)
-    # V_n holds J_w e0 for |w| = n in rank order, J_{kt} e0 = J_k (J_t e0) by one
-    # product per letter; an overflow is named below by its word length, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        fock = [np.eye(len(J[0]), 1)]
-        for _ in range(degree + 1):
-            fock.append(np.concatenate([jk @ fock[-1] for jk in J], axis=1))
-        levels = [np.ones(1)]
-        for n in range(1, 2 * degree + 2):
+    # column w: J_w e0 for |w| <= degree + 1, in F order where each level is one
+    # column, so that its moments are the per-letter construction's contiguous dots
+    fock = np.zeros((offs[degree + 1], offs[degree + 2]), order="F" if N == 1 else "C")
+    fock[0, 0] = 1.0
+    values = np.empty(offs[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        for h in range(degree + 1):
+            # column (k - 1) N^h + rank(t) of level h + 1 is J_k (J_t e0)
+            out = fock[:, level[h + 1]].reshape(-1, N, N**h).transpose(1, 0, 2)
+            np.matmul(J, fock[:, level[h]], out=out)
+        left = fock[:, rev[: offs[degree + 1]]]  # J_{I(a)} e0 in the rank order of a
+        for n in range(2 * degree + 2):  # s_{ab} for |ab| = n, |a| = n // 2
             h = n // 2
-            left = fock[h][:, rev[offs[h] : offs[h + 1]] - offs[h]]
-            levels.append((left.T @ fock[n - h]).ravel())
-    values = np.concatenate(levels)
+            out = values[level[n]].reshape(N**h, N ** (n - h))
+            np.matmul(left[:, level[h]].T, fock[:, level[n - h]], out=out)
+        pivot = float(np.min(fock.diagonal() ** 2))  # diag(V): level |w| of J_w e0
+    del J, fock, left  # before the table-sized gathers below
     if not np.isfinite(values).all():
-        n = next(n for n, level in enumerate(levels) if not np.isfinite(level).all())
+        n = next(n for n, ln in enumerate(level) if not np.isfinite(values[ln]).all())
         raise ValueError(
             f"float64 overflow in the moments of words of length {n}: the family's "
             f"blocks are too large for degree-{degree} moments, or not finite"
         )
     values = values[np.minimum(np.arange(values.size), rev)]
     phi = MomentFunctional.from_values(N, degree, values)
-    # diag(V) level by level: the level-n rows of the level-n Fock vectors
-    diag = [fock[n][offs[n] : offs[n + 1]].diagonal() for n in range(degree + 1)]
-    pivot = float(np.min(np.concatenate(diag) ** 2))
     if not pivot > POSITIVITY_TOL:
         raise NotStrictlyPositiveError(
             f"moments of an admissible family failed strict positivity at degree "

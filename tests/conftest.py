@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -168,3 +169,75 @@ def run_form_product(recurrences, sigma):
                 factor = factor + c * power
         result = result * factor
     return result
+
+
+def classical_moments(token, length):
+    """Oracle input: the moments m_0..m_length, in closed form, of the probability
+    measure of one classical family token: the standard normal (``hermite``), the
+    arcsine (``chebyshev_t``) and uniform (``legendre``) laws on [-1, 1], and
+    x^alpha e^-x / Gamma(alpha + 1) on (0, inf) (``laguerre(alpha)``)."""
+    if token.startswith("laguerre("):
+        alpha = float(token[len("laguerre(") : -1])
+        return [math.prod(alpha + i for i in range(1, n + 1)) for n in range(length + 1)]
+    even = {
+        "hermite": lambda n: float(math.prod(range(n - 1, 0, -2))),
+        "chebyshev_t": lambda n: math.comb(n, n // 2) / 2.0**n,
+        "legendre": lambda n: 1.0 / (n + 1),
+    }[token]
+    return [0.0 if n % 2 else even(n) for n in range(length + 1)]
+
+
+def free_cumulants(moments):
+    """Free cumulants k_0..k_L (k_0 = 0) of one variable from its moments m_0..m_L.
+
+    In m_n = sum over non-crossing partitions of the product of the blocks'
+    cumulants, the block of the first point has some s points, and the s gaps
+    after them hold independent partitions: m_n = sum_s k_s [x^(n-s)] M(x)^s with
+    M(x) = sum_j m_j x^j (Nica and Speicher, Lectures 10-11).
+    """
+    top = len(moments) - 1
+    kappa = [0.0] * (top + 1)
+    for n in range(1, top + 1):
+        power, lower = np.ones(1), 0.0
+        for s in range(1, n):
+            power = np.convolve(power, moments)[: top + 1]
+            lower += kappa[s] * power[n - s]
+        kappa[n] = float(moments[n] - lower)
+    return kappa
+
+
+def free_word_moments(cumulants, max_length):
+    """Oracle for the tables of ``build_free_product`` families: the moments of
+    freely independent variables, letter k having the one-variable free
+    cumulants ``cumulants[k - 1]``, for every word up to ``max_length`` in graded
+    rank order.
+
+    Mixed free cumulants vanish, so s_w is the sum, over the non-crossing
+    partitions of the positions of w whose blocks each hold one letter, of the
+    product of the blocks' cumulants.  The sum runs as a dynamic program over
+    intervals of w: the block through an interval's first point either ends there
+    or goes on at a later point of the same letter, and the gap between two
+    points of a block is an interval of its own.  Intervals are memoized by their
+    letters, so the work is polynomial in the word length.
+    """
+
+    @functools.cache
+    def moment(word):
+        return block(word, 1) if word else 1.0
+
+    @functools.cache
+    def block(word, size):
+        # word[0] is point number `size` of a block of its letter
+        first, rest = word[0], word[1:]
+        total = cumulants[first - 1][size] * moment(rest)
+        for q, letter in enumerate(rest):
+            if letter == first:
+                total += moment(rest[:q]) * block(rest[q:], size + 1)
+        return total
+
+    letters = range(1, len(cumulants) + 1)
+    return np.array([
+        moment(word)
+        for n in range(max_length + 1)
+        for word in itertools.product(letters, repeat=n)
+    ])

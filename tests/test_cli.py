@@ -512,6 +512,24 @@ def test_unreadable_input_file_exits_2(workdir, capsys, kind, content, message):
     assert sorted(os.listdir(".")) == ["bad.json"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--moments", "deep.json"],
+     ["moments", "--family", "deep.json", "--max-degree", "1", "--out", "out.json"]],
+    ids=["verify-moments", "moments-family"],
+)
+def test_deeply_nested_input_file_exits_2(workdir, capsys, argv):
+    # the JSON parser raises RecursionError past the interpreter's nesting limit
+    Path("deep.json").write_text("[" * 100000 + "]" * 100000)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n")
+    assert lines[0].startswith("error: deep.json is not valid JSON: maximum recursion depth")
+    assert sorted(os.listdir(".")) == ["deep.json"]
+
+
 @pytest.mark.parametrize("cls, key", [(MomentFunctional, "max_degree"), (AdmissibleFamily, "depth")])
 def test_from_json_obj_names_a_missing_key(cls, key):
     # each class checks its own keys, so a bare object fails the same way as a file

@@ -24,7 +24,7 @@ from ncjacobi.freeproduct import parse_recurrence_spec
 from ncjacobi.jacobi import sections
 from ncjacobi.orthopoly import three_term_residuals
 
-from conftest import run_form_product
+from conftest import classical_moments, free_cumulants, free_word_moments, run_form_product
 
 EPS = np.finfo(float).eps
 
@@ -319,6 +319,39 @@ def test_moments_match_one_dim_oracle():
         assert operator_moment(fam, Word((1,) * n, 2)) == pytest.approx(
             m[n], abs=1e-10
         )
+
+
+# -- the product family is the free product ----------------------------------------------
+
+
+def test_free_cumulant_oracle_on_the_semicircle():
+    # Catalan moments have the single free cumulant k_2 = 1; two free semicircular
+    # letters pair non-crossingly, so s_1212 = 0 where s_1122 = s_1221 = 1
+    assert free_cumulants([1, 0, 1, 0, 2, 0, 5, 0, 14]) == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+    semi = free_cumulants([1, 0, 1, 0, 2])
+    table = free_word_moments([semi, semi], 4)
+    rank = {w: i for i, w in enumerate(enumerate_words(2, 4))}
+    start = 2**4 - 1
+    for letters, value in (((1, 1, 2, 2), 1), ((1, 2, 1, 2), 0), ((1, 2, 2, 1), 1)):
+        assert table[start + rank[Word(letters, 2)]] == value
+
+
+@pytest.mark.parametrize(
+    "spec, depth",
+    [("hermite,laguerre(0.5)", 3), ("chebyshev_t,laguerre(0.5),hermite", 2),
+     ("legendre,hermite", 4), ("legendre,chebyshev_t", 5)],
+)
+def test_product_family_moments_are_free_moments(spec, depth):
+    # build_free_product realizes Voiculescu's free product of the one-variable
+    # laws: its mixed free cumulants vanish, so every word up to the odd top level
+    # has the moment of freely independent variables
+    length = 2 * depth + 1
+    cumulants = [free_cumulants(classical_moments(t, length)) for t in spec.split(",")]
+    expected = free_word_moments(cumulants, length)
+    fam = build_free_product(parse_recurrence_spec(spec, depth + 1), depth)
+    got = favard_moments(fam, depth).values
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
 
 
 # -- CLI-facing spec strings --------------------------------------------------------------

@@ -7,6 +7,8 @@ from ncjacobi import (
     MomentFunctional,
     NcPolynomial,
     Word,
+    build_free_product,
+    classical_coefficients,
     favard_moments,
     functional_free_product,
     hankel_check,
@@ -210,6 +212,16 @@ def test_free_product_moment_rule():
     # reversal symmetry is exact by construction
     for w in words_up_to(2, 4):
         assert phi.moment(w) == phi.moment(w.involute())
+
+
+def test_functional_free_product_is_the_boolean_product():
+    # the free product of two Hermite laws factors s_1221 = s_22 s_11 = 1, where the
+    # run rule multiplies the runs' moments s_1 s_22 s_1 = 0
+    g = one_dim_functional(GAUSSIAN_MOMENTS[:6], 2)
+    word = Word((1, 2, 2, 1), 2)
+    assert functional_free_product([g, g]).moment(word) == 0.0
+    free = build_free_product([classical_coefficients("hermite", 3)] * 2, 2)
+    assert favard_moments(free, 2).moment(word) == 1.0
 
 
 def test_free_product_requires_one_variable_parts(random_phi):
@@ -472,6 +484,29 @@ def test_reversal_pair_is_checked_relative_to_its_size(gap, accepted):
     else:
         with pytest.raises(ValueError, match=r"reversal-asymmetric value at Word\(12; N=2\)"):
             MomentFunctional.from_values(2, 1, values)
+
+
+@pytest.mark.parametrize(
+    "s12, s21, accepted",
+    [(3.0, 3.0, True), (3.0, 3.0 + 2e-12, True), (3.0, 3.0 + 1e-11, False),
+     (np.inf, np.inf, False), (np.nan, np.nan, False)],
+    ids=["exact", "within-tolerance", "beyond-tolerance", "infinite-pair", "nan-pair"],
+)
+def test_reversal_check_paths(s12, s21, accepted):
+    # words e, 1, 2, 11, 12, 21, 22.  A finite pair that compares equal passes at
+    # once; an unequal pair meets the bound 1e-12 * max(1, |s|) (3e-12 here); a
+    # pair of infinities compares equal and is still refused
+    values = [1.0, 0.0, 0.0, 1.0, s12, s21, 1.0]
+    if accepted:
+        phi = MomentFunctional.from_values(2, 1, values)
+        assert np.array_equal(phi.values, values)  # stored as given, not symmetrized
+    else:
+        with pytest.raises(ValueError) as info:
+            MomentFunctional.from_values(2, 1, values)
+        assert str(info.value) == (
+            f"moment table has a non-finite or reversal-asymmetric value at Word(12; N=2): "
+            f"{s12} vs {s21} at its reversal"
+        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
