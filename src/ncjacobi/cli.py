@@ -228,7 +228,7 @@ def cmd_paths(args) -> None:
         jsonio.write_json(args.out, obj)
         print(f"ok: wrote {count} paths to {args.out}")
     else:
-        print(jsonio.dumps(obj), end="")
+        jsonio.dump(obj, sys.stdout)
 
 
 def cmd_verify(args) -> None:

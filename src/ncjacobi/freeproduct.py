@@ -146,8 +146,8 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
 
     For a column word t of length n-1, A_{n,k} has its only entry at row kt,
     equal to a_{r+1} of letter k where r is t's leading run of k; B_{n,k} is
-    diagonal with entry b_r at each length-n word.  The concatenated A_n is
-    then diagonal with strictly positive entries.
+    diagonal with entry b_r at each length-n word.  Row kt, of rank (k - 1) N^(n-1)
+    + rank(t), is the column of t in A_n, so A_n is diagonal and positive.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -160,20 +160,16 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
                 f"recurrence {rec.label} for letter {k} stores {rec.length} levels, "
                 f"need {depth}"
             )
-    A: dict[tuple[int, int], np.ndarray] = {}
-    B: dict[tuple[int, int], np.ndarray] = {}
+    a_levels, b_levels = [], []
     for n in range(depth + 1):
-        size = N**n
-        letters = np.arange(size)[:, None] // N ** np.arange(n - 1, -1, -1) % N + 1
-        for k, rec in enumerate(recurrences, start=1):
-            run = np.cumprod(letters == k, axis=1).sum(axis=1)  # leading run of k, by rank
-            B[(n, k)] = np.diag(np.take(rec.b, run))
-            if n < depth:
-                # the word k t has rank (k - 1) N^n + rank(t)
-                m = np.zeros((N * size, size))
-                m[(k - 1) * size + np.arange(size), np.arange(size)] = np.take(rec.a, run)
-                A[(n + 1, k)] = m
-    return AdmissibleFamily(N, depth, A, B)
+        letters = np.arange(N**n)[:, None] // N ** np.arange(n - 1, -1, -1) % N + 1
+        # the leading run of letter k in each word, by rank, at [k - 1]
+        runs = np.cumprod(letters == np.arange(1, N + 1)[:, None, None], axis=2).sum(axis=2)
+        pairs = list(zip(recurrences, runs))
+        b_levels.append(np.stack([np.diag(np.take(rec.b, run)) for rec, run in pairs]))
+        if n < depth:
+            a_levels.append(np.diag(np.concatenate([np.take(rec.a, run) for rec, run in pairs])))
+    return AdmissibleFamily.from_levels(a_levels, b_levels)
 
 
 def _univariate_coeffs(rec: OneDimRecurrence, n: int) -> list[np.ndarray]:
@@ -235,11 +231,11 @@ def product_polynomial(
 
 @dataclass
 class ThreeTermReport:
-    """Largest coefficientwise residual of the recurrence identity per level."""
+    """Largest coefficientwise residual of the recurrence identity, at [n, k - 1]."""
 
     depth: int
     max_residual: float
-    residuals: dict[tuple[int, int], float]
+    residuals: np.ndarray
 
     @property
     def ok(self) -> bool:
@@ -253,9 +249,5 @@ def verify_three_term(recurrences: Sequence[OneDimRecurrence], depth: int) -> Th
         raise ValueError("depth must be >= 1")
     family = build(recurrences, depth)
     c = product_basis(recurrences, depth).coeffs
-    residuals = three_term_residuals(c, len(recurrences), family.A, family.B)
-    return ThreeTermReport(
-        depth=depth,
-        max_residual=max(residuals.values(), default=0.0),
-        residuals=residuals,
-    )
+    residuals = three_term_residuals(c, family)
+    return ThreeTermReport(depth, float(np.max(residuals, initial=0.0)), residuals)

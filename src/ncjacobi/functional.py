@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import Word, enumerate_words, graded_rank, kernel_index, letters_up_to
+from .words import Word, _kernel_rows, enumerate_words, graded_rank, letters_up_to
 from .words import level_offsets, reversal_index, word_at, words_up_to
 
 POSITIVITY_TOL = 1e-10  # a Gram pivot must exceed this
@@ -199,8 +199,7 @@ class MomentFunctional:
             raise ValueError(
                 f"gram degree {degree} exceeds max_degree {self.max_degree}"
             )
-        index = kernel_index(self.alphabet, degree)
-        g = self._values[index[: index.shape[1]]]  # the rows |a| <= degree
+        g = self._values[_kernel_rows(self.alphabet, degree, degree)]
         r, pivots, completed = upper_cholesky(g)
         return GramReport(
             alphabet=self.alphabet,

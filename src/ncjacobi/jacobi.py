@@ -1,10 +1,10 @@
 """Admissible coefficient families and their block-tridiagonal operators.
 
 A family holds, for each letter k, the blocks A_{n,k} (size N^n x N^{n-1})
-and B_{n,k} (size N^n x N^n) of the three-term recurrence.  Admissibility:
-every B block is symmetric and the per-level concatenation
-[A_{n,1} ... A_{n,N}] is upper triangular with strictly positive diagonal
-(rows and columns both indexed by length-n words in graded-lex order).
+and B_{n,k} (size N^n x N^n) of the three-term recurrence, one array per level:
+A_n = [A_{n,1} ... A_{n,N}] and the stack of the B_{n,k}.  Admissibility:
+every B block is symmetric and A_n is upper triangular with strictly positive
+diagonal (rows and columns both indexed by length-n words in graded-lex order).
 
 The letter operators J_k are symmetric block-tridiagonal; moments of the
 induced functional are corner entries of operator products.
@@ -13,6 +13,7 @@ induced functional are corner entries of operator products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -25,60 +26,73 @@ VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(
 THREE_TERM_TOL = 1e-12  # bound on the product construction's three-term residual
 
 
-@dataclass(eq=False)
 class AdmissibleFamily:
-    """Blocks A[(n,k)] for n in 1..depth and B[(n,k)] for n in 0..depth."""
+    """A family held one array per level: ``a_levels[n - 1]`` is A_n = [A_{n,1} ..
+    A_{n,N}], (N^n, N^n), for n in 1..depth, and ``b_levels[n]`` stacks B_{n,1} ..
+    B_{n,N} as (N, N^n, N^n) for n in 0..depth.  ``A[(n, k)]`` and ``B[(n, k)]`` are
+    read-only mappings of views into them, so editing a block edits its level."""
 
-    alphabet: int
-    depth: int
-    A: dict[tuple[int, int], np.ndarray]
-    B: dict[tuple[int, int], np.ndarray]
-
-    def __post_init__(self):
-        if self.alphabet < 1:
+    def __init__(self, alphabet: int, depth: int, A: Mapping, B: Mapping):
+        """From the blocks A[(n, k)] for n in 1..depth and B[(n, k)] for n in 0..depth."""
+        if alphabet < 1:
             raise ValueError("alphabet size must be >= 1")
-        if self.depth < 0:
+        if depth < 0:
             raise ValueError("depth must be >= 0")
-        N = self.alphabet
-        checked = ({}, {})
-        for side, blocks, first, out in zip("AB", (self.A, self.B), (1, 0), checked):
-            for n in range(first, self.depth + 1):
-                shape = (N**n, N ** (n - first))
+        N = alphabet
+        levels = ([], [])
+        for side, blocks, first, out in zip("AB", (A, B), (1, 0), levels):
+            for n in range(first, depth + 1):
+                shape, letters = (N**n, N ** (n - first)), []
                 for k in range(1, N + 1):
                     if (n, k) not in blocks:
                         raise ValueError(f"missing block {side}[{n},{k}]")
                     m = np.asarray(blocks[(n, k)], dtype=float)
                     if m.shape != shape:
-                        raise ValueError(
-                            f"{side}[{n},{k}] has shape {m.shape}, expected {shape}"
-                        )
-                    out[(n, k)] = m
-        extra = (set(self.A) - set(checked[0])) | (set(self.B) - set(checked[1]))
+                        raise ValueError(f"{side}[{n},{k}] has shape {m.shape}, expected {shape}")
+                    letters.append(m)
+                out.append(np.hstack(letters) if first else np.stack(letters))
+        keys = {(n, k) for n in range(depth + 1) for k in range(1, N + 1)}
+        extra = (set(A) - {key for key in keys if key[0]}) | (set(B) - keys)
         if extra:
             raise ValueError(f"blocks outside depth range: {sorted(extra)}")
-        self.A, self.B = checked
+        self.alphabet, self.depth = N, depth
+        self.a_levels, self.b_levels = tuple(levels[0]), tuple(levels[1])
 
-    def concat_A(self, n: int) -> np.ndarray:
-        """[A_{n,1} ... A_{n,N}]: square, with columns ordered like length-n words."""
-        return np.hstack([self.A[(n, k)] for k in range(1, self.alphabet + 1)])
+    @classmethod
+    def from_levels(cls, a_levels, b_levels) -> "AdmissibleFamily":
+        """The family of the float arrays A_1 .. A_depth and B_0 .. B_depth, held as given."""
+        family = cls.__new__(cls)
+        family.alphabet, family.depth = N, depth = len(b_levels[0]), len(b_levels) - 1
+        square = [(N**n, N**n) for n in range(depth + 1)]
+        if [x.shape for x in (*a_levels, *b_levels)] != square[1:] + [(N, *s) for s in square]:
+            raise ValueError("level arrays do not have the shapes of one family")
+        family.a_levels, family.b_levels = tuple(a_levels), tuple(b_levels)
+        return family
+
+    @property
+    def A(self) -> Mapping[tuple[int, int], np.ndarray]:
+        """A_{n,k}: the columns of A_n that letter k owns."""
+        return _block_views(self.a_levels, 1, self.alphabet)
+
+    @property
+    def B(self) -> Mapping[tuple[int, int], np.ndarray]:
+        return _block_views(self.b_levels, 0, self.alphabet)
 
     def blocks_close(self, other: "AdmissibleFamily", depth: int | None = None) -> float:
-        """Max absolute entrywise difference over all blocks up to ``depth``."""
+        """Max absolute entrywise difference over all blocks up to ``depth``, which
+        must lie within the depth of both families."""
         depth = min(self.depth, other.depth) if depth is None else depth
-        pairs = [(self.A, other.A), (self.B, other.B)]
-        return max(
-            float(np.max(np.abs(mine[key] - theirs[key])))
-            for mine, theirs in pairs
-            for key in mine
-            if key[0] <= depth
-        )
+        if not 0 <= depth <= min(self.depth, other.depth):
+            raise ValueError(f"depth {depth} outside 0..min({self.depth}, {other.depth})")
+        levels = [(f.a_levels[:depth] + f.b_levels[: depth + 1]) for f in (self, other)]
+        return max(float(np.max(np.abs(mine - theirs))) for mine, theirs in zip(*levels))
 
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> dict:
         blocks = {
-            side: [{"n": n, "k": k, "rows": m[(n, k)].tolist()} for n, k in sorted(m)]
-            for side, m in (("A", self.A), ("B", self.B))
+            side: [{"n": n, "k": k, "rows": m.tolist()} for (n, k), m in blocks.items()]
+            for side, blocks in (("A", self.A), ("B", self.B))
         }
         return {"N": self.alphabet, "depth": self.depth, **blocks}
 
@@ -112,39 +126,38 @@ def validate(family: AdmissibleFamily) -> ValidationReport:
     triangularity/positivity of each A_n."""
     violations: list[str] = []
     N = family.alphabet
-    for n in range(0, family.depth + 1):
-        for k in range(1, N + 1):
-            b = family.B[(n, k)]
-            if not np.isfinite(b).all():
+    for n, b in enumerate(family.b_levels):
+        with np.errstate(invalid="ignore"):  # inf - inf, in a block named non-finite
+            gaps = np.max(np.abs(b - b.swapaxes(1, 2)), axis=(1, 2))
+        for k, finite, gap in zip(range(1, N + 1), np.isfinite(b).all(axis=(1, 2)), gaps):
+            if not finite:
                 violations.append(f"B[{n},{k}] has a non-finite entry")
-            elif np.max(np.abs(b - b.T), initial=0.0) > VALIDATE_TOL:
+            elif gap > VALIDATE_TOL:
                 violations.append(f"B[{n},{k}] not symmetric")
-    for n in range(1, family.depth + 1):
-        a = family.concat_A(n)
+    for n, a in enumerate(family.a_levels, start=1):
         if not np.isfinite(a).all():
             violations.append(f"A_{n} = [A_{n},1 .. A_{n},{N}] has a non-finite entry")
             continue
-        below = np.tril(a, k=-1)
-        if np.max(np.abs(below), initial=0.0) > VALIDATE_TOL:
+        if np.max(np.abs(np.tril(a, k=-1)), initial=0.0) > VALIDATE_TOL:
             violations.append(f"A_{n} = [A_{n},1 .. A_{n},{N}] not upper triangular")
         if np.min(np.diag(a)) <= VALIDATE_TOL:
             violations.append(f"A_{n} diagonal not strictly positive")
     return ValidationReport(ok=not violations, violations=violations)
 
 
-def sections(N: int, A: Mapping, B: Mapping, level: int) -> np.ndarray:
+def sections(family: AdmissibleFamily, level: int) -> np.ndarray:
     """[J_1 .. J_N] cut after level ``level`` and stacked as an (N, n, n) array,
-    from the blocks of levels 0..level only."""
+    from the levels 0..level only."""
+    N = family.alphabet
     offs = level_offsets(N, level)
     J = np.zeros((N, offs[-1], offs[-1]))
-    for k, m in enumerate(J, start=1):
-        for n in range(level + 1):
-            sl = slice(offs[n], offs[n + 1])
-            m[sl, sl] = B[(n, k)]
-            if n:
-                hi = slice(offs[n - 1], offs[n])
-                m[sl, hi] = A[(n, k)]
-                m[hi, sl] = A[(n, k)].T
+    for n, b in enumerate(family.b_levels[: level + 1]):
+        J[:, offs[n] : offs[n + 1], offs[n] : offs[n + 1]] = b
+    for n, a in enumerate(family.a_levels[:level], start=1):
+        prev, lo, hi = offs[n - 1 : n + 2]
+        a = a.reshape(len(a), N, -1).swapaxes(0, 1)  # A_{n,k} at [k - 1]
+        J[:, lo:hi, prev:lo] = a
+        J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)
     return J
 
 
@@ -166,7 +179,7 @@ def operator_moment(family: AdmissibleFamily, sigma: Word) -> float:
             f"for |sigma|={n}"
         )
     level = min(n // 2 + 1, family.depth)
-    J = sections(family.alphabet, family.A, family.B, level)
+    J = sections(family, level)
     v = np.zeros(len(J[0]))
     v[0] = 1.0
     for k in reversed(sigma.letters):
@@ -197,7 +210,7 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
             f"family depth {family.depth} cannot determine degree-{degree} moments"
         )
     N = family.alphabet
-    J = sections(N, family.A, family.B, degree)
+    J = sections(family, degree)
     offs = level_offsets(N, 2 * degree + 1)
     level = [slice(lo, hi) for lo, hi in zip(offs, offs[1:])]
     rev = reversal_index(N, 2 * degree + 1)
@@ -242,17 +255,21 @@ def random_admissible_family(
     strict upper part in [-1, 1]; B blocks S + S^T with S entries in [-1, 1]."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     N = alphabet
-    A: dict[tuple[int, int], np.ndarray] = {}
-    B: dict[tuple[int, int], np.ndarray] = {}
+    a_levels, b_levels = [], []
     for n in range(1, depth + 1):
-        dim = N**n
-        m = np.triu(rng.uniform(-1.0, 1.0, size=(dim, dim)), k=1)
-        np.fill_diagonal(m, rng.uniform(0.5, 2.0, size=dim))
-        for k, a in enumerate(np.hsplit(m, N), start=1):
-            A[(n, k)] = a
+        a = np.triu(rng.uniform(-1.0, 1.0, size=(N**n, N**n)), k=1)
+        np.fill_diagonal(a, rng.uniform(0.5, 2.0, size=N**n))
+        a_levels.append(a)
     for n in range(0, depth + 1):
-        dim = N**n
-        for k in range(1, N + 1):
-            s = rng.uniform(-1.0, 1.0, size=(dim, dim))
-            B[(n, k)] = s + s.T
-    return AdmissibleFamily(alphabet, depth, A, B)
+        s = rng.uniform(-1.0, 1.0, size=(N, N**n, N**n))  # the draws of B_{n,1} .. B_{n,N}
+        b_levels.append(s + s.swapaxes(1, 2))
+    return AdmissibleFamily.from_levels(a_levels, b_levels)
+
+
+def _block_views(levels, first: int, N: int) -> Mapping[tuple[int, int], np.ndarray]:
+    """B_{n,k} of each stack or A_{n,k} of each A_n at (n, k), as views of the level."""
+    return MappingProxyType({
+        (n, k): view
+        for n, level in enumerate(levels, start=first)
+        for k, view in enumerate(level if level.ndim == 3 else np.hsplit(level, N), start=1)
+    })

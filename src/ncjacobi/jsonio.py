@@ -1,18 +1,19 @@
 """File-level JSON reading and writing; no other module calls json.
 
-Every written file or listing is the text of ``dumps``: shortest round-trip float
-reprs, so files reload bit-identically, while a NaN or an infinity raises ValueError
-and leaves no file.  An input that is not JSON, or that the ``from_json_obj`` of its
-class refuses (each class checks its own keys, shapes and types), raises SchemaError
-naming the file.  Writes go through a temporary file and an atomic rename.
+``dump`` writes every file and listing as ``json.dumps`` text, a few thousand encoder
+chunks at a time: shortest round-trip float reprs reload bit-identically, and a NaN or
+an infinity raises ValueError and leaves no file.  An input that is not JSON, or that
+the ``from_json_obj`` of its class refuses (each class checks its own keys, shapes and
+types), raises SchemaError naming the file.  Writes use a temporary file and a rename.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
-from typing import Any, Callable
+from typing import IO, Any, Callable
 
 from .functional import MomentFunctional
 from .jacobi import AdmissibleFamily
@@ -22,12 +23,15 @@ class SchemaError(ValueError):
     """Input file is not valid JSON or does not match the expected schema."""
 
 
-def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=1, allow_nan=False) + "\n"
+def dump(obj: Any, fh: IO[str]) -> None:
+    """``json.dumps(obj, indent=1, allow_nan=False)`` and a newline, written to ``fh``."""
+    chunks = json.JSONEncoder(indent=1, allow_nan=False).iterencode(obj)
+    while text := "".join(itertools.islice(chunks, 4096)):
+        fh.write(text)
+    fh.write("\n")
 
 
 def write_json(path: str, obj: Any) -> None:
-    text = dumps(obj)
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(prefix=".ncjacobi-", suffix=".json", dir=directory)
@@ -39,7 +43,7 @@ def write_json(path: str, obj: Any) -> None:
         # mkstemp creates the file 0600; give it the mode open() would have
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            dump(obj, fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

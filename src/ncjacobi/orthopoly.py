@@ -172,25 +172,17 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             f"depth-{depth} blocks"
         )
     offs = level_offsets(N, depth)
-    A: dict[tuple[int, int], np.ndarray] = {}
-    B: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(1, depth + 1):
-        # column block k of [A_{n,1} .. A_{n,N}], as views
-        a = a_matrix_from_coefficients(basis, n)
-        for k, block in enumerate(a.reshape(len(a), N, -1).swapaxes(0, 1), start=1):
-            A[(n, k)] = block
+    a_levels = [a_matrix_from_coefficients(basis, n) for n in range(1, depth + 1)]
     g = np.empty((N, len(c), len(c)))  # G_k, the kernel's rows at k a, stacked over k
     for k, rows in enumerate(prepend_index(N, depth)):
         np.take(phi.values, kernel[rows], out=g[k])
-    for n in range(depth + 1):
-        lo, hi = offs[n], offs[n + 1]
-        c_n = c[lo:hi, :hi]
-        b = c_n @ g[:, :hi, :hi] @ c_n.T
-        b = (b + b.swapaxes(1, 2)) / 2.0
-        for k in range(1, N + 1):
-            B[(n, k)] = b[k - 1]
+    b_levels = []
+    for lo, hi in zip(offs, offs[1:]):
+        b = c[lo:hi, :hi] @ g[:, :hi, :hi] @ c[lo:hi, :hi].T
+        b_levels.append((b + b.swapaxes(1, 2)) / 2.0)
     del g
-    worst = float(np.max(list(three_term_residuals(c, N, A, B).values()), initial=0.0))
+    family = AdmissibleFamily.from_levels(a_levels, b_levels)
+    worst = float(np.max(three_term_residuals(c, family), initial=0.0))
     # eps ||R||_F^2 ||R^{-1}||_F^2 >= eps cond(G), the accuracy scale of any
     # recovery from moments; ||R||_F^2 = trace(G) and R^{-1} = C^T
     bound = eps * float(np.sum(g_diag)) * float(np.sum(c2))
@@ -199,27 +191,25 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             f"three-term residual {worst:.3e} exceeds eps ||R||_F^2 ||R^-1||_F^2 = "
             f"{bound:.3e}; basis and functional are inconsistent"
         )
-    return AdmissibleFamily(N, depth, A, B)
+    return family
 
 
-def three_term_residuals(c: np.ndarray, N: int, A: dict, B: dict) -> dict:
+def three_term_residuals(c: np.ndarray, family: AdmissibleFamily) -> np.ndarray:
     """Largest coefficient of X_k p_tau - sum_sigma J_k[sigma, tau] p_sigma over the
-    words tau of level n, at (n, k) for each level n below the depth of the blocks.
+    words tau of level n, at [n, k - 1] for each level n below the family's depth.
 
     Row tau of ``c`` holds the coefficients of p_tau by graded rank; J_k is the
-    section that A and B assemble.  All letters are checked in one pass.
+    section of the family.  All letters are checked in one pass.
     """
-    depth = len(B) // N - 1
+    N, depth = family.alphabet, family.depth
     offs = level_offsets(N, depth)
     rows = offs[depth]
     # the rows of the sections J_k below the top level
-    resid = sections(N, A, B, depth)[:, :rows] @ c
+    resid = sections(family, depth)[:, :rows] @ c
     # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
-    letters = np.arange(N)[:, None]
-    resid[letters, :, prepend_index(N, depth - 1)] -= c[:rows, :rows].T
+    resid[np.arange(N)[:, None], :, prepend_index(N, depth - 1)] -= c[:rows, :rows].T
     np.abs(resid, out=resid)
-    worst = np.maximum.reduceat(resid.max(axis=2), offs[:depth], axis=1)
-    return {(n, k): float(worst[k - 1, n]) for k in range(1, N + 1) for n in range(depth)}
+    return np.maximum.reduceat(resid.max(axis=2), offs[:depth], axis=1).T
 
 
 def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:

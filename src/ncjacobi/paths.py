@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -117,12 +116,15 @@ def enumerate_paths(word: Word) -> list[LatticePath]:
     ]
 
 
-def _step(A: Mapping, B: Mapping, k: int, m: int, s: int) -> np.ndarray:
+def _step(family: AdmissibleFamily, k: int, m: int, s: int) -> np.ndarray:
     """Weight of a step from height m in plane k: a level step weighs B_{m,k},
-    a rise A_{m+1,k} and a fall A_{m,k}^T."""
+    a rise A_{m+1,k} and a fall A_{m,k}^T, read from the level arrays."""
     if s == 0:
-        return B[(m, k)]
-    return A[(m + 1, k)] if s == 1 else A[(m, k)].T
+        return family.b_levels[m][k - 1]
+    a = family.a_levels[m if s == 1 else m - 1]
+    # a copy: BLAS sums a product with a strided view of A_n in another order
+    block = a.reshape(len(a), family.alphabet, -1)[:, k - 1].copy()
+    return block if s == 1 else block.T
 
 
 def path_weight(family: AdmissibleFamily, path: LatticePath) -> float:
@@ -136,17 +138,12 @@ def path_weight(family: AdmissibleFamily, path: LatticePath) -> float:
         )
     v, m = np.array([1.0]), 0
     for k, s in zip(reversed(path.word.letters), path.profile):
-        v = _step(family.A, family.B, k, m, s) @ v
+        v = _step(family, k, m, s) @ v
         m += s
     return float(v[0])
 
 
-def _transfer_sum(
-    A: Mapping[tuple[int, int], np.ndarray],
-    B: Mapping[tuple[int, int], np.ndarray],
-    word: Word,
-    height_cap: int,
-) -> float:
+def _transfer_sum(family: AdmissibleFamily, word: Word, height_cap: int) -> float:
     """Weighted sum over all paths of ``word`` with heights <= height_cap.
 
     Dynamic program over (steps consumed, height); the state at height m is
@@ -158,7 +155,7 @@ def _transfer_sum(
         for m, vec in state.items():
             for s in (0, 1, -1):  # level, rise, fall
                 if 0 <= m + s <= height_cap:
-                    contrib = _step(A, B, k, m, s) @ vec
+                    contrib = _step(family, k, m, s) @ vec
                     new[m + s] = new[m + s] + contrib if m + s in new else contrib
         state = new
     return float(state[0][0])  # the all-level path keeps height 0 reached
@@ -180,7 +177,7 @@ def moments_from_paths(family: AdmissibleFamily, word: Word) -> float:
             f"family depth {family.depth} insufficient for |word| = {len(word)} "
             f"(needs {peak} levels)"
         )
-    return _transfer_sum(family.A, family.B, word, peak)
+    return _transfer_sum(family, word, peak)
 
 
 def distinguished_path(word: Word) -> LatticePath:
@@ -222,11 +219,10 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
         )
     s = phi.values
     offs = level_offsets(N, depth)
-    A: dict[tuple[int, int], np.ndarray] = {}
-    B = {(0, k): np.array([[s[k]]]) for k in range(1, N + 1)}  # word k has rank k
     # the sections J_k through the last level recovered, stacked over k
     J = np.zeros((N, offs[depth + 1], offs[depth + 1]))
-    J[:, 0, 0] = s[1 : N + 1]
+    J[:, 0, 0] = s[1 : N + 1]  # word k has rank k
+    a_levels, b_levels = [], [J[:, :1, :1].copy()]
     jv = J[:, :1, :1]  # J_k V for the Fock level V, here V_0 = e0
     atilde = inv = np.ones((1, 1))  # A~_{n-1}, the top rows of V_{n-1}, and its inverse
     for n in range(1, depth + 1):
@@ -252,6 +248,6 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
         b = (b + b.swapaxes(1, 2)) / 2.0
         J[:, lo:hi, lo:hi] = b
         jv[:, lo:] += b @ atilde
-        for k in range(1, N + 1):
-            A[(n, k)], B[(n, k)] = a[k - 1], b[k - 1]
-    return AdmissibleFamily(N, depth, A, B)
+        a_levels.append(a.swapaxes(0, 1).reshape(dim, dim))
+        b_levels.append(b)
+    return AdmissibleFamily.from_levels(a_levels, b_levels)

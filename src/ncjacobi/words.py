@@ -188,10 +188,16 @@ def kernel_index(alphabet: int, degree: int) -> np.ndarray:
     rows at the words k a, ``prepend_index(alphabet, degree)[k - 1]``, are the
     letter-k kernel [<X_k X_a, X_b>] = [s_{I(b) k a}].
     """
+    return _kernel_rows(alphabet, degree, degree + 1)
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel_rows(alphabet: int, degree: int, top: int) -> np.ndarray:
+    """The rows |a| <= top of ``kernel_index``; ``MomentFunctional.gram`` reads top = degree."""
     _check_alphabet(alphabet)
     N = alphabet
     offs = np.array(level_offsets(N, 2 * degree + 2))  # a spare level serves degree -1
-    length = np.repeat(np.arange(degree + 2), np.diff(offs[: degree + 3]))
+    length = np.repeat(np.arange(top + 1), np.diff(offs[: top + 2]))
     start, cols = offs[length], offs[degree + 1]
     # level rank of I(b) a: rank(I(b)) N^|a| + rank(a)
     index = offs[length[:, None] + length[None, :cols]]

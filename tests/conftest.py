@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ncjacobi import (
+    AdmissibleFamily,
     MomentFunctional,
     NcPolynomial,
     Word,
@@ -111,20 +112,57 @@ def per_letter_fock(J, top):
     return fock
 
 
-def per_letter_residuals(c, N, A, B):
+def per_letter_residuals(c, family):
     """Oracle for ``three_term_residuals``: one letter at a time, each through the
     dense section J_k and an explicitly shifted copy of the coefficients."""
-    depth = len(B) // N - 1
+    N, depth = family.alphabet, family.depth
     offs = level_offsets(N, depth)
     rows, prepend = offs[depth], prepend_index(N, depth - 1)
-    J, residuals = sections(N, A, B, depth), {}
+    J, residuals = sections(family, depth), np.empty((depth, N))
     for k in range(1, N + 1):
         shifted = np.zeros((rows, len(c)))
         shifted[:, prepend[k - 1]] = c[:rows, :rows]
         resid = np.abs(shifted - J[k - 1, :rows] @ c)
         for n in range(depth):
-            residuals[(n, k)] = float(np.max(resid[offs[n] : offs[n + 1]]))
+            residuals[n, k - 1] = float(np.max(resid[offs[n] : offs[n + 1]]))
     return residuals
+
+
+def per_block_random_family(alphabet, depth, seed):
+    """Oracle for ``random_admissible_family``: the blocks drawn one (n, k) at a
+    time into dicts, A_{n,k} split off the drawn A_n, then stacked by the
+    ``AdmissibleFamily`` constructor."""
+    rng, N = np.random.default_rng(seed), alphabet
+    A, B = {}, {}
+    for n in range(1, depth + 1):
+        m = np.triu(rng.uniform(-1.0, 1.0, size=(N**n, N**n)), k=1)
+        np.fill_diagonal(m, rng.uniform(0.5, 2.0, size=N**n))
+        for k, a in enumerate(np.hsplit(m, N), start=1):
+            A[(n, k)] = a
+    for n in range(depth + 1):
+        for k in range(1, N + 1):
+            s = rng.uniform(-1.0, 1.0, size=(N**n, N**n))
+            B[(n, k)] = s + s.T
+    return AdmissibleFamily(alphabet, depth, A, B)
+
+
+def per_block_free_product(recurrences, depth):
+    """Oracle for ``build_free_product``: per letter k, B_{n,k} diagonal with b at
+    each word's leading run of k, and A_{n+1,k} sending column t to row kt with a
+    at that run plus one, found by walking the letters of each word."""
+    N = len(recurrences)
+    A, B = {}, {}
+    for n in range(depth + 1):
+        words = list(itertools.product(range(1, N + 1), repeat=n))
+        for k, rec in enumerate(recurrences, start=1):
+            runs = [next((i for i, c in enumerate(w) if c != k), n) for w in words]
+            B[(n, k)] = np.diag([rec.b[r] for r in runs])
+            if n < depth:
+                m = np.zeros((N ** (n + 1), N**n))
+                for t, r in enumerate(runs):
+                    m[(k - 1) * N**n + t, t] = rec.a[r]
+                A[(n + 1, k)] = m
+    return AdmissibleFamily(N, depth, A, B)
 
 
 def dense_recurrence_b(basis, phi):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -677,6 +678,28 @@ def test_written_json_refuses_non_finite_numbers(workdir):
         with pytest.raises(ValueError, match="not JSON compliant"):
             jsonio.write_json("x.json", {"value": [1.0, value]})
     assert os.listdir(".") == []
+
+
+def test_json_is_written_in_bounded_batches(workdir):
+    obj = {"values": [i / 7 for i in range(20000)], "words": [[1, 2]] * 3000}
+    text = json.dumps(obj, indent=1, allow_nan=False) + "\n"
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, s):
+            writes.append(len(s))
+            return super().write(s)
+
+    sink = Sink()
+    jsonio.dump(obj, sink)
+    assert sink.getvalue() == text
+    assert len(writes) > 5 and max(writes) < len(text) // 4
+    # a NaN met after many batches were written leaves the target as it was and
+    # no temporary file
+    Path("keep.json").write_text("old\n")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        jsonio.write_json("keep.json", {**obj, "tail": [float("nan")]})
+    assert os.listdir(".") == ["keep.json"] and Path("keep.json").read_text() == "old\n"
 
 
 def test_verify_rejects_negative_depth(workdir, capsys):

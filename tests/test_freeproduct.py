@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from ncjacobi import (
+    AdmissibleFamily,
     NcPolynomial,
     OneDimRecurrence,
     Word,
@@ -179,7 +180,7 @@ def test_build_hermite_pair_level_two_block(hermite2_family):
 
 def test_build_concatenated_blocks_are_diagonal(hermite2_family):
     for n in range(1, hermite2_family.depth + 1):
-        a = hermite2_family.concat_A(n)
+        a = hermite2_family.a_levels[n - 1]
         assert np.array_equal(a, np.diag(np.diag(a)))
         assert np.min(np.diag(a)) > 0
     assert validate(hermite2_family).ok
@@ -193,7 +194,7 @@ def test_build_requires_long_enough_recurrences():
 def test_one_letter_build_degenerates_to_input():
     rec = classical_coefficients("laguerre", 4)
     fam = build_free_product([rec], 4)
-    t = sections(1, fam.A, fam.B, 4)[0]
+    t = sections(fam, 4)[0]
     expected = np.diag([rec.b_at(n) for n in range(5)]) + np.diag(
         [rec.a_at(n) for n in range(1, 5)], 1
     ) + np.diag([rec.a_at(n) for n in range(1, 5)], -1)
@@ -272,15 +273,15 @@ def test_three_term_residuals_report_planted_block_error(side, n, k):
     recs = [classical_coefficients(kind, 5) for kind in ("chebyshev_t", "hermite")]
     fam = build_free_product(recs, 4)
     c = product_basis(recs, 4).coeffs
-    clean = three_term_residuals(c, 2, fam.A, fam.B)
-    assert max(clean.values()) <= 1e-12
+    clean = three_term_residuals(c, fam)
+    assert clean.shape == (4, 2) and clean.max() <= 1e-12
     delta = 1e-3
     blocks = {key: m.copy() for key, m in getattr(fam, side).items()}
     blocks[(n, k)][0, 0] += delta
     A, B = (blocks, fam.B) if side == "A" else (fam.A, blocks)
-    residuals = three_term_residuals(c, 2, A, B)
-    assert residuals[(n, k)] >= delta / 2
-    assert all(r <= 1e-12 for (_, letter), r in residuals.items() if letter != k)
+    residuals = three_term_residuals(c, AdmissibleFamily(2, 4, A, B))
+    assert residuals[n, k - 1] >= delta / 2
+    assert np.all(np.delete(residuals, k - 1, axis=1) <= 1e-12)
 
 
 def test_product_polynomials_are_the_orthonormal_family(hermite2_family):

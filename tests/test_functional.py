@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,24 @@ def test_gram_is_deterministic(random_phi):
     a = random_phi.gram(3).gram
     b = random_phi.gram(3).gram
     assert np.array_equal(a, b)
+
+
+def test_gram_allocates_only_its_rows_on_a_large_alphabet():
+    # 300 free semicircular letters, words to length 2 (s_kl = delta_kl): the whole
+    # kernel index over |a| <= 2 would hold 90301 x 301 int64 ranks, 217 MB
+    N = 300
+    values = np.zeros(1 + N + N * N)
+    values[0] = 1.0
+    values[1 + N + np.arange(N) * (N + 1)] = 1.0
+    phi = MomentFunctional.from_values(N, 1, values)
+    tracemalloc.start()
+    try:
+        report = phi.gram(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.positive and np.array_equal(report.gram, np.eye(N + 1))
+    assert peak < 8 * 2**20, f"gram(1) allocated {peak / 2**20:.1f} MB"
 
 
 def test_singular_free_product_kernel():

@@ -24,7 +24,8 @@ from ncjacobi.freeproduct import parse_recurrence_spec
 from ncjacobi.jacobi import sections
 from ncjacobi.words import enumerate_words
 
-from conftest import GAUSSIAN_MOMENTS, per_letter_fock
+from conftest import GAUSSIAN_MOMENTS, per_block_free_product, per_block_random_family
+from conftest import per_letter_fock
 
 SQRT2 = math.sqrt(2.0)
 
@@ -109,7 +110,7 @@ def test_random_family_is_admissible():
 
 
 def test_truncate_hermite_example(hermite_family):
-    t = sections(hermite_family.alphabet, hermite_family.A, hermite_family.B, 2)[0]
+    t = sections(hermite_family, 2)[0]
     assert np.allclose(
         t,
         [[0.0, 1.0, 0.0], [1.0, 0.0, SQRT2], [0.0, SQRT2, 0.0]],
@@ -118,14 +119,14 @@ def test_truncate_hermite_example(hermite_family):
 
 
 def test_truncate_level_zero(hermite2_family):
-    t = sections(hermite2_family.alphabet, hermite2_family.A, hermite2_family.B, 0)[1]
+    t = sections(hermite2_family, 0)[1]
     assert t.shape == (1, 1)
     assert t[0, 0] == hermite2_family.B[(0, 2)][0, 0]
 
 
 def test_truncate_laguerre_pair_example():
     fam = build_free_product([classical_coefficients("laguerre", 3)] * 2, 2)
-    t = sections(fam.alphabet, fam.A, fam.B, 1)[0]
+    t = sections(fam, 1)[0]
     assert np.allclose(
         t,
         [[1.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]],
@@ -135,7 +136,7 @@ def test_truncate_laguerre_pair_example():
 
 def test_truncate_is_symmetric_block_tridiagonal():
     fam = random_admissible_family(2, 3, seed=8)
-    t = sections(fam.alphabet, fam.A, fam.B, 3)[0]
+    t = sections(fam, 3)[0]
     assert np.array_equal(t, t.T)
     # zero outside the three block diagonals: entries between level 0 and 2+
     assert np.all(t[0, 3:] == 0.0)
@@ -170,7 +171,7 @@ def test_operator_moment_truncation_stability():
         base = len(w) // 2
         values = {operator_moment(fam, w)}
         for lvl in range(base, min(base + 3, fam.depth) + 1):
-            J = sections(fam.alphabet, fam.A, fam.B, lvl)
+            J = sections(fam, lvl)
             v = np.eye(len(J[0]), 1)
             for k in reversed(letters):
                 v = J[k - 1] @ v
@@ -191,7 +192,7 @@ def test_moments_follow_an_edited_family():
     assert operator_moment(fam, w) == pytest.approx(moments_from_paths(fam, w), abs=1e-12)
     for u in words_up_to(2, 5):
         assert after.moment(u) == pytest.approx(moments_from_paths(fam, u), abs=1e-10)
-    assert np.array_equal(sections(fam.alphabet, fam.A, fam.B, 1)[0][1:3, 1:3], fam.B[(1, 1)])
+    assert np.array_equal(sections(fam, 1)[0][1:3, 1:3], fam.B[(1, 1)])
 
 
 def test_operator_moment_insufficient_depth():
@@ -261,6 +262,117 @@ def test_family_json_round_trip():
     assert fam.blocks_close(back) == 0.0
 
 
+# -- one array per level -------------------------------------------------------------
+
+
+def same_blocks(fam, other):
+    """Equal keys, and every block equal with equal sign bits."""
+    assert list(fam.A) == list(other.A) and list(fam.B) == list(other.B)
+    for mine, theirs in ((fam.A, other.A), (fam.B, other.B)):
+        for key, block in mine.items():
+            assert np.array_equal(block, theirs[key]), key
+            assert np.array_equal(np.signbit(block), np.signbit(theirs[key])), key
+    return True
+
+
+def level_cases():
+    signed = random_admissible_family(2, 2, seed=3)
+    signed.A[(1, 2)][0, 0] = -0.0  # a zero sign bit that must survive each route
+    signed.B[(2, 1)][1, 1] = -0.0
+    return [
+        random_admissible_family(2, 3, seed=1),
+        random_admissible_family(3, 2, seed=5),
+        random_admissible_family(1, 4, seed=2),
+        build_free_product(parse_recurrence_spec("hermite,legendre", 5), 4),
+        signed,
+    ]
+
+
+@pytest.mark.parametrize("fam", level_cases(), ids=["2-3", "3-2", "1-4", "free", "signed"])
+def test_block_and_level_constructors_agree(fam):
+    from_blocks = AdmissibleFamily(fam.alphabet, fam.depth, dict(fam.A), dict(fam.B))
+    from_levels = AdmissibleFamily.from_levels(fam.a_levels, fam.b_levels)
+    assert same_blocks(from_blocks, fam) and same_blocks(from_levels, fam)
+    for n, a in enumerate(from_blocks.a_levels, start=1):
+        assert a.shape == (fam.alphabet**n,) * 2
+        assert np.array_equal(np.signbit(a), np.signbit(fam.a_levels[n - 1]))
+        assert np.array_equal(a, np.hstack([fam.A[(n, k)] for k in range(1, fam.alphabet + 1)]))
+    for n, b in enumerate(from_blocks.b_levels):
+        assert b.shape == (fam.alphabet,) + (fam.alphabet**n,) * 2
+        assert np.array_equal(np.signbit(b), np.signbit(fam.b_levels[n]))
+
+
+def test_block_mappings_are_read_only_views_of_the_levels():
+    fam = random_admissible_family(3, 2, seed=7)
+    assert len(fam.A) == 6 and len(fam.B) == 9
+    for key, value in ((1, 1), fam.A[(1, 1)]), ((0, 2), fam.B[(0, 2)]):
+        for blocks in (fam.A, fam.B):
+            with pytest.raises(TypeError):
+                blocks[key] = value
+            with pytest.raises(TypeError):
+                del blocks[key]
+    for (n, k), block in fam.A.items():
+        level = fam.a_levels[n - 1]
+        d = 3 ** (n - 1)
+        assert np.shares_memory(block, level)
+        assert np.array_equal(block, level[:, (k - 1) * d : k * d])
+    for (n, k), block in fam.B.items():
+        assert np.shares_memory(block, fam.b_levels[n])
+        assert np.array_equal(block, fam.b_levels[n][k - 1])
+    fam.A[(2, 3)][4, 1] = 9.5
+    fam.B[(1, 2)][0, 2] = -7.25
+    assert fam.a_levels[1][4, 7] == 9.5 and fam.b_levels[1][1, 0, 2] == -7.25
+
+
+def test_from_levels_refuses_arrays_of_other_shapes():
+    fam = random_admissible_family(2, 2, seed=1)
+    for a_levels, b_levels in [
+        (fam.a_levels[:1], fam.b_levels),
+        (fam.a_levels, fam.b_levels[:2]),
+        ((fam.a_levels[0], fam.a_levels[1][:, :2]), fam.b_levels),
+        (fam.a_levels, (fam.b_levels[0], fam.b_levels[1][:1], fam.b_levels[2])),
+    ]:
+        with pytest.raises(ValueError, match="shapes of one family"):
+            AdmissibleFamily.from_levels(a_levels, b_levels)
+
+
+@pytest.mark.parametrize(
+    "alphabet, depth", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 2), (3, 4), (2, 8), (1, 6)]
+)
+def test_random_family_matches_per_block_draws(alphabet, depth):
+    # one (N, N^n, N^n) draw per B level takes the numbers of N per-letter draws
+    for seed in (0, 1, 17):
+        fam = random_admissible_family(alphabet, depth, seed=seed)
+        assert same_blocks(fam, per_block_random_family(alphabet, depth, seed))
+
+
+@pytest.mark.parametrize(
+    "spec, depth",
+    [
+        ("hermite,legendre", 4),
+        ("chebyshev_t,laguerre(0.5),hermite", 3),
+        ("chebyshev_t,laguerre(0.5),hermite", 4),
+        ("chebyshev_t,chebyshev_t", 8),
+        ("laguerre(0.5)", 6),
+    ],
+)
+def test_free_product_matches_per_block_construction(spec, depth):
+    recs = parse_recurrence_spec(spec, depth + 1)
+    assert same_blocks(build_free_product(recs, depth), per_block_free_product(recs, depth))
+
+
+def test_blocks_close_refuses_a_depth_beyond_either_family():
+    deep, shallow = random_admissible_family(2, 3, seed=1), random_admissible_family(2, 2, seed=1)
+    with pytest.raises(ValueError, match=r"depth 3 outside 0\.\.min\(3, 2\)"):
+        deep.blocks_close(shallow, depth=3)
+    with pytest.raises(ValueError, match=r"depth 3 outside 0\.\.min\(2, 3\)"):
+        shallow.blocks_close(deep, depth=3)
+    with pytest.raises(ValueError, match=r"depth -1 outside 0\.\.min\(3, 3\)"):
+        deep.blocks_close(deep, depth=-1)
+    assert deep.blocks_close(deep, depth=3) == 0.0
+    assert shallow.blocks_close(deep) == shallow.blocks_close(deep, depth=2) > 0.0
+
+
 @pytest.mark.parametrize("alphabet, depth, seed", [(2, 6, 1), (3, 4, 13)])
 def test_favard_accepts_ill_conditioned_admissible_family(alphabet, depth, seed):
     # the float64 Gram matrix of these tables has Cholesky pivots down to -35;
@@ -302,7 +414,7 @@ def fock_case(case):
 
 def fock_matrix(fam, d):
     """V = [J_w e0] over the words w of length <= d, in rank order."""
-    return np.hstack(per_letter_fock(sections(fam.alphabet, fam.A, fam.B, d), d))
+    return np.hstack(per_letter_fock(sections(fam, d), d))
 
 
 @pytest.mark.parametrize("case", FOCK_CASES)
@@ -323,7 +435,7 @@ def per_letter_table(fam, d):
     product per word length from the per-letter Fock levels, each reversal orbit
     read at its smaller word."""
     N = fam.alphabet
-    fock = per_letter_fock(sections(N, fam.A, fam.B, d), d + 1)
+    fock = per_letter_fock(sections(fam, d), d + 1)
     table = {}
     for n in range(2 * d + 2):
         firsts, lasts = enumerate_words(N, n // 2), enumerate_words(N, n - n // 2)
@@ -359,7 +471,7 @@ def test_fock_diagonal_is_product_of_a_diagonals(N, d, seed):
     fam = random_admissible_family(N, d, seed=seed)
     expected = np.ones(1)
     for n in range(1, d + 1):
-        level = np.diag(fam.concat_A(n)) * np.tile(expected[-(N ** (n - 1)) :], N)
+        level = np.diag(fam.a_levels[n - 1]) * np.tile(expected[-(N ** (n - 1)) :], N)
         expected = np.concatenate([expected, level])
     assert np.array_equal(np.diag(fock_matrix(fam, d)), expected)
 

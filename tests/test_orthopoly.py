@@ -166,10 +166,12 @@ def test_extract_round_trips_random_family(random_setup):
     assert fam.blocks_close(recovered) <= 1e-8
 
 
-def test_gram_and_letter_kernels_share_one_index_table():
+def test_gram_builds_no_kernel_index_and_extract_builds_one():
+    # gram reads only the rows |a| <= depth; the letter rows are extract's alone
     phi = favard_moments(random_admissible_family(3, 2, seed=4), 2)
     kernel_index.cache_clear()
     basis = orthonormalize(phi, 2)
+    assert kernel_index.cache_info().currsize == 0
     extract_recurrence(basis, phi)
     assert kernel_index.cache_info().currsize == 1
 
@@ -315,11 +317,11 @@ def test_batched_recurrence_helpers_match_per_letter_oracles(case):
     phi = favard_moments(fam, depth)
     basis = orthonormalize(phi, depth)
     extracted = extract_recurrence(basis, phi)
-    for A, B in ((fam.A, fam.B), (extracted.A, extracted.B)):
-        residuals = three_term_residuals(basis.coeffs, N, A, B)
-        expected = per_letter_residuals(basis.coeffs, N, A, B)
-        assert list(residuals.items()) == list(expected.items())
-        assert len(residuals) == N * depth
+    for family in (fam, extracted):
+        residuals = three_term_residuals(basis.coeffs, family)
+        expected = per_letter_residuals(basis.coeffs, family)
+        assert np.array_equal(residuals, expected)
+        assert residuals.shape == (depth, N)
     assert len(extracted.A) == N * depth
     for n in range(1, depth + 1):
         direct, expected = a_matrix_from_coefficients(basis, n), kron_a_matrix(basis, n)
@@ -345,10 +347,10 @@ def test_verify_three_term_matches_per_letter_oracle(spec, depth):
     recs = parse_recurrence_spec(spec, depth + 1)
     family = build(recs, depth)
     c = product_basis(recs, depth).coeffs
-    expected = per_letter_residuals(c, len(recs), family.A, family.B)
+    expected = per_letter_residuals(c, family)
     report = verify_three_term(recs, depth)
-    assert list(report.residuals.items()) == list(expected.items())
-    assert report.max_residual == max(expected.values())
+    assert np.array_equal(report.residuals, expected)
+    assert report.max_residual == expected.max()
 
 
 def test_basis_json_matches_polynomial_route(random_setup):

@@ -213,7 +213,7 @@ def test_transfer_recursion_matches_explicit_enumeration():
     for n in range(1, 8):
         for w in enumerate_words(2, n)[:: max(1, 2 ** (n - 3))]:
             explicit = sum(path_weight(fam, p) for p in enumerate_paths(w))
-            dp = _transfer_sum(fam.A, fam.B, w, min(n // 2, fam.depth))
+            dp = _transfer_sum(fam, w, min(n // 2, fam.depth))
             assert dp == pytest.approx(explicit, abs=1e-10)
             assert moments_from_paths(fam, w) == pytest.approx(explicit, abs=1e-10)
 
@@ -353,34 +353,37 @@ def test_kernel_minus_nonmaximal_paths_factors(zero_b):
 def test_batched_path_sums_match_per_word_and_enumerated_paths(alphabet, n, seed):
     """The peel's batched non-maximal sums, entry by entry, against the height-capped
     per-word recursion and against every enumerated path but the distinguished one."""
+    from ncjacobi import AdmissibleFamily
+
     fam = random_admissible_family(alphabet, n, seed=seed)
 
-    def path_sums(B, cap, letter=0):
+    def path_sums(f, cap, letter=0):
         # R^T R, or R^T J_k R, with R the level-n Fock vectors of the sections
         # through the height cap (module docstring of ncjacobi.paths)
-        J = sections(alphabet, fam.A, B, cap)
+        J = sections(f, cap)
         r = per_letter_fock(J, n)[n]
         return r.T @ (J[letter - 1] @ r if letter else r)
 
     B0 = {**fam.B, **{(n, k): np.zeros_like(fam.B[(n, k)]) for k in range(1, alphabet + 1)}}
+    zero_top = AdmissibleFamily(alphabet, n, fam.A, B0)
     ws = enumerate_words(alphabet, n)
-    middles = [(0, Word((), alphabet), n - 1, fam.B)] + [
-        (k, Word((k,), alphabet), n, B0) for k in range(1, alphabet + 1)
+    middles = [(0, Word((), alphabet), n - 1, fam)] + [
+        (k, Word((k,), alphabet), n, zero_top) for k in range(1, alphabet + 1)
     ]
-    for letter, mid, cap, B in middles:
-        batched = path_sums(B, cap, letter)
+    for letter, mid, cap, f in middles:
+        batched = path_sums(f, cap, letter)
         assert batched.shape == (len(ws), len(ws))
         for i, sigma in enumerate(ws):
             for j, tau in enumerate(ws):
                 w = sigma.involute().concat(mid).concat(tau)
-                per_word = _transfer_sum(fam.A, B, w, cap)
+                per_word = _transfer_sum(f, w, cap)
                 assert batched[i, j] == pytest.approx(per_word, abs=1e-12)
                 rest = sum(path_weight(fam, p) for p in enumerate_paths(w))
                 rest -= path_weight(fam, distinguished_path(w))
                 assert batched[i, j] == pytest.approx(rest, abs=1e-10)
     # raising the even cap to n adds back exactly the maximal paths
-    nonmaximal = path_sums(fam.B, n - 1)
-    every = path_sums(fam.B, n)
+    nonmaximal = path_sums(fam, n - 1)
+    every = path_sums(fam, n)
     assert np.allclose(every, nonmaximal + maximal_weight_matrix(fam, n), atol=1e-12)
 
 
@@ -452,7 +455,7 @@ def test_inverse_direction_builds_no_word_lists(monkeypatch):
 
 def assert_exact_structure(rec):
     for n in range(1, rec.depth + 1):
-        a = rec.concat_A(n)
+        a = rec.a_levels[n - 1]
         assert np.all(np.tril(a, -1) == 0.0)
         assert np.all(np.diag(a) > 0.0)
     for b in rec.B.values():
