@@ -28,7 +28,6 @@ from .jacobi import (
 from .orthopoly import (
     OrthonormalBasis,
     ResidualError,
-    a_matrix_from_coefficients,
     coefficient_oracle,
     extract_recurrence,
     orthonormalize,
@@ -68,7 +67,6 @@ __all__ = [
     "ThreeTermReport",
     "ValidationReport",
     "Word",
-    "a_matrix_from_coefficients",
     "build_free_product",
     "classical_coefficients",
     "coefficient_oracle",

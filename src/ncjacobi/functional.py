@@ -112,7 +112,10 @@ class MomentFunctional:
 
     @classmethod
     def from_values(cls, alphabet: int, max_degree: int, values) -> "MomentFunctional":
-        """Table from moments listed by graded rank, with or without the odd top level."""
+        """Table from moments listed by graded rank, with or without the odd top level.
+
+        A float array is held as given, not copied, and made read-only; a caller
+        that keeps writing to its array passes a copy."""
         phi = cls.__new__(cls)
         phi._set_values(alphabet, max_degree, values)
         return phi
@@ -122,7 +125,7 @@ class MomentFunctional:
         and reversal-symmetric."""
         if alphabet < 1 or max_degree < 0:
             raise ValueError("alphabet size must be >= 1 and max_degree >= 0")
-        values = np.array(values, dtype=float)
+        values = np.asarray(values, dtype=float)
         offs = level_offsets(alphabet, 2 * max_degree + 1)
         if values.shape not in ((offs[-2],), (offs[-1],)):
             raise ValueError(

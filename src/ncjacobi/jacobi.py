@@ -161,6 +161,13 @@ def sections(family: AdmissibleFamily, level: int) -> np.ndarray:
     return J
 
 
+def _letter_blocks(atilde: np.ndarray, prev_inv: np.ndarray) -> np.ndarray:
+    """A_{n,k} at [k - 1] from the level identity A~_n = A_n (I_N (x) A~_{n-1}):
+    column block k of A~_n times A~_{n-1}^{-1}, given as ``prev_inv``."""
+    dim, d = len(atilde), len(prev_inv)
+    return atilde.reshape(dim, dim // d, d).swapaxes(0, 1) @ prev_inv
+
+
 def operator_moment(family: AdmissibleFamily, sigma: Word) -> float:
     """<J_sigma e0, e0> computed on the section through level
     min(floor(|sigma|/2) + 1, depth).

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
-from .jacobi import AdmissibleFamily, sections
+from .jacobi import AdmissibleFamily, _letter_blocks, sections
 from .ncpoly import NcPolynomial
 from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
 from .words import words_up_to
@@ -70,11 +70,6 @@ class OrthonormalBasis:
             w: c for w, c in zip(self.words, self.coeffs[i, :]) if c != 0.0
         }
         return NcPolynomial(self.alphabet, terms)
-
-    def diag_block(self, n: int) -> np.ndarray:
-        """Square coefficient block [a_{alpha,beta}] over words of length n."""
-        lo, hi = level_offsets(self.alphabet, n)[-2:]
-        return self.coeffs[lo:hi, lo:hi]
 
     def to_json_obj(self) -> dict:
         """Each row's nonzero coefficients, word by word in graded-lex order."""
@@ -138,8 +133,10 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
     M_k = C G_k C^T holds <X_k p_tau, p_sigma> at (sigma, tau); B_{n,k} is its
     symmetrised level-n diagonal block C_n G_k C_n^T, formed over the columns up
     to level n only, since C_n, the level-n rows of C, vanishes beyond them.
-    A_n comes from the coefficient diagonal blocks alone
-    (``a_matrix_from_coefficients``), so it is exactly upper triangular.  The
+    A_n comes from the coefficient diagonal blocks alone: the level-n diagonal
+    block of R is A~_n = C_n^{-T}, with C_n the level-n diagonal block of C, and
+    A~_n = A_n (I_N (x) A~_{n-1}), as in the path peel; both factors are upper
+    triangular, so A_n is exactly upper triangular.  The
     blocks must reproduce X_k p_tau = sum_sigma J_k[sigma, tau] p_sigma for
     |tau| < depth, with J_k the finite section they assemble; the largest
     coefficient of the difference must stay within
@@ -172,12 +169,16 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             f"depth-{depth} blocks"
         )
     offs = level_offsets(N, depth)
-    a_levels = [a_matrix_from_coefficients(basis, n) for n in range(1, depth + 1)]
     g = np.empty((N, len(c), len(c)))  # G_k, the kernel's rows at k a, stacked over k
     for k, rows in enumerate(prepend_index(N, depth)):
         np.take(phi.values, kernel[rows], out=g[k])
-    b_levels = []
-    for lo, hi in zip(offs, offs[1:]):
+    a_levels, b_levels = [], []
+    for n, (lo, hi) in enumerate(zip(offs, offs[1:])):
+        if n:
+            # C_m^T = A~_m^{-1}, where A~_m is the level-m diagonal block of R
+            a = _letter_blocks(np.linalg.inv(c[lo:hi, lo:hi].T), c[prev:lo, prev:lo].T)
+            a_levels.append(a.swapaxes(0, 1).reshape(hi - lo, hi - lo))
+        prev = lo
         b = c[lo:hi, :hi] @ g[:, :hi, :hi] @ c[lo:hi, :hi].T
         b_levels.append((b + b.swapaxes(1, 2)) / 2.0)
     del g
@@ -211,29 +212,3 @@ def three_term_residuals(c: np.ndarray, family: AdmissibleFamily) -> np.ndarray:
     np.abs(resid, out=resid)
     return np.maximum.reduceat(resid.max(axis=2), offs[:depth], axis=1).T
 
-
-def a_matrix_from_coefficients(basis: OrthonormalBasis, n: int) -> np.ndarray:
-    """[A_{n,1} ... A_{n,N}] from coefficient blocks alone.
-
-    Matching degree-n homogeneous parts in the three-term relation gives
-    C_n^T A_n = (I_N (x) C_{n-1}^T) in the prepend-letter column layout, with
-    C_m the square coefficient block of degree m.
-    """
-    if not (1 <= n <= basis.depth):
-        raise ValueError(f"level {n} outside 1..{basis.depth}")
-    N, c_n = basis.alphabet, basis.diag_block(n)
-    c_prev = basis.diag_block(n - 1).T
-    size = N * len(c_prev)
-    # I_N (x) C_{n-1}^T as one broadcast product, with the signed zeros of np.kron
-    rhs = (_identity_blocks(N) * c_prev[:, None, :]).reshape(size, size)
-    # LAPACK's LU pivots nothing on the upper triangular C_n^T, so the solve is
-    # back substitution: the entries of A_n below the diagonal come out exactly 0
-    return np.linalg.solve(c_n.T, rhs)
-
-
-@functools.lru_cache(maxsize=8)
-def _identity_blocks(N: int) -> np.ndarray:
-    """I_N at [i, 0, j, 0], to broadcast against a square block as np.kron does."""
-    eye = np.eye(N)[:, None, :, None]
-    eye.flags.writeable = False
-    return eye

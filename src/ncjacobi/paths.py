@@ -27,7 +27,7 @@ import numpy as np
 
 from .functional import MomentFunctional, NotStrictlyPositiveError
 from .functional import POSITIVITY_TOL, upper_cholesky
-from .jacobi import AdmissibleFamily
+from .jacobi import AdmissibleFamily, _letter_blocks
 from .words import Word, level_kernel_index, level_offsets
 
 STEP_KINDS = {1: "rise", 0: "level", -1: "fall"}  # by height change
@@ -224,22 +224,21 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
     J[:, 0, 0] = s[1 : N + 1]  # word k has rank k
     a_levels, b_levels = [], [J[:, :1, :1].copy()]
     jv = J[:, :1, :1]  # J_k V for the Fock level V, here V_0 = e0
-    atilde = inv = np.ones((1, 1))  # A~_{n-1}, the top rows of V_{n-1}, and its inverse
+    inv = np.ones((1, 1))  # A~_{n-1}^{-1}, with A~_{n-1} the top rows of V_{n-1}
     for n in range(1, depth + 1):
-        dim, d = N**n, N ** (n - 1)
+        dim = N**n
         prev, lo, hi = offs[n - 1 : n + 2]
         # the ranks of the words I(s)t and, over k, I(s)kt
         even, odd = level_kernel_index(N, n)
         low = jv.swapaxes(0, 1).reshape(lo, dim)  # V_n below level n
-        r, pivots, completed = upper_cholesky(s[even] - low.T @ low)
+        atilde, pivots, completed = upper_cholesky(s[even] - low.T @ low)
         if not completed:
             raise NotStrictlyPositiveError(
                 f"coefficient recovery at level {n} hit pivot {pivots[-1]:.3e} "
                 f"<= {POSITIVITY_TOL}; the moment table is not strictly positive there"
             )
-        # r = A~_n = A_n (I_N (x) A~_{n-1}): A_{n,k} is column block k of r times inv
-        a = r.reshape(dim, N, d).swapaxes(0, 1) @ inv
-        atilde, inv = r, np.linalg.inv(r)
+        a = _letter_blocks(atilde, inv)
+        inv = np.linalg.inv(atilde)
         v = np.concatenate((low, atilde))
         J[:, lo:hi, prev:lo] = a
         J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)

@@ -184,10 +184,12 @@ def dense_recurrence_b(basis, phi):
 
 
 def kron_a_matrix(basis, n):
-    """Oracle for ``a_matrix_from_coefficients``: the right-hand side
-    I_N (x) C_{n-1}^T built by ``np.kron``."""
-    rhs = np.kron(np.eye(basis.alphabet), basis.diag_block(n - 1).T)
-    return np.linalg.solve(basis.diag_block(n).T, rhs)
+    """Oracle for the A_n of ``extract_recurrence``: the solve of
+    C_n^T A_n = I_N (x) C_{n-1}^T, with C_m the level-m diagonal block of the
+    coefficients and the right-hand side built by ``np.kron``."""
+    prev, lo, hi = level_offsets(basis.alphabet, n)[-3:]
+    rhs = np.kron(np.eye(basis.alphabet), basis.coeffs[prev:lo, prev:lo].T)
+    return np.linalg.solve(basis.coeffs[lo:hi, lo:hi].T, rhs)
 
 
 def run_form_product(recurrences, sigma):

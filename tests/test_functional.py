@@ -357,9 +357,9 @@ def random_upper(n, seed):
 
 
 def test_solve_triangular_keeps_structural_zeros():
-    # a_matrix_from_coefficients solves upper triangular systems with np.linalg.solve,
-    # and orthonormalize and the path peel invert them with np.linalg.inv, the same
-    # LU solve against the identity; LU pivots nothing there, so forced zeros stay exact
+    # orthonormalize, the path peel and extract_recurrence invert upper triangular
+    # factors with np.linalg.inv, an LU solve against the identity; LU pivots nothing
+    # there, so forced zeros stay exact
     t = random_upper(20, 1)
     inverse = np.linalg.solve(t, np.eye(20))
     assert np.all(np.tril(inverse, -1) == 0.0)
@@ -464,6 +464,31 @@ def test_from_values_without_odd_level():
     phi = MomentFunctional.from_values(1, 2, GAUSSIAN_MOMENTS[:5])
     assert phi.word_bound == 4
     assert phi.gram(2).positive
+
+
+def test_from_values_holds_a_float_array_and_copies_a_list():
+    values = np.array(GAUSSIAN_MOMENTS[:6])
+    phi = MomentFunctional.from_values(1, 2, values)
+    assert phi.values is values and not values.flags.writeable
+    listed = list(GAUSSIAN_MOMENTS[:6])
+    phi = MomentFunctional.from_values(1, 2, listed)
+    assert not phi.values.flags.writeable
+    listed[2] = 5.0  # the list is the caller's; the table has its own array
+    assert phi.values[2] == GAUSSIAN_MOMENTS[2]
+
+
+def test_favard_table_peak_stays_near_three_tables():
+    # 20 free Legendre letters at degree 2: a 26.9 MB table; from_values took a copy
+    # of the table that favard_moments hands over, and the peak was 4.25 tables
+    fam = build_free_product([classical_coefficients("legendre", 3)] * 20, 2)
+    favard_moments(fam, 2)  # the cached rank indexes, built once per (N, length)
+    tracemalloc.start()
+    try:
+        phi = favard_moments(fam, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * phi.values.nbytes, f"peak {peak / phi.values.nbytes:.2f} tables"
 
 
 def test_json_round_trip_keeps_values(random_phi):

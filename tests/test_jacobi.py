@@ -21,7 +21,7 @@ from ncjacobi import (
 )
 
 from ncjacobi.freeproduct import parse_recurrence_spec
-from ncjacobi.jacobi import sections
+from ncjacobi.jacobi import _letter_blocks, sections
 from ncjacobi.words import enumerate_words
 
 from conftest import GAUSSIAN_MOMENTS, per_block_free_product, per_block_random_family
@@ -141,6 +141,28 @@ def test_truncate_is_symmetric_block_tridiagonal():
     # zero outside the three block diagonals: entries between level 0 and 2+
     assert np.all(t[0, 3:] == 0.0)
     assert np.all(t[1:3, 7:] == 0.0)
+
+
+@pytest.mark.parametrize("N, n, seed", [(1, 3, 0), (2, 1, 1), (2, 4, 2), (3, 3, 3)])
+def test_letter_blocks_undo_the_level_identity(N, n, seed):
+    # A~_n = A_n (I_N (x) A~_{n-1}) for a random upper triangular A~_{n-1}: the level
+    # step returns A_{n,k} at [k - 1], with the zeros below the diagonal of A_n exact
+    rng = np.random.default_rng(seed)
+
+    def upper(m):
+        t = np.triu(rng.uniform(-1.0, 1.0, size=(m, m)), 1)
+        return t + np.diag(rng.uniform(0.5, 2.0, size=m))
+
+    d = N ** (n - 1)
+    prev, a = upper(d), upper(N * d)
+    atilde = a @ np.kron(np.eye(N), prev)
+    blocks = _letter_blocks(atilde, np.linalg.inv(prev))
+    assert blocks.shape == (N, N * d, d)
+    level = blocks.swapaxes(0, 1).reshape(N * d, N * d)
+    bound = 4 * np.finfo(float).eps * np.linalg.cond(prev) * np.max(np.abs(a))
+    assert np.max(np.abs(level - a)) <= bound
+    assert np.all(np.tril(level, -1) == 0.0)
+    assert np.all(np.diag(level) > 0.0)
 
 
 # -- operator moments --------------------------------------------------------------

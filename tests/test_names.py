@@ -44,9 +44,8 @@ def test_public_names_resolve():
 PUBLIC = {
     "AdmissibleFamily", "GramReport", "LatticePath", "MomentFunctional", "NcPolynomial",
     "NotStrictlyPositiveError", "OneDimRecurrence", "OrthonormalBasis", "ResidualError",
-    "ThreeTermReport", "ValidationReport", "Word", "a_matrix_from_coefficients",
-    "build_free_product", "classical_coefficients", "coefficient_oracle",
-    "distinguished_path", "enumerate_paths", "enumerate_words", "extract_recurrence",
+    "ThreeTermReport", "ValidationReport", "Word", "build_free_product",
+    "classical_coefficients", "coefficient_oracle", "distinguished_path", "enumerate_paths", "enumerate_words", "extract_recurrence",
     "favard_moments", "functional_free_product", "graded_rank", "hankel_check",
     "jacobi_from_moments", "kernel_table", "moments_from_paths", "motzkin_binomial_sum",
     "motzkin_number", "operator_moment", "orthonormalize", "path_weight", "product_basis",

@@ -9,7 +9,6 @@ from ncjacobi import (
     NotStrictlyPositiveError,
     ResidualError,
     Word,
-    a_matrix_from_coefficients,
     build_free_product,
     classical_coefficients,
     coefficient_oracle,
@@ -25,7 +24,7 @@ from ncjacobi import (
 )
 from ncjacobi.freeproduct import build, parse_recurrence_spec
 from ncjacobi.orthopoly import RECOVERY_LIMIT, three_term_residuals
-from ncjacobi.words import kernel_index
+from ncjacobi.words import kernel_index, level_offsets
 
 from conftest import (
     EXPONENTIAL_MOMENTS,
@@ -225,7 +224,7 @@ def test_low_degree_components_vanish(random_setup):
 
 def test_a_matrix_gaussian(gaussian_phi):
     basis = orthonormalize(gaussian_phi, 2)
-    assert a_matrix_from_coefficients(basis, 1) == pytest.approx(
+    assert extract_recurrence(basis, gaussian_phi).a_levels[0] == pytest.approx(
         np.array([[1.0]]), abs=1e-12
     )
 
@@ -233,7 +232,7 @@ def test_a_matrix_gaussian(gaussian_phi):
 def test_a_matrix_hermite_pair_identity(hermite2_family):
     phi = favard_moments(hermite2_family, 2)
     basis = orthonormalize(phi, 2)
-    assert np.allclose(a_matrix_from_coefficients(basis, 1), np.eye(2), atol=1e-12)
+    assert np.allclose(extract_recurrence(basis, phi).a_levels[0], np.eye(2), atol=1e-12)
 
 
 def test_a_matrix_matches_inner_product_route(random_setup):
@@ -256,7 +255,7 @@ def test_a_matrix_matches_inner_product_route(random_setup):
 
     for n in (1, 2, 3):
         concat = inner_products(enumerate_words(2, n), enumerate_words(2, n - 1))
-        direct = a_matrix_from_coefficients(basis, n)
+        direct = fam.a_levels[n - 1]
         assert np.allclose(direct, concat, atol=1e-8)
         assert np.array_equal(direct, np.hstack([fam.A[(n, k)] for k in (1, 2)]))
         assert np.allclose(direct, np.triu(direct), atol=1e-10)
@@ -285,8 +284,8 @@ def test_a_matrix_and_basis_exactly_triangular(alphabet, depth, seed):
     phi = favard_moments(random_admissible_family(alphabet, depth, seed=seed), depth)
     basis = orthonormalize(phi, depth)
     assert np.all(np.triu(basis.coeffs, 1) == 0.0)
-    for n in range(1, depth + 1):
-        assert np.all(np.tril(a_matrix_from_coefficients(basis, n), -1) == 0.0)
+    for a in extract_recurrence(basis, phi).a_levels:
+        assert np.all(np.tril(a, -1) == 0.0)
 
 
 def bitwise_equal(x, y):
@@ -305,8 +304,9 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=str)
 def test_batched_recurrence_helpers_match_per_letter_oracles(case):
-    # the one-pass three-term check and the broadcast I_N (x) C_{n-1}^T do the
-    # arithmetic of the per-letter loop and of np.kron, so results agree bit for bit
+    # the one-pass three-term check does the arithmetic of the per-letter loop, so
+    # the residuals agree bit for bit; A_n, taken from A~_n = C_n^{-T} by the level
+    # step, agrees with the np.kron solve to rounding, scaled by cond(C_n)
     if isinstance(case[0], str):
         spec, depth = case
         fam = build_free_product(parse_recurrence_spec(spec, depth + 1), depth)
@@ -323,10 +323,14 @@ def test_batched_recurrence_helpers_match_per_letter_oracles(case):
         assert np.array_equal(residuals, expected)
         assert residuals.shape == (depth, N)
     assert len(extracted.A) == N * depth
+    offs = level_offsets(N, depth)
     for n in range(1, depth + 1):
-        direct, expected = a_matrix_from_coefficients(basis, n), kron_a_matrix(basis, n)
-        assert bitwise_equal(direct, expected)
-        for k, block in enumerate(np.hsplit(expected, N), start=1):
+        direct, expected = extracted.a_levels[n - 1], kron_a_matrix(basis, n)
+        c_n = basis.coeffs[offs[n] : offs[n + 1], offs[n] : offs[n + 1]]
+        scale = 4 * np.finfo(float).eps * np.linalg.cond(c_n) * np.max(np.abs(expected))
+        assert np.max(np.abs(direct - expected)) <= scale
+        assert np.all(np.tril(direct, -1) == 0.0)
+        for k, block in enumerate(np.hsplit(direct, N), start=1):
             assert bitwise_equal(extracted.A[(n, k)], block)
     # B is formed from the nonzero columns of each level only, so it may differ
     # from the full product by rounding
