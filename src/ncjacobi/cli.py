@@ -121,11 +121,10 @@ def cmd_moments(args) -> None:
 def cmd_jacobi(args) -> None:
     phi = jsonio.load_moments(args.moments)
     _check_depth("--depth", args.depth, phi.max_degree, "table degree")
-    if phi.word_bound < 2 * args.depth + 1:
-        raise UsageError(
-            f"moment table stores words up to length {phi.word_bound}; extracting "
-            f"level-{args.depth} blocks needs length {2 * args.depth + 1}"
-        )
+    try:
+        phi._require_words(2 * args.depth + 1, f"extracting level-{args.depth} blocks")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     family = extract_recurrence(orthonormalize(phi, args.depth), phi)
     jsonio.save_family(args.out, family)
     print(f"ok: recovered depth-{args.depth} family from {args.moments} to {args.out}")

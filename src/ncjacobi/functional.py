@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import Word, _kernel_rows, enumerate_words, graded_rank, letters_up_to
+from .words import Word, enumerate_words, graded_rank, kernel_index, letters_up_to
 from .words import level_offsets, reversal_index, word_at, words_up_to
 
 POSITIVITY_TOL = 1e-10  # a Gram pivot must exceed this
@@ -126,11 +126,15 @@ class MomentFunctional:
         if alphabet < 1 or max_degree < 0:
             raise ValueError("alphabet size must be >= 1 and max_degree >= 0")
         values = np.asarray(values, dtype=float)
-        offs = level_offsets(alphabet, 2 * max_degree + 1)
-        if values.shape not in ((offs[-2],), (offs[-1],)):
+        if values.ndim != 1:
+            raise ValueError(f"moment table must be a list of values, got shape {values.shape}")
+        top = 2 * max_degree + 1
+        offs = _fillable_offsets(alphabet, top, values.size)
+        if len(offs) < top + 2 or values.size not in offs[-2:]:
             raise ValueError(
                 f"moment table incomplete: {values.size} values, expected "
-                f"{offs[-2]} (words up to length {2 * max_degree}) or {offs[-1]}"
+                f"{_count_words(alphabet, top - 1)} (words up to length {top - 1}) or "
+                f"{_count_words(alphabet, top)}"
             )
         self.alphabet, self.max_degree = alphabet, max_degree
         self.word_bound = 2 * max_degree + (values.size == offs[-1])
@@ -171,22 +175,22 @@ class MomentFunctional:
 
     def kernel_eval(self, alpha: Word, beta: Word) -> float:
         """K(alpha, beta) = s_{I(alpha) beta}."""
-        if len(alpha) + len(beta) > self.word_bound:
-            raise ValueError(
-                f"kernel argument lengths {len(alpha)}+{len(beta)} exceed bound "
-                f"{self.word_bound}"
-            )
         return self.moment(alpha.involute().concat(beta))
 
     def apply(self, p: NcPolynomial) -> float:
         """Linear extension: sum of c_w * s_w over the support of p."""
         if p.alphabet != self.alphabet:
             raise ValueError("polynomial alphabet does not match functional")
-        if p.degree() > self.word_bound:
-            raise ValueError(
-                f"polynomial degree {p.degree()} exceeds stored bound {self.word_bound}"
-            )
+        self._require_words(p.degree(), f"a degree-{p.degree()} polynomial")
         return float(sum(c * self._values[graded_rank(w)] for w, c in p.terms()))
+
+    def _require_words(self, length: int, what: str) -> None:
+        """Refuse ``what``, a read of words up to ``length``, past the stored bound."""
+        if length > self.word_bound:
+            raise ValueError(
+                f"moment table stores words up to length {self.word_bound}; {what} "
+                f"needs length {length}"
+            )
 
     def inner(self, p: NcPolynomial, q: NcPolynomial) -> float:
         """<p, q> = phi(q^+ p)."""
@@ -198,11 +202,8 @@ class MomentFunctional:
         """Gram matrix of all monomials of length <= degree, graded-lex order."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        if degree > self.max_degree:
-            raise ValueError(
-                f"gram degree {degree} exceeds max_degree {self.max_degree}"
-            )
-        g = self._values[_kernel_rows(self.alphabet, degree, degree)]
+        self._require_words(2 * degree, f"the degree-{degree} Gram matrix")
+        g = self._values[kernel_index(self.alphabet, degree, degree)]
         r, pivots, completed = upper_cholesky(g)
         return GramReport(
             alphabet=self.alphabet,
@@ -284,16 +285,36 @@ def _outside(w: Word, alphabet: int, bound: int) -> str:
     )
 
 
+def _fillable_offsets(alphabet: int, top: int, count: int) -> tuple[int, ...]:
+    """``level_offsets(alphabet, top)``, cut after the first level that ``count``
+    entries cannot fill: a header can name more words than memory holds, so
+    nothing is sized past what the entries reach."""
+    level, total = 0, 1  # the number of words up to length `level`
+    while level < top and total <= count:
+        level += 1
+        total += alphabet**level
+    return level_offsets(alphabet, level)
+
+
+def _count_words(alphabet: int, length: int) -> str:
+    """The number of words up to ``length``; past 4000 digits, as a formula, since
+    Python refuses to print an int of more than 4300."""
+    if alphabet == 1:
+        return str(length + 1)
+    if (length + 1) * math.log10(alphabet) < 4000:
+        return str((alphabet ** (length + 1) - 1) // (alphabet - 1))
+    return f"({alphabet}**{length + 1} - 1)" + (f" // {alphabet - 1}" if alphabet > 2 else "")
+
+
 def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) -> np.ndarray:
     """Moments of words given as letter sequences, listed by graded rank: every
     word up to length 2*max_degree once, and the words one longer all or none."""
     if alphabet < 1 or max_degree < 0:
         raise ValueError("alphabet size must be >= 1 and max_degree >= 0")
     top = 2 * max_degree + 1
-    offs = level_offsets(alphabet, top)
-    # a header can count more words than memory holds, so compare in Python ints;
+    offs = _fillable_offsets(alphabet, top, len(words))
     # a short table misses a word of rank <= len(words): rank only words that short
-    short = len(words) < offs[top]
+    short = len(offs) < top + 2 or len(words) < offs[top]
     reach = next(n for n in range(top) if offs[n + 1] > len(words)) if short else top
     lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
     letters = np.fromiter(itertools.chain.from_iterable(words), np.int64, lengths.sum())
@@ -318,7 +339,8 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
         raise ValueError(f"duplicate moment entry for word {w}")
     if short:
         raise ValueError(
-            f"moment table incomplete: {len(words)} entries for the {offs[top]} words "
+            f"moment table incomplete: {len(words)} entries for the "
+            f"{_count_words(alphabet, top - 1)} words "
             f"up to length {top - 1}; missing word {word_at(alphabet, int(np.argmin(counts)))}"
         )
     size = offs[-1] if counts[offs[top] :].any() else offs[top]
@@ -354,8 +376,7 @@ def hankel_check(
 
 def kernel_table(phi: MomentFunctional, depth: int) -> dict[tuple[Word, Word], float]:
     """Materialize K(a, b) for all pairs with |a| + |b| <= depth."""
-    if depth > phi.word_bound:
-        raise ValueError(f"depth {depth} exceeds stored bound {phi.word_bound}")
+    phi._require_words(depth, f"a depth-{depth} kernel table")
     return {(a, b): phi.kernel_eval(a, b) for a, b in _kernel_pairs(phi.alphabet, depth)}
 
 

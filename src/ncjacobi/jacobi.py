@@ -62,10 +62,12 @@ class AdmissibleFamily:
     def from_levels(cls, a_levels, b_levels) -> "AdmissibleFamily":
         """The family of the float arrays A_1 .. A_depth and B_0 .. B_depth, held as given."""
         family = cls.__new__(cls)
-        family.alphabet, family.depth = N, depth = len(b_levels[0]), len(b_levels) - 1
+        N, depth = len(b_levels[0]) if b_levels else 0, len(b_levels) - 1
         square = [(N**n, N**n) for n in range(depth + 1)]
-        if [x.shape for x in (*a_levels, *b_levels)] != square[1:] + [(N, *s) for s in square]:
+        shapes = [x.shape for x in (*a_levels, *b_levels)]
+        if N < 1 or shapes != square[1:] + [(N, *s) for s in square]:
             raise ValueError("level arrays do not have the shapes of one family")
+        family.alphabet, family.depth = N, depth
         family.a_levels, family.b_levels = tuple(a_levels), tuple(b_levels)
         return family
 
@@ -81,6 +83,8 @@ class AdmissibleFamily:
     def blocks_close(self, other: "AdmissibleFamily", depth: int | None = None) -> float:
         """Max absolute entrywise difference over all blocks up to ``depth``, which
         must lie within the depth of both families."""
+        if self.alphabet != other.alphabet:
+            raise ValueError(f"family alphabets differ: {self.alphabet} and {other.alphabet}")
         depth = min(self.depth, other.depth) if depth is None else depth
         if not 0 <= depth <= min(self.depth, other.depth):
             raise ValueError(f"depth {depth} outside 0..min({self.depth}, {other.depth})")

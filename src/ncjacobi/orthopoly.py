@@ -43,6 +43,8 @@ class OrthonormalBasis:
     """
 
     def __init__(self, alphabet: int, depth: int, coeffs: np.ndarray):
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         self.alphabet = alphabet
         self.depth = depth
         size = level_offsets(alphabet, depth)[-1]
@@ -150,13 +152,9 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
     if basis.alphabet != phi.alphabet:
         raise ValueError("basis and functional alphabets differ")
     N, depth, c = basis.alphabet, basis.depth, basis.coeffs
-    if phi.word_bound < 2 * depth + 1:
-        raise ValueError(
-            f"moment table stores words up to length {phi.word_bound}; extracting "
-            f"level-{depth} blocks needs length {2 * depth + 1}"
-        )
+    phi._require_words(2 * depth + 1, f"extracting level-{depth} blocks")
     eps = np.finfo(float).eps
-    kernel = kernel_index(N, depth)
+    kernel = kernel_index(N, depth, depth + 1)
     g_diag = phi.values[kernel.diagonal()]
     # ||R D||_F^2 ||(R D)^-1||_F^2 >= cond(D G D), where ||R D||_F^2 = trace(D G D)
     # = n and (R D)^-1 = D^-1 C^T
@@ -208,7 +206,7 @@ def three_term_residuals(c: np.ndarray, family: AdmissibleFamily) -> np.ndarray:
     # the rows of the sections J_k below the top level
     resid = sections(family, depth)[:, :rows] @ c
     # the coefficients of X_k p_tau are those of p_tau moved to the prepended words
-    resid[np.arange(N)[:, None], :, prepend_index(N, depth - 1)] -= c[:rows, :rows].T
+    resid[np.arange(N)[:, None], :, prepend_index(N, depth)[:, :rows]] -= c[:rows, :rows].T
     np.abs(resid, out=resid)
     return np.maximum.reduceat(resid.max(axis=2), offs[:depth], axis=1).T
 

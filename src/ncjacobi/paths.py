@@ -210,13 +210,7 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
     N = phi.alphabet
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if depth > phi.max_degree:
-        raise ValueError(f"depth {depth} exceeds table degree {phi.max_degree}")
-    if phi.word_bound < 2 * depth + 1:
-        raise ValueError(
-            f"moment table stores words up to length {phi.word_bound}, but the "
-            f"depth-{depth} correction blocks need length {2 * depth + 1}"
-        )
+    phi._require_words(2 * depth + 1, f"extracting level-{depth} blocks")
     s = phi.values
     offs = level_offsets(N, depth)
     # the sections J_k through the last level recovered, stacked over k

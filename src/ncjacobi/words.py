@@ -122,7 +122,7 @@ def level_offsets(alphabet: int, level: int) -> tuple[int, ...]:
 
 def word_at(alphabet: int, index: int) -> Word:
     """The word at graded rank ``index``: the inverse of ``graded_rank``."""
-    _check_alphabet(alphabet)
+    _check_sizes(alphabet)
     if index < 0:
         raise ValueError(f"graded rank must be >= 0, got {index}")
     n = 0
@@ -133,14 +133,16 @@ def word_at(alphabet: int, index: int) -> Word:
 
 
 # The index builders below depend only on their arguments, so each table is
-# built once per size and process and shared read-only by every caller; a
-# negative length gives the tables over no such words (``kernel_index`` still
-# has its rows up to length degree + 1), and ``level_kernel_index`` refuses it.
+# built once per size and process and shared read-only by every caller; each
+# is over words of lengths that exist, and refuses a negative one.
 
 
-def _check_alphabet(alphabet: int) -> None:
+def _check_sizes(alphabet: int, *lengths: int) -> None:
     if alphabet < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
+    for length in lengths:
+        if length < 0:
+            raise ValueError(f"word length must be >= 0, got {length}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -151,9 +153,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
     """Graded rank of the reversal of every word of length <= max_length."""
-    _check_alphabet(alphabet)
-    if max_length < 0:
-        return _read_only(np.zeros(0, dtype=np.int64))
+    _check_sizes(alphabet, max_length)
     offs = level_offsets(alphabet, max_length)
     rev = np.zeros(1, dtype=np.int64)  # level ranks of the reversals, length i
     out = [rev]
@@ -168,8 +168,7 @@ def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
 def prepend_index(alphabet: int, max_length: int) -> np.ndarray:
     """Graded rank of k w at [k - 1, graded rank of w], over the words w of
     length <= max_length: where X_k moves the coefficient of each word."""
-    _check_alphabet(alphabet)
-    max_length = max(max_length, -1)
+    _check_sizes(alphabet, max_length)
     offs = np.array(level_offsets(alphabet, max_length + 1))
     length = np.repeat(np.arange(max_length + 1), np.diff(offs[:-1]))
     level_rank = np.arange(offs[-2]) - offs[length]
@@ -179,24 +178,19 @@ def prepend_index(alphabet: int, max_length: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def kernel_index(alphabet: int, degree: int) -> np.ndarray:
+def kernel_index(alphabet: int, degree: int, top: int) -> np.ndarray:
     """Graded rank of I(b) a at row a, column b, over the words a of length
-    <= degree + 1 and b of length <= degree.
+    <= top and b of length <= degree.
 
     Indexing a moment table by the result gives the kernel [s_{I(b) a}].  Its
-    first rows, over |a| <= degree, are the Gram matrix [<X_a, X_b>], and its
+    first rows, over |a| <= degree, are the Gram matrix [<X_a, X_b>]
+    (``MomentFunctional.gram`` reads top = degree); with top = degree + 1, its
     rows at the words k a, ``prepend_index(alphabet, degree)[k - 1]``, are the
     letter-k kernel [<X_k X_a, X_b>] = [s_{I(b) k a}].
     """
-    return _kernel_rows(alphabet, degree, degree + 1)
-
-
-@functools.lru_cache(maxsize=32)
-def _kernel_rows(alphabet: int, degree: int, top: int) -> np.ndarray:
-    """The rows |a| <= top of ``kernel_index``; ``MomentFunctional.gram`` reads top = degree."""
-    _check_alphabet(alphabet)
+    _check_sizes(alphabet, degree, top)
     N = alphabet
-    offs = np.array(level_offsets(N, 2 * degree + 2))  # a spare level serves degree -1
+    offs = np.array(level_offsets(N, degree + top))
     length = np.repeat(np.arange(top + 1), np.diff(offs[: top + 2]))
     start, cols = offs[length], offs[degree + 1]
     # level rank of I(b) a: rank(I(b)) N^|a| + rank(a)
@@ -215,9 +209,7 @@ def level_kernel_index(alphabet: int, length: int) -> tuple[np.ndarray, np.ndarr
     [s_{I(s)t}] and its letter-k blocks [s_{I(s)kt}]; they are built from the
     level ranks of the reversals alone, with no full ``kernel_index``.
     """
-    _check_alphabet(alphabet)
-    if length < 0:
-        raise ValueError(f"word length must be >= 0, got {length}")
+    _check_sizes(alphabet, length)
     N, dim = alphabet, alphabet**length
     offs = level_offsets(N, 2 * length + 1)
     start = offs[length]

@@ -117,7 +117,8 @@ def per_letter_residuals(c, family):
     dense section J_k and an explicitly shifted copy of the coefficients."""
     N, depth = family.alphabet, family.depth
     offs = level_offsets(N, depth)
-    rows, prepend = offs[depth], prepend_index(N, depth - 1)
+    rows = offs[depth]
+    prepend = prepend_index(N, depth)[:, :rows]
     J, residuals = sections(family, depth), np.empty((depth, N))
     for k in range(1, N + 1):
         shifted = np.zeros((rows, len(c)))

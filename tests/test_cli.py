@@ -341,28 +341,69 @@ def test_moment_header_is_checked_against_the_entry_count(workdir, capsys, alpha
     )
 
 
-def test_moment_header_allocates_nothing_table_sized(workdir):
-    # N=2, max_degree 14 names 2**29 - 1 words: a table-sized count array is 8 GiB
+def _run_limited(args):
+    """Run python with ``args`` in a child process limited to 2 GiB of address space
+    and 60 s."""
     import resource
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    _one_entry_table("m.json", 2, 14)
     # one BLAS thread, so that per-thread buffers on a many-core host stay under the limit
     env = {**_package_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncjacobi", "verify", "--moments", "m.json"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         preexec_fn=limit_address_space,
+        timeout=60,
     )
+
+
+def test_moment_header_allocates_nothing_table_sized(workdir):
+    # N=2, max_degree 14 names 2**29 - 1 words: a table-sized count array is 8 GiB
+    _one_entry_table("m.json", 2, 14)
+    proc = _run_limited(["-m", "ncjacobi", "verify", "--moments", "m.json"])
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith(
         "error: m.json: moment table incomplete: 1 entries for the 536870911 words up to "
         "length 28;"
+    )
+
+
+@pytest.mark.parametrize(
+    "alphabet, max_degree, count",
+    [(2, 10**6, "(2**2000001 - 1)"), (1, 10**9, "2000000001")],
+)
+def test_moment_header_sizes_no_levels_past_its_entries(workdir, alphabet, max_degree, count):
+    # offsets over every level the header names cost the square of its degree in
+    # Python ints, and its word count has too many digits to print at N = 2
+    _one_entry_table("m.json", alphabet, max_degree)
+    proc = _run_limited(["-m", "ncjacobi", "verify", "--moments", "m.json"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: m.json: moment table incomplete: 1 entries for the {count} words up to "
+        f"length {2 * max_degree}; missing word Word(1; N={alphabet})\n"
+    )
+    assert "Exceeds the limit" not in proc.stderr
+
+
+def test_from_values_sizes_no_levels_past_its_values():
+    code = (
+        "from ncjacobi import MomentFunctional\n"
+        "try:\n"
+        "    MomentFunctional.from_values(2, 10**6, [1.0])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = _run_limited(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "moment table incomplete: 1 values, expected (2**2000001 - 1) (words up to "
+        "length 2000000) or (2**2000002 - 1)\n"
     )
 
 

@@ -10,9 +10,11 @@ from ncjacobi import (
     Word,
     build_free_product,
     classical_coefficients,
+    extract_recurrence,
     favard_moments,
     functional_free_product,
     hankel_check,
+    jacobi_from_moments,
     kernel_table,
     orthonormalize,
     random_admissible_family,
@@ -88,7 +90,7 @@ def test_kernel_eval_examples(gaussian_phi):
 
 
 def test_kernel_eval_bound(gaussian_phi):
-    with pytest.raises(ValueError, match="exceed"):
+    with pytest.raises(ValueError, match="beyond stored bound"):
         gaussian_phi.kernel_eval(Word((1, 1, 1), 1), Word((1, 1, 1), 1))
 
 
@@ -262,8 +264,25 @@ def test_apply_examples(gaussian_phi):
 def test_apply_degree_bound(gaussian_phi):
     x = NcPolynomial.variable(1, 1)
     p = x * x * x * x * x * x
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="degree-6 polynomial needs length 6"):
         gaussian_phi.apply(p)
+
+
+def test_every_route_refuses_words_past_the_table_in_one_text():
+    # a depth-2 table with its odd level stores words up to length 5
+    phi = favard_moments(random_admissible_family(2, 2, seed=1), 2)
+    deeper = orthonormalize(favard_moments(random_admissible_family(2, 3, seed=1), 3), 3)
+    x = NcPolynomial.variable(2, 1)
+    for call, need in [
+        (lambda: phi.gram(3), "the degree-3 Gram matrix needs length 6"),
+        (lambda: phi.apply(x * x * x * x * x * x), "a degree-6 polynomial needs length 6"),
+        (lambda: jacobi_from_moments(phi, 3), "extracting level-3 blocks needs length 7"),
+        (lambda: extract_recurrence(deeper, phi), "extracting level-3 blocks needs length 7"),
+        (lambda: kernel_table(phi, 6), "a depth-6 kernel table needs length 6"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"moment table stores words up to length 5; {need}"
 
 
 def test_apply_positive_on_squares(random_phi):
@@ -475,6 +494,12 @@ def test_from_values_holds_a_float_array_and_copies_a_list():
     assert not phi.values.flags.writeable
     listed[2] = 5.0  # the list is the caller's; the table has its own array
     assert phi.values[2] == GAUSSIAN_MOMENTS[2]
+
+
+def test_from_values_refuses_an_array_of_rows():
+    # seven values, as many as a (2, 1) table holds, but in one row of a 2-D array
+    with pytest.raises(ValueError, match=r"must be a list of values, got shape \(1, 7\)"):
+        MomentFunctional.from_values(2, 1, np.ones((1, 7)))
 
 
 def test_favard_table_peak_stays_near_three_tables():

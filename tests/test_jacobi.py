@@ -349,6 +349,8 @@ def test_block_mappings_are_read_only_views_of_the_levels():
 def test_from_levels_refuses_arrays_of_other_shapes():
     fam = random_admissible_family(2, 2, seed=1)
     for a_levels, b_levels in [
+        ([], []),
+        ([], [np.zeros((0, 1, 1))]),
         (fam.a_levels[:1], fam.b_levels),
         (fam.a_levels, fam.b_levels[:2]),
         ((fam.a_levels[0], fam.a_levels[1][:, :2]), fam.b_levels),
@@ -393,6 +395,12 @@ def test_blocks_close_refuses_a_depth_beyond_either_family():
         deep.blocks_close(deep, depth=-1)
     assert deep.blocks_close(deep, depth=3) == 0.0
     assert shallow.blocks_close(deep) == shallow.blocks_close(deep, depth=2) > 0.0
+
+
+def test_blocks_close_refuses_families_over_other_alphabets():
+    two, three = random_admissible_family(2, 2, seed=1), random_admissible_family(3, 2, seed=1)
+    with pytest.raises(ValueError, match="family alphabets differ: 2 and 3"):
+        two.blocks_close(three)
 
 
 @pytest.mark.parametrize("alphabet, depth, seed", [(2, 6, 1), (3, 4, 13)])

@@ -23,8 +23,8 @@ from ncjacobi import (
     verify_three_term,
 )
 from ncjacobi.freeproduct import build, parse_recurrence_spec
-from ncjacobi.orthopoly import RECOVERY_LIMIT, three_term_residuals
-from ncjacobi.words import kernel_index, level_offsets
+from ncjacobi.orthopoly import RECOVERY_LIMIT, OrthonormalBasis, three_term_residuals
+from ncjacobi.words import kernel_index, level_offsets, prepend_index
 
 from conftest import (
     EXPONENTIAL_MOMENTS,
@@ -165,14 +165,24 @@ def test_extract_round_trips_random_family(random_setup):
     assert fam.blocks_close(recovered) <= 1e-8
 
 
-def test_gram_builds_no_kernel_index_and_extract_builds_one():
+def test_basis_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        OrthonormalBasis(2, -1, np.zeros((0, 0)))
+
+
+def test_gram_builds_no_letter_rows_and_extract_builds_them():
     # gram reads only the rows |a| <= depth; the letter rows are extract's alone
     phi = favard_moments(random_admissible_family(3, 2, seed=4), 2)
     kernel_index.cache_clear()
+    prepend_index.cache_clear()
     basis = orthonormalize(phi, 2)
-    assert kernel_index.cache_info().currsize == 0
-    extract_recurrence(basis, phi)
     assert kernel_index.cache_info().currsize == 1
+    assert kernel_index(3, 2, 2).shape == (13, 13)
+    extract_recurrence(basis, phi)
+    assert kernel_index.cache_info().currsize == 2
+    assert kernel_index(3, 2, 3).shape == (40, 13)
+    # the residual check reads the prepend table that gathered the letter rows
+    assert prepend_index.cache_info().currsize == 1
 
 
 def test_extract_detects_mismatched_functional(random_setup):

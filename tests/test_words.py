@@ -1,5 +1,7 @@
+import gc
 import inspect
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -169,9 +171,11 @@ def test_prepend_index_ranks_the_prepended_word(alphabet, length):
 @pytest.mark.parametrize("degree", range(5))
 def test_kernel_index_ranks_reversed_column_letter_row(alphabet, degree):
     rows, cols = words_by_rank(alphabet, degree + 1), words_by_rank(alphabet, degree)
-    table = kernel_index(alphabet, degree)
+    table = kernel_index(alphabet, degree, degree + 1)
     expected = [[graded_rank(b.involute().concat(a)) for b in cols] for a in rows]
     assert table.tolist() == expected
+    # the Gram matrix [s_{I(b) a}] reads the rows |a| <= degree alone
+    assert kernel_index(alphabet, degree, degree).tolist() == expected[: len(cols)]
     # the letter-k kernel [s_{I(b) k a}] is the table's rows at the words k a
     prepend = prepend_index(alphabet, degree)
     for k in range(1, alphabet + 1):
@@ -184,12 +188,12 @@ def test_kernel_index_ranks_reversed_column_letter_row(alphabet, degree):
 
 def test_kernel_index_has_no_letter_mode():
     params = inspect.signature(kernel_index).parameters
-    assert list(params) == ["alphabet", "degree"]
+    assert list(params) == ["alphabet", "degree", "top"]
 
 
 @pytest.mark.parametrize(
     "build,args",
-    [(reversal_index, (2, 4)), (prepend_index, (3, 2)), (kernel_index, (2, 2))],
+    [(reversal_index, (2, 4)), (prepend_index, (3, 2)), (kernel_index, (2, 2, 3))],
 )
 def test_index_tables_are_shared_and_read_only(build, args):
     table = build(*args)
@@ -197,6 +201,16 @@ def test_index_tables_are_shared_and_read_only(build, args):
     with pytest.raises(ValueError, match="read-only"):
         table.flat[0] = -1
     assert build.cache_info().maxsize == 32
+
+
+def test_cache_clear_frees_a_kernel_table():
+    # one cache holds each kernel table, so clearing it releases the table
+    kernel_index.cache_clear()
+    ref = weakref.ref(kernel_index(2, 3, 3))
+    assert ref() is not None
+    kernel_index.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("alphabet", [1, 2, 3])
@@ -225,10 +239,17 @@ def test_level_tables_are_shared_and_read_only():
     assert level_offsets(3, 2) == (0, 1, 4, 13)
 
 
-def test_index_tables_over_no_words():
-    assert reversal_index(2, -1).shape == (0,)
-    assert prepend_index(2, -1).shape == (2, 0)
-    assert kernel_index(2, -1).shape == (1, 0)  # the empty word's row, no columns
+def test_index_tables_refuse_a_negative_length():
+    # every table is over words that exist; no builder makes one over no words
+    for build, args in [
+        (reversal_index, (2, -1)),
+        (prepend_index, (2, -1)),
+        (kernel_index, (2, -1, 0)),
+        (kernel_index, (2, 1, -1)),
+        (level_kernel_index, (2, -1)),
+    ]:
+        with pytest.raises(ValueError, match="word length must be >= 0, got -1"):
+            build(*args)
 
 
 @pytest.mark.parametrize(
@@ -238,8 +259,8 @@ def test_index_tables_over_no_words():
         lambda: word_at(2, -3),
         lambda: reversal_index(0, 2),
         lambda: prepend_index(0, 2),
-        lambda: kernel_index(0, 1),
-        lambda: kernel_index(-1, 1),
+        lambda: kernel_index(0, 1, 2),
+        lambda: kernel_index(-1, 1, 2),
         lambda: prepend_index(-1, 1),
         lambda: level_kernel_index(0, 1),
         lambda: level_kernel_index(2, -1),
