@@ -48,20 +48,6 @@ class OneDimRecurrence:
             if x <= 0.0:
                 raise ValueError(f"off-diagonal coefficient a_{i} = {x} must be > 0")
 
-    @property
-    def length(self) -> int:
-        return len(self.a)
-
-    def a_at(self, n: int) -> float:
-        if not (1 <= n <= self.length):
-            raise ValueError(f"a_{n} unavailable (stored 1..{self.length})")
-        return self.a[n - 1]
-
-    def b_at(self, n: int) -> float:
-        if not (0 <= n <= self.length):
-            raise ValueError(f"b_{n} unavailable (stored 0..{self.length})")
-        return self.b[n]
-
     @classmethod
     def from_json_obj(cls, obj: Mapping, label: str = "custom") -> "OneDimRecurrence":
         if not isinstance(obj, Mapping):
@@ -155,9 +141,9 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
     if N < 1:
         raise ValueError("need at least one recurrence")
     for k, rec in enumerate(recurrences, start=1):
-        if rec.length < depth:
+        if len(rec.a) < depth:
             raise ValueError(
-                f"recurrence {rec.label} for letter {k} stores {rec.length} levels, "
+                f"recurrence {rec.label} for letter {k} stores {len(rec.a)} levels, "
                 f"need {depth}"
             )
     a_levels, b_levels = [], []
@@ -174,16 +160,15 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
 
 def _univariate_coeffs(rec: OneDimRecurrence, n: int) -> list[np.ndarray]:
     """Coefficient vectors (index = power) of p_0..p_n from the recurrence."""
-    if n > rec.length:
+    if n > len(rec.a):
         raise ValueError(f"recurrence {rec.label} too short for degree {n}")
     ps = [np.array([1.0])]
     for m in range(n):
-        shifted = np.concatenate(([0.0], ps[m]))
-        new = shifted.copy()
-        new[: m + 1] -= rec.b_at(m) * ps[m]
+        new = np.concatenate(([0.0], ps[m]))
+        new[: m + 1] -= rec.b[m] * ps[m]
         if m >= 1:
-            new[:m] -= rec.a_at(m) * ps[m - 1]
-        ps.append(new / rec.a_at(m + 1))
+            new[:m] -= rec.a[m - 1] * ps[m - 1]
+        ps.append(new / rec.a[m])
     return ps
 
 
@@ -233,7 +218,6 @@ def product_polynomial(
 class ThreeTermReport:
     """Largest coefficientwise residual of the recurrence identity, at [n, k - 1]."""
 
-    depth: int
     max_residual: float
     residuals: np.ndarray
 
@@ -250,4 +234,4 @@ def verify_three_term(recurrences: Sequence[OneDimRecurrence], depth: int) -> Th
     family = build(recurrences, depth)
     c = product_basis(recurrences, depth).coeffs
     residuals = three_term_residuals(c, family)
-    return ThreeTermReport(depth, float(np.max(residuals, initial=0.0)), residuals)
+    return ThreeTermReport(float(np.max(residuals, initial=0.0)), residuals)

@@ -71,7 +71,6 @@ class GramReport:
     degree: int
     gram: np.ndarray
     pivots: list[float]
-    min_pivot: float
     positive: bool
     factor: np.ndarray | None  # upper triangular R with gram = R^T R, if positive
 
@@ -82,9 +81,11 @@ class GramReport:
 
 
 @dataclass
-class HankelReport:
+class ValidationReport:
+    """A check's verdict with the violations it found; ``ok`` when there are none."""
+
     ok: bool
-    violations: list[tuple[Word, Word, Word]] = field(default_factory=list)
+    violations: list = field(default_factory=list)
 
 
 class MomentFunctional:
@@ -210,7 +211,6 @@ class MomentFunctional:
             degree=degree,
             gram=g,
             pivots=pivots,
-            min_pivot=min(pivots),
             positive=completed,
             factor=r,
         )
@@ -354,7 +354,7 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
 
 def hankel_check(
     raw: Mapping[tuple[Word, Word], float], alphabet: int, depth: int
-) -> HankelReport:
+) -> ValidationReport:
     """Check K(aw, t) == K(w, I(a)t) exactly on a stored kernel table.
 
     ``raw`` must contain every pair with |first| + |second| <= depth.  Prefixes
@@ -371,7 +371,7 @@ def hankel_check(
         for alpha in enumerate_words(alphabet, 1)
         if raw[(alpha.concat(sigma), tau)] != raw[(sigma, alpha.involute().concat(tau))]
     ]
-    return HankelReport(ok=not violations, violations=violations)
+    return ValidationReport(ok=not violations, violations=violations)
 
 
 def kernel_table(phi: MomentFunctional, depth: int) -> dict[tuple[Word, Word], float]:

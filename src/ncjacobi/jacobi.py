@@ -12,14 +12,13 @@ induced functional are corner entries of operator products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
-from .functional import json_fields, json_floats, json_int
+from .functional import ValidationReport, json_fields, json_floats, json_int
 from .words import Word, level_offsets, reversal_index
 
 VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(A_n) exceeds it
@@ -34,10 +33,7 @@ class AdmissibleFamily:
 
     def __init__(self, alphabet: int, depth: int, A: Mapping, B: Mapping):
         """From the blocks A[(n, k)] for n in 1..depth and B[(n, k)] for n in 0..depth."""
-        if alphabet < 1:
-            raise ValueError("alphabet size must be >= 1")
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        _check_sizes(alphabet, depth)
         N = alphabet
         levels = ([], [])
         for side, blocks, first, out in zip("AB", (A, B), (1, 0), levels):
@@ -80,14 +76,12 @@ class AdmissibleFamily:
     def B(self) -> Mapping[tuple[int, int], np.ndarray]:
         return _block_views(self.b_levels, 0, self.alphabet)
 
-    def blocks_close(self, other: "AdmissibleFamily", depth: int | None = None) -> float:
-        """Max absolute entrywise difference over all blocks up to ``depth``, which
-        must lie within the depth of both families."""
+    def blocks_close(self, other: "AdmissibleFamily") -> float:
+        """Max absolute entrywise difference over the blocks of every level that
+        both families hold."""
         if self.alphabet != other.alphabet:
             raise ValueError(f"family alphabets differ: {self.alphabet} and {other.alphabet}")
-        depth = min(self.depth, other.depth) if depth is None else depth
-        if not 0 <= depth <= min(self.depth, other.depth):
-            raise ValueError(f"depth {depth} outside 0..min({self.depth}, {other.depth})")
+        depth = min(self.depth, other.depth)
         levels = [(f.a_levels[:depth] + f.b_levels[: depth + 1]) for f in (self, other)]
         return max(float(np.max(np.abs(mine - theirs))) for mine, theirs in zip(*levels))
 
@@ -117,12 +111,6 @@ class AdmissibleFamily:
                     raise ValueError(f"duplicate {side} block for (n,k)={key}")
                 out[key] = json_floats(entry["rows"], 2, f"{side}[{key[0]},{key[1]}] rows")
         return cls(N, depth, *blocks)
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
 
 
 def validate(family: AdmissibleFamily) -> ValidationReport:
@@ -264,6 +252,7 @@ def random_admissible_family(
 ) -> AdmissibleFamily:
     """Seeded random family: A_n upper triangular with diag in [0.5, 2] and
     strict upper part in [-1, 1]; B blocks S + S^T with S entries in [-1, 1]."""
+    _check_sizes(alphabet, depth)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     N = alphabet
     a_levels, b_levels = [], []
@@ -275,6 +264,13 @@ def random_admissible_family(
         s = rng.uniform(-1.0, 1.0, size=(N, N**n, N**n))  # the draws of B_{n,1} .. B_{n,N}
         b_levels.append(s + s.swapaxes(1, 2))
     return AdmissibleFamily.from_levels(a_levels, b_levels)
+
+
+def _check_sizes(alphabet: int, depth: int) -> None:
+    if alphabet < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
 
 
 def _block_views(levels, first: int, N: int) -> Mapping[tuple[int, int], np.ndarray]:

@@ -88,11 +88,8 @@ def motzkin_binomial_sum(n: int) -> int:
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
-    total = 0
-    for k in range(0, n + 1):
-        if k - 1 < 0 or k - 1 > n - k:
-            continue
-        total += math.comb(n, k) * math.comb(n - k, k - 1)
+    # math.comb is 0 past the top, at k - 1 > n - k
+    total = sum(math.comb(n, k) * math.comb(n - k, k - 1) for k in range(1, n + 1))
     if total % n:
         raise ArithmeticError(f"binomial sum {total} not divisible by {n}")
     return total // n

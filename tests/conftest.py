@@ -13,6 +13,7 @@ from ncjacobi import (
     build_free_product,
     classical_coefficients,
     favard_moments,
+    functional_free_product,
     graded_rank,
     random_admissible_family,
     words_up_to,
@@ -32,6 +33,13 @@ UNIFORM_MOMENTS = (1.0, 0.0, 1 / 3, 0.0, 1 / 5, 0.0, 1 / 7)
 def one_dim_functional(moments, max_degree):
     table = {Word((1,) * n, 1): m for n, m in enumerate(moments)}
     return MomentFunctional(1, max_degree, table)
+
+
+def singular_pair():
+    """Gaussian x exponential: second factor has nonzero first moment."""
+    g = one_dim_functional(GAUSSIAN_MOMENTS[:6], 2)
+    e = one_dim_functional(EXPONENTIAL_MOMENTS[:6], 2)
+    return functional_free_product([g, e])
 
 
 @pytest.fixture
@@ -61,8 +69,11 @@ def random_phi():
     return favard_moments(random_admissible_family(2, 3, seed=11), 3)
 
 
-def max_block_diff(fam_a, fam_b, depth=None):
-    return fam_a.blocks_close(fam_b, depth=depth)
+def refusal(call):
+    """The type and text of the exception that ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
 
 
 def random_polynomial(rng, alphabet=2, max_degree=3, n_terms=5):

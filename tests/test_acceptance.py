@@ -272,7 +272,7 @@ def test_criterion_8_cli_examples(tmp_path, monkeypatch, capsys):
             problems.append(f"s_1111 = {s1111[0]!r}, want 3")
         src = AdmissibleFamily.from_json_obj(json.load(open("hermite2.json")))
         rec = AdmissibleFamily.from_json_obj(json.load(open("f.json")))
-        err = src.blocks_close(rec, depth=3)
+        err = src.blocks_close(rec)
         if err > 1e-8:
             problems.append(f"CLI round-trip family error {err:.3e} > 1e-8")
         phi_a = MomentFunctional.from_json_obj(table)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,21 @@ def test_full_pipeline(workdir, capsys):
     # recovered family agrees with the source on the shared levels
     src = AdmissibleFamily.from_json_obj(json.load(open("hermite2.json")))
     rec = AdmissibleFamily.from_json_obj(json.load(open("f.json")))
-    assert src.blocks_close(rec, depth=3) <= 1e-8
+    assert src.blocks_close(rec) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["freeproduct", "--spec", "hermite", "--depth", "-1", "--out", "f.json"],
+                     "--depth must be >= 0", id="freeproduct-negative-depth"),
+        pytest.param(["paths", "--word", ","], "word must be nonempty", id="paths-no-letters"),
+    ],
+)
+def test_refusals_name_their_cause(workdir, capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert os.listdir() == []
 
 
 def test_paths_count_only(workdir, capsys):
@@ -341,13 +356,13 @@ def test_moment_header_is_checked_against_the_entry_count(workdir, capsys, alpha
     )
 
 
-def _run_limited(args):
-    """Run python with ``args`` in a child process limited to 2 GiB of address space
-    and 60 s."""
+def _run_limited(args, limit=2 << 30):
+    """Run python with ``args`` in a child process limited to ``limit`` bytes of
+    address space, 2 GiB by default, and 60 s."""
     import resource
 
     def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     # one BLAS thread, so that per-thread buffers on a many-core host stay under the limit
     env = {**_package_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
@@ -405,6 +420,53 @@ def test_from_values_sizes_no_levels_past_its_values():
         "moment table incomplete: 1 values, expected (2**2000001 - 1) (words up to "
         "length 2000000) or (2**2000002 - 1)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "spec, depth, estimate",
+    [("hermite,legendre", 40, "2.4e+26"), ("hermite,legendre", 12, "3.4e+09"),
+     ("hermite", 10**11, "1.0e+13")],
+)
+def test_freeproduct_refuses_a_family_it_cannot_hold(workdir, spec, depth, estimate):
+    # N + N^2 + .. + N^(2 depth + 1) dense block entries at about 50 bytes each, against
+    # a 1 GiB address space; the blocks of the first two were a MemoryError traceback
+    start = time.perf_counter()
+    proc = _run_limited(["-m", "ncjacobi", "freeproduct", "--spec", spec, "--depth", str(depth),
+                         "--out", "big.json"], limit=1 << 30)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: a depth-{depth} family over N={spec.count(',') + 1} letters needs about "
+        f"{estimate} bytes; this process may use 1.1e+09\n"
+    )
+    assert os.listdir() == []
+
+
+def test_freeproduct_refuses_a_family_past_physical_memory(workdir, capsys, monkeypatch):
+    # with no address-space limit the bound is physical memory, here 128 MiB; the
+    # depth-10 family takes about 222 MB, so a command that ignored the bound would
+    # build it and exit 0
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**15}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    argv = ["freeproduct", "--spec", "hermite,legendre", "--depth", "10", "--out", "big.json"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", (
+        "error: a depth-10 family over N=2 letters needs about 2.1e+08 bytes; this process "
+        "may use 1.3e+08\n"
+    ))
+    assert os.listdir() == []
+
+
+def test_freeproduct_writes_a_family_it_can_hold(workdir):
+    proc = _run_limited(["-m", "ncjacobi", "freeproduct", "--spec", "hermite,legendre",
+                         "--depth", "8", "--out", "f.json"], limit=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok: wrote depth-8 family for hermite,legendre to f.json\n"
+    family = ncjacobi.build_free_product(
+        [ncjacobi.classical_coefficients(kind, 8) for kind in ("hermite", "legendre")], 8
+    )
+    assert Path("f.json").read_text() == json.dumps(family.to_json_obj(), indent=1) + "\n"
 
 
 @pytest.mark.parametrize("word", ["0", "0,0"])

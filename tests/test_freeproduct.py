@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,8 @@ from ncjacobi.freeproduct import parse_recurrence_spec
 from ncjacobi.jacobi import sections
 from ncjacobi.orthopoly import three_term_residuals
 
-from conftest import classical_moments, free_cumulants, free_word_moments, run_form_product
+from conftest import classical_moments, free_cumulants, free_word_moments, refusal
+from conftest import run_form_product
 
 EPS = np.finfo(float).eps
 
@@ -110,9 +112,9 @@ def test_classical_coefficients_against_quadrature_oracle(kind, alpha):
     moments = quadrature_moments(kind, alpha, 2 * depth + 1)
     a_ref, b_ref = stieltjes_from_moments(moments, depth)
     for n in range(1, depth + 1):
-        assert rec.a_at(n) == pytest.approx(a_ref[n - 1], abs=1e-8)
+        assert rec.a[n - 1] == pytest.approx(a_ref[n - 1], abs=1e-8)
     for n in range(0, depth + 1):
-        assert rec.b_at(n) == pytest.approx(b_ref[n], abs=1e-8)
+        assert rec.b[n] == pytest.approx(b_ref[n], abs=1e-8)
 
 
 def test_classical_coefficient_literals():
@@ -122,7 +124,7 @@ def test_classical_coefficient_literals():
     c = classical_coefficients("chebyshev_t", 3)
     assert c.a == pytest.approx((1 / SQRT2, 0.5, 0.5))
     l0 = classical_coefficients("laguerre", 2)
-    assert (l0.b_at(0), l0.b_at(1), l0.a_at(1)) == (1.0, 3.0, 1.0)
+    assert (l0.b[0], l0.b[1], l0.a[0]) == (1.0, 3.0, 1.0)
 
 
 def test_classical_coefficients_errors():
@@ -195,9 +197,7 @@ def test_one_letter_build_degenerates_to_input():
     rec = classical_coefficients("laguerre", 4)
     fam = build_free_product([rec], 4)
     t = sections(fam, 4)[0]
-    expected = np.diag([rec.b_at(n) for n in range(5)]) + np.diag(
-        [rec.a_at(n) for n in range(1, 5)], 1
-    ) + np.diag([rec.a_at(n) for n in range(1, 5)], -1)
+    expected = np.diag(rec.b) + np.diag(rec.a, 1) + np.diag(rec.a, -1)
     assert np.array_equal(t, expected)
 
 
@@ -337,18 +337,38 @@ def test_free_cumulant_oracle_on_the_semicircle():
         assert table[start + rank[Word(letters, 2)]] == value
 
 
+CUSTOM = {"a": [1.0, 1.5, 0.5, 2.0], "b": [0.5, -0.25, 1.0, 0.0, 0.75]}
+
+
+def tridiagonal_moments(a, b, length):
+    """e0^T J^m e0 for m = 0..length, J the symmetric tridiagonal matrix with b on its
+    diagonal and a beside it: exact up to m = 2 len(a) + 1."""
+    J = np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
+    v, moments = np.eye(len(b))[0], []
+    for _ in range(length + 1):
+        moments.append(v[0])
+        v = J @ v
+    return moments
+
+
 @pytest.mark.parametrize(
     "spec, depth",
     [("hermite,laguerre(0.5)", 3), ("chebyshev_t,laguerre(0.5),hermite", 2),
-     ("legendre,hermite", 4), ("legendre,chebyshev_t", 5)],
+     ("legendre,hermite", 4), ("legendre,chebyshev_t", 5), ("custom,legendre", 4)],
 )
-def test_product_family_moments_are_free_moments(spec, depth):
+def test_product_family_moments_are_free_moments(tmp_path, spec, depth):
     # build_free_product realizes Voiculescu's free product of the one-variable
     # laws: its mixed free cumulants vanish, so every word up to the odd top level
     # has the moment of freely independent variables
     length = 2 * depth + 1
-    cumulants = [free_cumulants(classical_moments(t, length)) for t in spec.split(",")]
-    expected = free_word_moments(cumulants, length)
+    (tmp_path / "custom.json").write_text(json.dumps(CUSTOM))
+    spec = spec.replace("custom", f"custom:{tmp_path / 'custom.json'}")
+    moments = [
+        tridiagonal_moments(CUSTOM["a"], CUSTOM["b"], length)
+        if token.startswith("custom:") else classical_moments(token, length)
+        for token in spec.split(",")
+    ]
+    expected = free_word_moments([free_cumulants(m) for m in moments], length)
     fam = build_free_product(parse_recurrence_spec(spec, depth + 1), depth)
     got = favard_moments(fam, depth).values
     assert got.shape == expected.shape
@@ -370,3 +390,31 @@ def test_parse_recurrence_spec(tmp_path):
         parse_recurrence_spec("hermite,,legendre", 2)
     with pytest.raises(ValueError):
         parse_recurrence_spec("laguerre(bad)", 2)
+
+
+HERMITE = classical_coefficients("hermite", 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: classical_coefficients("hermite", 0), ValueError,
+                     "n_max must be >= 1", id="no-coefficients"),
+        pytest.param(lambda: parse_recurrence_spec("Hermite", 2), ValueError,
+                     "cannot parse recurrence token 'Hermite'", id="capitalized-token"),
+        pytest.param(lambda: build_free_product([HERMITE], -1), ValueError,
+                     "depth must be >= 0", id="build-negative-depth"),
+        pytest.param(lambda: build_free_product([], 1), ValueError,
+                     "need at least one recurrence", id="build-no-recurrence"),
+        pytest.param(lambda: product_basis([HERMITE], 3), ValueError,
+                     "recurrence hermite too short for degree 3", id="basis-short-recurrence"),
+        pytest.param(lambda: product_basis([], 1), ValueError,
+                     "need at least one recurrence and depth >= 0", id="basis-no-recurrence"),
+        pytest.param(lambda: product_polynomial([HERMITE] * 2, Word((1,), 3)), ValueError,
+                     "word alphabet 3 does not match 2 recurrences", id="polynomial-alphabet"),
+        pytest.param(lambda: verify_three_term([HERMITE], 0), ValueError,
+                     "depth must be >= 1", id="three-term-depth-0"),
+    ],
+)
+def test_refusals_name_their_cause(call, error, message):
+    assert refusal(call) == (error, message)

@@ -7,6 +7,7 @@ import pytest
 from ncjacobi import (
     MomentFunctional,
     NcPolynomial,
+    ValidationReport,
     Word,
     build_free_product,
     classical_coefficients,
@@ -19,6 +20,7 @@ from ncjacobi import (
     orthonormalize,
     random_admissible_family,
     upper_cholesky,
+    validate,
     words_up_to,
 )
 
@@ -27,18 +29,13 @@ from conftest import (
     GAUSSIAN_MOMENTS,
     one_dim_functional,
     random_polynomial,
+    refusal,
     row_loop_cholesky,
+    singular_pair,
     substitution_solve,
 )
 
 EPS = np.finfo(float).eps
-
-
-def singular_pair():
-    """Gaussian x exponential: second factor has nonzero first moment."""
-    g = one_dim_functional(GAUSSIAN_MOMENTS[:6], 2)
-    e = one_dim_functional(EXPONENTIAL_MOMENTS[:6], 2)
-    return functional_free_product([g, e])
 
 
 # -- construction and validation ---------------------------------------------
@@ -122,6 +119,13 @@ def test_hankel_check_classical_hankel_matrix():
 def test_hankel_check_incomplete_table():
     with pytest.raises(ValueError, match="incomplete"):
         hankel_check({}, 1, 1)
+
+
+def test_hankel_check_and_validate_return_one_record(gaussian_phi):
+    shift = hankel_check(kernel_table(gaussian_phi, 2), 1, 2)
+    family = validate(random_admissible_family(2, 2, seed=1))
+    assert type(shift) is type(family) is ValidationReport
+    assert (shift.ok, shift.violations, family.ok, family.violations) == (True, [], True, [])
 
 
 # -- gram and positivity -------------------------------------------------------
@@ -624,3 +628,33 @@ def test_word_table_from_another_alphabet_rejected():
     table = {Word((1,) * n, 1): v for n, v in enumerate(GAUSSIAN_MOMENTS[:6])}
     with pytest.raises(ValueError, match=r"Word\(e; N=1\) outside the N=2 table"):
         MomentFunctional(2, 1, table)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: upper_cholesky(np.zeros((2, 3))), ValueError,
+                     "matrix must be square", id="cholesky-not-square"),
+        pytest.param(lambda: MomentFunctional.from_values(0, 1, [1.0]), ValueError,
+                     "alphabet size must be >= 1 and max_degree >= 0", id="values-alphabet-0"),
+        pytest.param(
+            lambda: MomentFunctional.from_json_obj({"N": 0, "max_degree": 1, "moments": []}),
+            ValueError, "alphabet size must be >= 1 and max_degree >= 0", id="json-alphabet-0"),
+        pytest.param(lambda: one_dim_functional(GAUSSIAN_MOMENTS[:3], 1).apply(NcPolynomial.one(2)),
+                     ValueError, "polynomial alphabet does not match functional",
+                     id="apply-alphabet"),
+        pytest.param(
+            lambda: MomentFunctional.from_json_obj({"N": 1, "max_degree": 0, "moments": {}}),
+            TypeError, "'moments' must be a list of word/value entries", id="moments-not-a-list"),
+        pytest.param(lambda: MomentFunctional.from_json_obj([]), TypeError,
+                     "expected a JSON object for moment table", id="document-not-an-object"),
+        pytest.param(
+            lambda: MomentFunctional.from_values(3, 10**4, [1.0]), ValueError,
+            "moment table incomplete: 1 values, expected (3**20001 - 1) // 2 (words up to "
+            "length 20000) or (3**20002 - 1) // 2", id="count-formula-N3"),
+        pytest.param(lambda: functional_free_product([]), ValueError,
+                     "free product needs at least one factor", id="free-product-no-factor"),
+    ],
+)
+def test_refusals_name_their_cause(call, error, message):
+    assert refusal(call) == (error, message)

@@ -25,7 +25,7 @@ from ncjacobi.jacobi import _letter_blocks, sections
 from ncjacobi.words import enumerate_words
 
 from conftest import GAUSSIAN_MOMENTS, per_block_free_product, per_block_random_family
-from conftest import per_letter_fock
+from conftest import per_letter_fock, refusal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -385,16 +385,12 @@ def test_free_product_matches_per_block_construction(spec, depth):
     assert same_blocks(build_free_product(recs, depth), per_block_free_product(recs, depth))
 
 
-def test_blocks_close_refuses_a_depth_beyond_either_family():
+def test_blocks_close_compares_the_levels_both_families_hold():
     deep, shallow = random_admissible_family(2, 3, seed=1), random_admissible_family(2, 2, seed=1)
-    with pytest.raises(ValueError, match=r"depth 3 outside 0\.\.min\(3, 2\)"):
-        deep.blocks_close(shallow, depth=3)
-    with pytest.raises(ValueError, match=r"depth 3 outside 0\.\.min\(2, 3\)"):
-        shallow.blocks_close(deep, depth=3)
-    with pytest.raises(ValueError, match=r"depth -1 outside 0\.\.min\(3, 3\)"):
-        deep.blocks_close(deep, depth=-1)
-    assert deep.blocks_close(deep, depth=3) == 0.0
-    assert shallow.blocks_close(deep) == shallow.blocks_close(deep, depth=2) > 0.0
+    assert deep.blocks_close(deep) == 0.0
+    assert shallow.blocks_close(deep) == deep.blocks_close(shallow) > 0.0
+    shared = zip(deep.a_levels[:2] + deep.b_levels[:3], shallow.a_levels + shallow.b_levels)
+    assert shallow.blocks_close(deep) == max(np.max(np.abs(x - y)) for x, y in shared)
 
 
 def test_blocks_close_refuses_families_over_other_alphabets():
@@ -521,3 +517,33 @@ def test_fock_diagonal_gives_leading_coefficients_and_minors(N, d, seed):
         assert abs(coefficient_oracle(phi, a, a) * diag[i] - 1.0) <= bound
     minors = [np.linalg.det(g[: i + 1, : i + 1]) for i in range(len(g))]
     assert np.allclose(minors, np.cumprod(diag**2), rtol=bound, atol=0.0)
+
+
+ONE_B = [{"n": 0, "k": 1, "rows": [[0.0]]}]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: AdmissibleFamily(0, 1, {}, {}), ValueError,
+                     "alphabet size must be >= 1", id="alphabet-0"),
+        pytest.param(lambda: AdmissibleFamily(1, -1, {}, {}), ValueError,
+                     "depth must be >= 0", id="negative-depth"),
+        pytest.param(lambda: AdmissibleFamily(1, 0, {(1, 1): [[1.0]]}, {(0, 1): [[0.0]]}),
+                     ValueError, "blocks outside depth range: [(1, 1)]", id="block-past-depth"),
+        pytest.param(
+            lambda: AdmissibleFamily.from_json_obj({"N": 1, "depth": 0, "A": {}, "B": ONE_B}),
+            TypeError, "'A' must be a list of block entries", id="A-not-a-list"),
+        pytest.param(
+            lambda: AdmissibleFamily.from_json_obj({"N": 1, "depth": 0, "A": [], "B": ONE_B * 2}),
+            ValueError, "duplicate B block for (n,k)=(0, 1)", id="duplicate-block"),
+        pytest.param(lambda: favard_moments(random_admissible_family(1, 1), -1), ValueError,
+                     "degree must be >= 0", id="favard-negative-degree"),
+        pytest.param(lambda: random_admissible_family(2, -1), ValueError,
+                     "depth must be >= 0", id="random-negative-depth"),
+        pytest.param(lambda: random_admissible_family(0, 1), ValueError,
+                     "alphabet size must be >= 1", id="random-alphabet-0"),
+    ],
+)
+def test_refusals_name_their_cause(call, error, message):
+    assert refusal(call) == (error, message)

@@ -3,7 +3,7 @@ import pytest
 
 from ncjacobi import NcPolynomial, Word
 
-from conftest import random_polynomial
+from conftest import random_polynomial, refusal
 
 X1 = NcPolynomial.variable(2, 1)
 X2 = NcPolynomial.variable(2, 2)
@@ -87,3 +87,18 @@ def test_json_round_trip():
     assert [entry["word"] for entry in obj] == [[], [2], [1, 2]]
     q = NcPolynomial(2, {Word(tuple(e["word"]), 2): e["coeff"] for e in obj})
     assert q == p
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: NcPolynomial(0), ValueError, "alphabet size must be >= 1",
+                     id="alphabet-0"),
+        pytest.param(lambda: NcPolynomial(2, {Word((1,), 3): 1.0}), ValueError,
+                     "term word alphabet does not match polynomial", id="term-alphabet"),
+        pytest.param(lambda: setattr(ONE, "alphabet", 3), AttributeError,
+                     "NcPolynomial is immutable", id="immutable"),
+    ],
+)
+def test_refusals_name_their_cause(call, error, message):
+    assert refusal(call) == (error, message)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from conftest import (
     kron_a_matrix,
     one_dim_functional,
     per_letter_residuals,
+    refusal,
+    singular_pair,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -379,3 +382,26 @@ def test_basis_json_matches_polynomial_route(random_setup):
             ],
         }
         assert json.dumps(basis.to_json_obj()) == json.dumps(expected)
+
+
+@pytest.mark.parametrize(
+    "call, error, pattern",
+    [
+        pytest.param(lambda: OrthonormalBasis(2, 1, np.zeros((2, 2))), ValueError,
+                     re.escape("coefficient matrix shape (2, 2) does not match 3 words"),
+                     id="basis-shape"),
+        # the determinant of a singular matrix is 0 up to rounding, whose sign varies
+        pytest.param(lambda: coefficient_oracle(singular_pair(), Word((1, 2), 2), Word((1, 2), 2)),
+                     NotStrictlyPositiveError,
+                     re.escape("singular or indefinite leading minor at Word(12; N=2): D = ")
+                     + r"-?\d\.\d{3}e[+-]\d+" + re.escape(", previous 2.000e+00"),
+                     id="oracle-singular-kernel"),
+        pytest.param(
+            lambda: extract_recurrence(
+                orthonormalize(one_dim_functional(GAUSSIAN_MOMENTS[:4], 1), 1), singular_pair()),
+            ValueError, re.escape("basis and functional alphabets differ"), id="extract-alphabets"),
+    ],
+)
+def test_refusals_name_their_cause(call, error, pattern):
+    kind, text = refusal(call)
+    assert kind is error and re.fullmatch(pattern, text), text

@@ -29,6 +29,7 @@ from ncjacobi.paths import DEFAULT_PATH_CAP, _transfer_sum
 from ncjacobi.words import level_offsets
 
 from conftest import EXPONENTIAL_MOMENTS, GAUSSIAN_MOMENTS, one_dim_functional, per_letter_fock
+from conftest import refusal
 
 SQRT2 = math.sqrt(2.0)
 
@@ -532,3 +533,16 @@ def test_recovery_rejects_non_positive_table():
         assert np.searchsorted(offs, len(report.pivots) - 1, side="right") - 1 == level
         with pytest.raises(NotStrictlyPositiveError, match=f"at level {level} hit pivot"):
             jacobi_from_moments(phi, depth)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: motzkin_number(-1), "length must be >= 0", id="motzkin-negative"),
+        pytest.param(lambda: motzkin_binomial_sum(0), "defined for n >= 1", id="binomial-sum-0"),
+        pytest.param(lambda: jacobi_from_moments(one_dim_functional(GAUSSIAN_MOMENTS[:3], 1), -1),
+                     "depth must be >= 0", id="peel-negative-depth"),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    assert refusal(call) == (ValueError, message)

@@ -15,6 +15,8 @@ from ncjacobi import (
 from ncjacobi.words import kernel_index, letters_up_to, prepend_index, reversal_index
 from ncjacobi.words import level_kernel_index, level_offsets, word_at
 
+from conftest import refusal
+
 
 def w(letters, alphabet=2):
     return Word(tuple(letters), alphabet)
@@ -269,3 +271,16 @@ def test_index_tables_refuse_a_negative_length():
 def test_index_helpers_reject_bad_arguments(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: w([1]).concat(w([1], 3)),
+                     "cannot concatenate words over different alphabets", id="concat-alphabets"),
+        pytest.param(lambda: enumerate_words(0, 1), "alphabet size must be >= 1", id="alphabet-0"),
+        pytest.param(lambda: enumerate_words(1, -1), "length must be >= 0", id="negative-length"),
+    ],
+)
+def test_refusals_name_their_cause(call, message):
+    assert refusal(call) == (ValueError, message)
