@@ -17,16 +17,17 @@ import numpy as np
 
 from . import freeproduct as fp
 from . import jsonio
-from .functional import POSITIVITY_TOL, NotStrictlyPositiveError
+from .functional import NotStrictlyPositiveError, require_positive
 from .jacobi import favard_moments, validate
 from .orthopoly import ResidualError, extract_recurrence, orthonormalize
 from .paths import DEFAULT_PATH_CAP, STEP_KINDS, enumerate_paths, motzkin_number
 from .paths import path_weight
 from .words import Word
 
-# Peak bytes per dense block entry of building a family and writing its file: 222 MB
-# RSS for the 4,194,302 entries of hermite,legendre at depth 10.
-FAMILY_BYTES_PER_ENTRY = 50
+# Peak bytes per entry, as peak RSS on hermite,legendre: a family built and written, 222 MB
+# for 4,194,302 block entries at depth 10; the dense words x words matrix of --basis, 36 MiB
+# more for 2047^2 at depth 10; moments, family included, 504 MiB for 1,048,575 at degree 9.
+FAMILY_BYTES_PER_ENTRY, BASIS_BYTES_PER_ENTRY, MOMENT_BYTES_PER_ENTRY = 50, 9, 500
 
 
 class UsageError(Exception):
@@ -98,22 +99,27 @@ def _check_depth(option: str, depth: int, bound: int, what: str) -> None:
         raise UsageError(f"{option} {depth} exceeds {what} {bound}")
 
 
-def _check_family_memory(letters: int, depth: int) -> None:
-    """Refuse a family whose estimated peak exceeds the memory this process may use:
-    physical memory, or the RLIMIT_AS soft limit when that is lower."""
+def _log10_words(n: int, lo: int, hi: int) -> float:
+    """log10 of N^lo + .. + N^hi, the number of words of lengths lo..hi, without forming it."""
+    if n == 1:
+        return math.log10(hi - lo + 1)
+    return hi * math.log10(n) + math.log10((1 - n ** (lo - hi - 1)) / (1 - 1 / n))
+
+
+def _check_memory(what: str, *terms: tuple[int, float]) -> None:
+    """Refuse ``what`` when its peak, summed over ``terms`` of (bytes per entry, log10 of the
+    entries), exceeds physical memory, or the RLIMIT_AS soft limit when that is lower."""
     import resource  # POSIX only, so imported where it is used
 
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     usable = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     usable = usable if soft == resource.RLIM_INFINITY else min(usable, soft)
-    # the N + .. + N^top = N^top (1 - N^-top) / (1 - 1/N) block entries, in log10
-    n, top = letters, 2 * depth + 1
-    scale = top if n == 1 else (1 - n**-top) / (1 - 1 / n)
-    digits = math.log10(FAMILY_BYTES_PER_ENTRY * scale) + top * math.log10(n)
+    logs = [math.log10(size) + digits for size, digits in terms]
+    digits = max(logs) + math.log10(sum(10 ** (x - max(logs)) for x in logs))
     if digits > math.log10(usable):
         raise UsageError(
-            f"a depth-{depth} family over N={n} letters needs about {10 ** (digits % 1):.1f}"
-            f"e{math.floor(digits):+03d} bytes; this process may use {usable:.2g}"
+            f"{what} needs about {10 ** (digits % 1):.1f}e{math.floor(digits):+03d} bytes; "
+            f"this process may use {usable:.2g}"
         )
 
 
@@ -129,6 +135,9 @@ def _require_admissible(family, name: str):
 def cmd_moments(args) -> None:
     family = jsonio.load_family(args.family)
     _check_depth("--max-degree", args.max_degree, family.depth, "family depth")
+    top = 2 * args.max_degree + 1
+    _check_memory(f"a degree-{args.max_degree} moment table over N={family.alphabet} letters",
+                  (MOMENT_BYTES_PER_ENTRY, _log10_words(family.alphabet, 0, top)))
     _require_admissible(family, f"family {args.family}")
     try:
         phi = favard_moments(family, args.max_degree)
@@ -166,7 +175,11 @@ def cmd_freeproduct(args) -> None:
         raise UsageError(f"--out and --basis name the same file {args.out}")
     if args.depth < 0:
         raise UsageError("--depth must be >= 0")
-    _check_family_memory(len(args.spec.split(",")), args.depth)
+    n = len(args.spec.split(","))
+    terms = [(FAMILY_BYTES_PER_ENTRY, _log10_words(n, 1, 2 * args.depth + 1))]
+    if args.basis is not None:  # the product basis, held while the family is written
+        terms.append((BASIS_BYTES_PER_ENTRY, 2 * _log10_words(n, 0, args.depth)))
+    _check_memory(f"a depth-{args.depth} family over N={n} letters", *terms)
     try:
         recurrences = fp.parse_recurrence_spec(args.spec, max(args.depth, 1))
         family = fp.build(recurrences, args.depth)
@@ -274,10 +287,7 @@ def cmd_verify(args) -> None:
         print("ok: kernel shift invariance K(aw,t) = K(w,I(a)t) holds by construction")
         report = phi.gram(depth)
         if not report.positive:
-            raise Refused(
-                f"not strictly positive at degree {depth} "
-                f"(Gram pivot {report.pivots[-1]:.6g} <= {POSITIVITY_TOL:g})"
-            )
+            require_positive(report.pivots, f"degree {depth}")
         print(f"ok: strictly positive at degree {depth} (min Gram pivot {min(report.pivots):.6g})")
 
 

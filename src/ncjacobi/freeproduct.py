@@ -218,8 +218,11 @@ def product_polynomial(
 class ThreeTermReport:
     """Largest coefficientwise residual of the recurrence identity, at [n, k - 1]."""
 
-    max_residual: float
     residuals: np.ndarray
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(self.residuals, initial=0.0))
 
     @property
     def ok(self) -> bool:
@@ -234,4 +237,4 @@ def verify_three_term(recurrences: Sequence[OneDimRecurrence], depth: int) -> Th
     family = build(recurrences, depth)
     c = product_basis(recurrences, depth).coeffs
     residuals = three_term_residuals(c, family)
-    return ThreeTermReport(float(np.max(residuals, initial=0.0)), residuals)
+    return ThreeTermReport(residuals)

@@ -9,6 +9,7 @@ symmetric triangular factorization of the Gram matrix of monomials.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -32,47 +33,59 @@ class NotStrictlyPositiveError(ValueError):
 def upper_cholesky(mat: np.ndarray):
     """Factor a symmetric matrix as R^T R with R upper triangular, diag(R) > 0.
 
-    Returns ``(R, pivots, completed)``.  ``pivots`` are the successive Schur
-    complements of the diagonal (the LDL^T diagonal); the factorization stops
-    at the first pivot that is not > POSITIVITY_TOL (a NaN pivot included), in
-    which case ``R`` is None and ``completed`` is False.  Reads the upper
-    triangle only.  LAPACK factors; the row loop runs only when LAPACK fails or
-    leaves a pivot not above POSITIVITY_TOL, to name the pivot that fails.
+    Returns ``(R, pivots)``.  ``pivots`` are the successive Schur complements of the
+    diagonal (the LDL^T diagonal); the factorization stops at the first pivot that is
+    not > POSITIVITY_TOL (a NaN pivot included), in which case ``R`` is None.  Reads
+    the upper triangle only.  LAPACK factors; the row loop runs only when LAPACK fails
+    or leaves a pivot not above POSITIVITY_TOL, to name the pivot that fails.
     """
     a = np.asarray(mat, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    try:
+    with contextlib.suppress(np.linalg.LinAlgError):
         r = np.linalg.cholesky(a.T).T
-    except np.linalg.LinAlgError:
-        pass
-    else:
         pivots = r.diagonal() ** 2
         if np.all(pivots > POSITIVITY_TOL):
-            return r, pivots.tolist(), True
+            return r, pivots.tolist()
     r = np.zeros((n, n))
     pivots = []
     for j in range(n):
         d = a[j, j] - r[:j, j] @ r[:j, j]
         pivots.append(float(d))
         if not d > POSITIVITY_TOL:
-            return None, pivots, False
+            return None, pivots
         r[j, j] = math.sqrt(d)
         r[j, j + 1 :] = (a[j, j + 1 :] - r[:j, j] @ r[:j, j + 1 :]) / r[j, j]
-    return r, pivots, True
+    return r, pivots
+
+
+def require_positive(pivots, where: str) -> None:
+    """The one strict-positivity rule: the first Gram pivot not above POSITIVITY_TOL,
+    a NaN included, raises NotStrictlyPositiveError naming ``where`` it was taken."""
+    pivots = np.asarray(pivots, dtype=float)
+    bad = np.flatnonzero(~(pivots > POSITIVITY_TOL))
+    if bad.size:
+        p = pivots[bad[0]]
+        raise NotStrictlyPositiveError(
+            f"functional not strictly positive at {where}: Gram pivot {p:.3e} <= {POSITIVITY_TOL}"
+        )
 
 
 @dataclass
 class GramReport:
-    """Gram matrix of monomials up to a degree, with its positivity verdict."""
+    """Gram matrix of monomials up to a degree with its factor and pivots; ``positive``
+    when the factorization completed."""
 
     alphabet: int
     degree: int
     gram: np.ndarray
+    factor: np.ndarray | None  # upper triangular R with gram = R^T R, or None
     pivots: list[float]
-    positive: bool
-    factor: np.ndarray | None  # upper triangular R with gram = R^T R, if positive
+
+    @property
+    def positive(self) -> bool:
+        return self.factor is not None
 
     @functools.cached_property
     def words(self) -> list[Word]:
@@ -82,10 +95,13 @@ class GramReport:
 
 @dataclass
 class ValidationReport:
-    """A check's verdict with the violations it found; ``ok`` when there are none."""
+    """A check's violations; ``ok`` when there are none."""
 
-    ok: bool
     violations: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 class MomentFunctional:
@@ -205,15 +221,7 @@ class MomentFunctional:
             raise ValueError("degree must be >= 0")
         self._require_words(2 * degree, f"the degree-{degree} Gram matrix")
         g = self._values[kernel_index(self.alphabet, degree, degree)]
-        r, pivots, completed = upper_cholesky(g)
-        return GramReport(
-            alphabet=self.alphabet,
-            degree=degree,
-            gram=g,
-            pivots=pivots,
-            positive=completed,
-            factor=r,
-        )
+        return GramReport(self.alphabet, degree, g, *upper_cholesky(g))
 
     def is_strictly_positive(self, degree: int) -> bool:
         return self.gram(degree).positive
@@ -324,15 +332,14 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
     if lengths.max(initial=0) > top:
         w = Word(words[np.argmax(lengths > top)], alphabet)
         raise ValueError(_outside(w, alphabet, top - 1))
-    at = range(len(words))  # the entries ranked below
-    if short:
-        at = np.flatnonzero(lengths <= reach)
-        letters, lengths = letters[np.repeat(lengths <= reach, lengths)], lengths[at]
-    # level rank: the sum of (letter - 1) N^(number of letters after it)
-    ends = np.cumsum(lengths)
-    after = np.repeat(ends, lengths) - np.arange(letters.size) - 1
-    partial = np.concatenate(([0], np.cumsum((letters - 1) * alphabet**after)))
-    index = np.array(offs[: reach + 2])[lengths] + partial[ends] - partial[ends - lengths]
+    at = np.flatnonzero(lengths <= reach)  # the entries ranked below
+    starts, lengths = (np.cumsum(lengths) - lengths)[at], lengths[at]  # where each begins
+    # level rank by Horner's rule, one letter position at a time: no temporary spans letters
+    rank = np.zeros(len(lengths), dtype=np.int64)
+    for i in range(lengths.max(initial=0)):
+        on = np.flatnonzero(lengths > i)
+        rank[on] = rank[on] * alphabet + letters[starts[on] + i] - 1
+    index = np.array(offs[: reach + 2])[lengths] + rank
     counts = np.bincount(index, minlength=offs[reach + 1])
     if counts.max(initial=0) > 1:
         w = Word(words[at[np.argmax(counts[index] > 1)]], alphabet)
@@ -371,7 +378,7 @@ def hankel_check(
         for alpha in enumerate_words(alphabet, 1)
         if raw[(alpha.concat(sigma), tau)] != raw[(sigma, alpha.involute().concat(tau))]
     ]
-    return ValidationReport(ok=not violations, violations=violations)
+    return ValidationReport(violations)
 
 
 def kernel_table(phi: MomentFunctional, depth: int) -> dict[tuple[Word, Word], float]:

@@ -17,8 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
-from .functional import ValidationReport, json_fields, json_floats, json_int
+from .functional import MomentFunctional, ValidationReport, json_fields, json_floats
+from .functional import json_int, require_positive
 from .words import Word, level_offsets, reversal_index
 
 VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(A_n) exceeds it
@@ -134,7 +134,7 @@ def validate(family: AdmissibleFamily) -> ValidationReport:
             violations.append(f"A_{n} = [A_{n},1 .. A_{n},{N}] not upper triangular")
         if np.min(np.diag(a)) <= VALIDATE_TOL:
             violations.append(f"A_{n} diagonal not strictly positive")
-    return ValidationReport(ok=not violations, violations=violations)
+    return ValidationReport(violations)
 
 
 def sections(family: AdmissibleFamily, level: int) -> np.ndarray:
@@ -228,7 +228,7 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
             h = n // 2
             out = values[level[n]].reshape(N**h, N ** (n - h))
             np.matmul(left[:, level[h]].T, fock[:, level[n - h]], out=out)
-        pivot = float(np.min(fock.diagonal() ** 2))  # diag(V): level |w| of J_w e0
+        pivots = fock.diagonal() ** 2  # diag(V): level |w| of J_w e0
     del J, fock, left  # before the table-sized gathers below
     if not np.isfinite(values).all():
         n = next(n for n, ln in enumerate(level) if not np.isfinite(values[ln]).all())
@@ -236,15 +236,9 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
             f"float64 overflow in the moments of words of length {n}: the family's "
             f"blocks are too large for degree-{degree} moments, or not finite"
         )
+    require_positive(pivots, f"degree {degree}")
     values = values[np.minimum(np.arange(values.size), rev)]
-    phi = MomentFunctional.from_values(N, degree, values)
-    if not pivot > POSITIVITY_TOL:
-        raise NotStrictlyPositiveError(
-            f"moments of an admissible family failed strict positivity at degree "
-            f"{degree} (min pivot {pivot:.3e}, tol {POSITIVITY_TOL}); the family data is "
-            f"inconsistent"
-        )
-    return phi
+    return MomentFunctional.from_values(N, degree, values)
 
 
 def random_admissible_family(

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .functional import POSITIVITY_TOL, MomentFunctional, NotStrictlyPositiveError
+from .functional import MomentFunctional, NotStrictlyPositiveError, require_positive
 from .jacobi import AdmissibleFamily, _letter_blocks, sections
 from .ncpoly import NcPolynomial
 from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
@@ -87,10 +87,7 @@ def orthonormalize(phi: MomentFunctional, depth: int) -> OrthonormalBasis:
     """Gram-Schmidt over monomials up to ``depth`` in graded-lex order."""
     report = phi.gram(depth)
     if not report.positive:
-        raise NotStrictlyPositiveError(
-            f"functional not strictly positive at depth {depth}: Gram pivot "
-            f"{report.pivots[-1]:.3e} <= {POSITIVITY_TOL}"
-        )
+        require_positive(report.pivots, f"depth {depth}")
     return OrthonormalBasis(phi.alphabet, depth, np.linalg.inv(report.factor).T)
 
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import MomentFunctional, NotStrictlyPositiveError
-from .functional import POSITIVITY_TOL, upper_cholesky
+from .functional import MomentFunctional, require_positive, upper_cholesky
 from .jacobi import AdmissibleFamily, _letter_blocks
 from .words import Word, level_kernel_index, level_offsets
 
@@ -222,12 +221,9 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
         # the ranks of the words I(s)t and, over k, I(s)kt
         even, odd = level_kernel_index(N, n)
         low = jv.swapaxes(0, 1).reshape(lo, dim)  # V_n below level n
-        atilde, pivots, completed = upper_cholesky(s[even] - low.T @ low)
-        if not completed:
-            raise NotStrictlyPositiveError(
-                f"coefficient recovery at level {n} hit pivot {pivots[-1]:.3e} "
-                f"<= {POSITIVITY_TOL}; the moment table is not strictly positive there"
-            )
+        atilde, pivots = upper_cholesky(s[even] - low.T @ low)
+        if atilde is None:
+            require_positive(pivots, f"level {n}")
         a = _letter_blocks(atilde, inv)
         inv = np.linalg.inv(atilde)
         v = np.concatenate((low, atilde))

@@ -98,10 +98,10 @@ def row_loop_cholesky(mat, tol):
         d = a[j, j] - r[:j, j] @ r[:j, j]
         pivots.append(float(d))
         if not d > tol:
-            return None, pivots, False
+            return None, pivots
         r[j, j] = math.sqrt(d)
         r[j, j + 1 :] = (a[j, j + 1 :] - r[:j, j] @ r[:j, j + 1 :]) / r[j, j]
-    return r, pivots, True
+    return r, pivots
 
 
 def substitution_solve(t, b):

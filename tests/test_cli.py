@@ -469,6 +469,41 @@ def test_freeproduct_writes_a_family_it_can_hold(workdir):
     assert Path("f.json").read_text() == json.dumps(family.to_json_obj(), indent=1) + "\n"
 
 
+def test_freeproduct_counts_the_basis_matrix(workdir):
+    # --basis adds a dense 4095 x 4095 float64 matrix (134 MB) to the 8.4e8 bytes of the
+    # depth-11 family; counted without it, the command died of a MemoryError after 2.1 s
+    start = time.perf_counter()
+    proc = _run_limited(["-m", "ncjacobi", "freeproduct", "--spec", "hermite,legendre",
+                         "--depth", "11", "--out", "big.json", "--basis", "b.json"],
+                        limit=900 << 20)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: a depth-11 family over N=2 letters needs about 9.9e+08 bytes; this process "
+        "may use 9.4e+08\n"
+    )
+    assert os.listdir() == []
+
+
+def test_moments_refuses_a_table_it_cannot_hold(workdir):
+    # the smallest family refused under 256 MiB: its depth-9 file loads in about 60 MB,
+    # while its 1,048,575-entry table would take about 500 bytes an entry
+    assert run(["freeproduct", "--spec", "hermite,legendre", "--depth", "9",
+                "--out", "fam.json"]) == 0
+    start = time.perf_counter()
+    proc = _run_limited(["-m", "ncjacobi", "moments", "--family", "fam.json",
+                         "--max-degree", "9", "--out", "m.json"], limit=256 << 20)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: a degree-9 moment table over N=2 letters needs about 5.2e+08 bytes; this "
+        "process may use 2.7e+08\n"
+    )
+    assert os.listdir() == ["fam.json"]
+
+
 @pytest.mark.parametrize("word", ["0", "0,0"])
 def test_paths_without_family_names_a_letter_below_the_alphabet(workdir, capsys, word):
     # the alphabet is the largest letter, and at least 1, so the letter is to blame
@@ -863,13 +898,16 @@ def test_gram_pivot_threshold_is_fixed(workdir, capsys):
         json.dump(obj, fh)
     np.linalg.cholesky(MomentFunctional.from_json_obj(obj).gram(1).gram)
     capsys.readouterr()
-    for command in TABLE_COMMANDS:
+    # one rule words every refusal; only where the pivots were taken differs
+    refusal = "functional not strictly positive at {} 1: Gram pivot 1.000e-11 <= 1e-10"
+    for command, where in zip(TABLE_COMMANDS, ("depth", "depth", "degree")):
         assert run([*command, "--moments", "thin.json", "--depth", "1"]) == 1
         fail = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL:")]
-        assert len(fail) == 1 and "1e-10" in fail[0]
+        assert fail == ["FAIL: " + refusal.format(where)]
     assert not os.path.exists("x.json")
-    with pytest.raises(ncjacobi.NotStrictlyPositiveError, match="1e-10"):
+    with pytest.raises(ncjacobi.NotStrictlyPositiveError) as info:
         ncjacobi.jacobi_from_moments(jsonio.load_moments("thin.json"), 1)
+    assert str(info.value) == refusal.format("level")
 
 
 def test_cli_chain_builds_no_word_or_polynomial_objects(workdir, capsys, monkeypatch):

@@ -24,6 +24,9 @@ from ncjacobi import (
     words_up_to,
 )
 
+from ncjacobi.functional import _by_rank
+from ncjacobi.words import letters_up_to
+
 from conftest import (
     EXPONENTIAL_MOMENTS,
     GAUSSIAN_MOMENTS,
@@ -303,8 +306,8 @@ def test_apply_positive_on_squares(random_phi):
 
 def test_upper_cholesky_known_matrix():
     g = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]])
-    r, pivots, completed = upper_cholesky(g)
-    assert completed
+    r, pivots = upper_cholesky(g)
+    assert r is not None
     assert np.allclose(r.T @ r, g, atol=1e-14)
     assert np.allclose(pivots, [1.0, 1.0, 2.0])
     assert np.all(np.diag(r) > 0)
@@ -327,9 +330,9 @@ def spd_case(case):
 @pytest.mark.parametrize("case", [*range(6), (2, 4, 7), (3, 3, 2)])
 def test_upper_cholesky_agrees_with_row_loop(case):
     g = spd_case(case)
-    r, pivots, completed = upper_cholesky(g)
-    r_ref, pivots_ref, completed_ref = row_loop_cholesky(g, 1e-10)
-    assert completed and completed_ref
+    r, pivots = upper_cholesky(g)
+    r_ref, pivots_ref = row_loop_cholesky(g, 1e-10)
+    assert r is not None and r_ref is not None
     assert np.all(np.tril(r, -1) == 0.0) and np.all(np.diag(r) > 0)
     scale = len(g) * EPS * np.linalg.cond(g)
     assert np.max(np.abs(r - r_ref)) <= scale * np.max(np.abs(r_ref))
@@ -347,17 +350,17 @@ def small_pivot_matrix(pivot):
 def test_upper_cholesky_rejects_small_pivot_lapack_accepts():
     g = small_pivot_matrix(1e-12)
     np.linalg.cholesky(g)  # LAPACK factors it: the pivot is positive
-    r, pivots, completed = upper_cholesky(g)
-    assert not completed and r is None
-    assert (r, pivots, completed) == row_loop_cholesky(g, 1e-10)
+    r, pivots = upper_cholesky(g)
+    assert r is None
+    assert (r, pivots) == row_loop_cholesky(g, 1e-10)
     assert len(pivots) == 3 and 0.0 < pivots[-1] <= 1e-10
 
 
 def test_upper_cholesky_names_nan_pivot():
     g = small_pivot_matrix(1.0)
     g[3, 3] = np.nan
-    r, pivots, completed = upper_cholesky(g)
-    assert not completed and r is None
+    r, pivots = upper_cholesky(g)
+    assert r is None
     assert len(pivots) == 4 and math.isnan(pivots[-1])
     assert pivots[:3] == row_loop_cholesky(g, 1e-10)[1][:3]
 
@@ -368,8 +371,8 @@ def test_upper_cholesky_reads_upper_triangle():
     lower = np.tril_indices(12, -1)
     skewed[lower] *= 1.0 + 1e-12
     assert not np.array_equal(skewed, skewed.T)
-    r, _, completed = upper_cholesky(skewed)
-    assert completed
+    r, _ = upper_cholesky(skewed)
+    assert r is not None
     assert np.array_equal(r, upper_cholesky(g)[0])
 
 
@@ -407,8 +410,7 @@ def test_solve_triangular_agrees_with_substitution(n, seed):
 
 def test_upper_cholesky_stops_at_nonpositive_pivot():
     g = np.array([[1.0, 1.0], [1.0, 1.0]])
-    r, pivots, completed = upper_cholesky(g)
-    assert not completed
+    r, pivots = upper_cholesky(g)
     assert r is None
     assert pivots[-1] <= 1e-12
 
@@ -434,9 +436,9 @@ def test_favard_tables_symmetric_and_unital():
 
 
 def test_upper_cholesky_stops_at_nan_pivot():
-    r, pivots, completed = upper_cholesky(np.array([[np.nan]]))
-    assert not completed
+    r, pivots = upper_cholesky(np.array([[np.nan]]))
     assert r is None
+    assert len(pivots) == 1 and math.isnan(pivots[0])
 
 
 # -- flat table --------------------------------------------------------------------
@@ -518,6 +520,23 @@ def test_favard_table_peak_stays_near_three_tables():
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * phi.values.nbytes, f"peak {peak / phi.values.nbytes:.2f} tables"
+
+
+def test_placement_peak_stays_near_the_letters():
+    # the (2,7) table: 917,506 letters in 65,535 entries; placing them by the sum of
+    # (letter - 1) N^(letters after it) held about five letter-sized arrays (4.3x)
+    words = [list(w) for w in letters_up_to(2, 15)]
+    letters = sum(map(len, words))
+    values = np.arange(len(words), dtype=float)  # graded order: each word's own rank
+    assert letters == 917_506
+    tracemalloc.start()
+    try:
+        table = _by_rank(2, 7, words, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table, values)
+    assert peak <= 2 * 8 * letters, f"peak {peak / (8 * letters):.2f} letter arrays"
 
 
 def test_json_round_trip_keeps_values(random_phi):

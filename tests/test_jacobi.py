@@ -417,8 +417,12 @@ def test_favard_rejects_zero_a_diagonal():
     fam = random_admissible_family(2, 3, seed=3)
     fam.A[(2, 1)][0, 0] = 0.0  # the pivot of the word 11
     assert not validate(fam).ok
-    with pytest.raises(NotStrictlyPositiveError, match="strict positivity"):
+    with pytest.raises(NotStrictlyPositiveError) as info:
         favard_moments(fam, 3)
+    # the first failing pivot of diag(V)^2, that of the word 11, exactly 0
+    assert str(info.value) == (
+        "functional not strictly positive at degree 3: Gram pivot 0.000e+00 <= 1e-10"
+    )
 
 
 # -- the Fock matrix is the Gram factor ---------------------------------------------

@@ -531,7 +531,8 @@ def test_recovery_rejects_non_positive_table():
         assert not report.positive
         offs = level_offsets(phi.alphabet, depth)
         assert np.searchsorted(offs, len(report.pivots) - 1, side="right") - 1 == level
-        with pytest.raises(NotStrictlyPositiveError, match=f"at level {level} hit pivot"):
+        refusal = f"functional not strictly positive at level {level}: Gram pivot"
+        with pytest.raises(NotStrictlyPositiveError, match=refusal):
             jacobi_from_moments(phi, depth)
 
 
