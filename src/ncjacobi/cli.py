@@ -28,6 +28,8 @@ from .words import Word
 # for 4,194,302 block entries at depth 10; the dense words x words matrix of --basis, 36 MiB
 # more for 2047^2 at depth 10; moments, family included, 504 MiB for 1,048,575 at degree 9.
 FAMILY_BYTES_PER_ENTRY, BASIS_BYTES_PER_ENTRY, MOMENT_BYTES_PER_ENTRY = 50, 9, 500
+# Per byte of a file read: 268 MB to read the 42 MB depth-10 family (6.4), rounded up.
+READ_BYTES_PER_BYTE = 7
 
 
 class UsageError(Exception):
@@ -123,6 +125,12 @@ def _check_memory(what: str, *terms: tuple[int, float]) -> None:
         )
 
 
+def _read(load, path: str):
+    """``load(path)``, once the file's size shows that parsing it fits in memory."""
+    _check_memory(f"reading {path}", (READ_BYTES_PER_BYTE, math.log10(os.stat(path).st_size or 1)))
+    return load(path)
+
+
 def _require_admissible(family, name: str):
     report = validate(family)
     if not report.ok:
@@ -133,7 +141,7 @@ def _require_admissible(family, name: str):
 
 
 def cmd_moments(args) -> None:
-    family = jsonio.load_family(args.family)
+    family = _read(jsonio.load_family, args.family)
     _check_depth("--max-degree", args.max_degree, family.depth, "family depth")
     top = 2 * args.max_degree + 1
     _check_memory(f"a degree-{args.max_degree} moment table over N={family.alphabet} letters",
@@ -151,7 +159,7 @@ def cmd_moments(args) -> None:
 
 
 def cmd_jacobi(args) -> None:
-    phi = jsonio.load_moments(args.moments)
+    phi = _read(jsonio.load_moments, args.moments)
     _check_depth("--depth", args.depth, phi.max_degree, "table degree")
     try:
         phi._require_words(2 * args.depth + 1, f"extracting level-{args.depth} blocks")
@@ -163,7 +171,7 @@ def cmd_jacobi(args) -> None:
 
 
 def cmd_orthonormalize(args) -> None:
-    phi = jsonio.load_moments(args.moments)
+    phi = _read(jsonio.load_moments, args.moments)
     _check_depth("--depth", args.depth, phi.max_degree, "table degree")
     basis = orthonormalize(phi, args.depth)
     jsonio.write_json(args.out, basis.to_json_obj())
@@ -216,7 +224,7 @@ def cmd_paths(args) -> None:
         raise UsageError(f"cannot parse word {args.word!r}: {exc}") from exc
     if not letters:
         raise UsageError("word must be nonempty")
-    family = None if args.family is None else jsonio.load_family(args.family)
+    family = None if args.family is None else _read(jsonio.load_family, args.family)
     try:
         word = Word(letters, max(max(letters), 1) if family is None else family.alphabet)
     except ValueError as exc:
@@ -273,13 +281,13 @@ def cmd_verify(args) -> None:
     if args.family is not None and args.depth is not None:
         raise UsageError("--depth is not used with --family")
     if args.family is not None:
-        family = jsonio.load_family(args.family)
+        family = _read(jsonio.load_family, args.family)
         report = validate(family)
         if not report.ok:
             raise Refused(*(f"family {args.family}: {v}" for v in report.violations))
         print(f"ok: family {args.family} admissible (N={family.alphabet}, depth={family.depth})")
     else:
-        phi = jsonio.load_moments(args.moments)
+        phi = _read(jsonio.load_moments, args.moments)
         depth = args.depth if args.depth is not None else phi.max_degree
         _check_depth("--depth", depth, phi.max_degree, "table degree")
         print(f"ok: moment table unital and reversal-symmetric (loaded {args.moments})")

@@ -9,7 +9,6 @@ symmetric triangular factorization of the Gram matrix of monomials.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -43,11 +42,13 @@ def upper_cholesky(mat: np.ndarray):
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    with contextlib.suppress(np.linalg.LinAlgError):
+    try:
         r = np.linalg.cholesky(a.T).T
         pivots = r.diagonal() ** 2
-        if np.all(pivots > POSITIVITY_TOL):
+        if (pivots > POSITIVITY_TOL).all():
             return r, pivots.tolist()
+    except np.linalg.LinAlgError:
+        pass
     r = np.zeros((n, n))
     pivots = []
     for j in range(n):
@@ -334,12 +335,14 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
         raise ValueError(_outside(w, alphabet, top - 1))
     at = np.flatnonzero(lengths <= reach)  # the entries ranked below
     starts, lengths = (np.cumsum(lengths) - lengths)[at], lengths[at]  # where each begins
-    # level rank by Horner's rule, one letter position at a time: no temporary spans letters
-    rank = np.zeros(len(lengths), dtype=np.int64)
-    for i in range(lengths.max(initial=0)):
-        on = np.flatnonzero(lengths > i)
-        rank[on] = rank[on] * alphabet + letters[starts[on] + i] - 1
-    index = np.array(offs[: reach + 2])[lengths] + rank
+    # level rank by Horner's rule, one letter position at a time, over the entries in
+    # length order, so those longer than i are the tail: no temporary spans letters
+    order = np.argsort(lengths, kind="stable")
+    starts, rank = starts[order], np.zeros(len(lengths), dtype=np.int64)
+    for i, tail in enumerate(np.bincount(lengths).cumsum()[:-1]):
+        rank[tail:] = rank[tail:] * alphabet + letters[starts[tail:] + i] - 1
+    index = np.array(offs[: reach + 2])[lengths]
+    index[order] += rank
     counts = np.bincount(index, minlength=offs[reach + 1])
     if counts.max(initial=0) > 1:
         w = Word(words[at[np.argmax(counts[index] > 1)]], alphabet)

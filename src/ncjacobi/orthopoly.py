@@ -22,6 +22,8 @@ from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_ind
 from .words import words_up_to
 
 
+EPS = np.finfo(float).eps
+
 # eps times the recovery condition estimate must not exceed this; on 1600 seeded
 # dense tables at (N, d) = (2,5), (3,3), (3,4), (2,6) the block error stayed
 # below 0.1 eps est, so an accepted recovery is good to about 1e-2
@@ -39,21 +41,26 @@ class OrthonormalBasis:
 
     Row alpha holds the coefficients of the polynomial indexed by alpha;
     entry (alpha, beta) is nonzero only for beta <= alpha and the diagonal is
-    strictly positive.
+    strictly positive.  ``factor`` is the Gram factor R (coeffs = R^{-T}), derived if not given.
     """
 
-    def __init__(self, alphabet: int, depth: int, coeffs: np.ndarray):
+    def __init__(self, alphabet: int, depth: int, coeffs: np.ndarray, factor=None):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        self.alphabet = alphabet
-        self.depth = depth
+        self.alphabet, self.depth = alphabet, depth
         size = level_offsets(alphabet, depth)[-1]
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (size, size):
-            raise ValueError(
-                f"coefficient matrix shape {coeffs.shape} does not match {size} words"
-            )
+        factor = None if factor is None else np.asarray(factor, dtype=float)
+        for what, m in (("coefficient matrix", coeffs), ("Gram factor", factor)):
+            if m is not None and m.shape != (size, size):
+                raise ValueError(f"{what} shape {m.shape} does not match {size} words")
         self.coeffs = coeffs
+        if factor is not None:
+            self.factor = factor
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        return np.linalg.inv(self.coeffs).T
 
     @functools.cached_property
     def words(self) -> list[Word]:
@@ -88,7 +95,8 @@ def orthonormalize(phi: MomentFunctional, depth: int) -> OrthonormalBasis:
     report = phi.gram(depth)
     if not report.positive:
         require_positive(report.pivots, f"depth {depth}")
-    return OrthonormalBasis(phi.alphabet, depth, np.linalg.inv(report.factor).T)
+    r = report.factor
+    return OrthonormalBasis(phi.alphabet, depth, np.linalg.inv(r).T, factor=r)
 
 
 def coefficient_oracle(phi: MomentFunctional, alpha: Word, beta: Word) -> float:
@@ -132,10 +140,10 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
     M_k = C G_k C^T holds <X_k p_tau, p_sigma> at (sigma, tau); B_{n,k} is its
     symmetrised level-n diagonal block C_n G_k C_n^T, formed over the columns up
     to level n only, since C_n, the level-n rows of C, vanishes beyond them.
-    A_n comes from the coefficient diagonal blocks alone: the level-n diagonal
-    block of R is A~_n = C_n^{-T}, with C_n the level-n diagonal block of C, and
-    A~_n = A_n (I_N (x) A~_{n-1}), as in the path peel; both factors are upper
-    triangular, so A_n is exactly upper triangular.  The
+    A_n comes from the diagonal blocks alone: the level-n diagonal block of the
+    basis's Gram factor R is A~_n = A_n (I_N (x) A~_{n-1}), as in the path peel,
+    and A~_{n-1}^{-1} = C_{n-1}^T, with C_{n-1} the level-(n-1) diagonal block of
+    C; all three are upper triangular, so A_n is exactly upper triangular.  The
     blocks must reproduce X_k p_tau = sum_sigma J_k[sigma, tau] p_sigma for
     |tau| < depth, with J_k the finite section they assemble; the largest
     coefficient of the difference must stay within
@@ -150,38 +158,37 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
         raise ValueError("basis and functional alphabets differ")
     N, depth, c = basis.alphabet, basis.depth, basis.coeffs
     phi._require_words(2 * depth + 1, f"extracting level-{depth} blocks")
-    eps = np.finfo(float).eps
     kernel = kernel_index(N, depth, depth + 1)
     g_diag = phi.values[kernel.diagonal()]
     # ||R D||_F^2 ||(R D)^-1||_F^2 >= cond(D G D), where ||R D||_F^2 = trace(D G D)
     # = n and (R D)^-1 = D^-1 C^T
     c2 = c * c
-    est = len(c) * float(np.sum(c2 @ g_diag))
-    if not eps * est <= RECOVERY_LIMIT:
+    est = len(c) * float((c2 @ g_diag).sum())
+    if not EPS * est <= RECOVERY_LIMIT:
         raise ResidualError(
-            f"recovery condition estimate eps n sum G_jj C_ij^2 = {eps * est:.3e} "
+            f"recovery condition estimate eps n sum G_jj C_ij^2 = {EPS * est:.3e} "
             f"exceeds {RECOVERY_LIMIT:g}: float64 moments do not determine the "
             f"depth-{depth} blocks"
         )
-    offs = level_offsets(N, depth)
-    g = np.empty((N, len(c), len(c)))  # G_k, the kernel's rows at k a, stacked over k
-    for k, rows in enumerate(prepend_index(N, depth)):
-        np.take(phi.values, kernel[rows], out=g[k])
+    offs, r = level_offsets(N, depth), basis.factor
+    g = phi.values[kernel[prepend_index(N, depth)]]  # G_k, the kernel's rows at k a, over k
     a_levels, b_levels = [], []
     for n, (lo, hi) in enumerate(zip(offs, offs[1:])):
         if n:
             # C_m^T = A~_m^{-1}, where A~_m is the level-m diagonal block of R
-            a = _letter_blocks(np.linalg.inv(c[lo:hi, lo:hi].T), c[prev:lo, prev:lo].T)
+            a = _letter_blocks(r[lo:hi, lo:hi], c[prev:lo, prev:lo].T)
             a_levels.append(a.swapaxes(0, 1).reshape(hi - lo, hi - lo))
         prev = lo
         b = c[lo:hi, :hi] @ g[:, :hi, :hi] @ c[lo:hi, :hi].T
-        b_levels.append((b + b.swapaxes(1, 2)) / 2.0)
+        b += b.swapaxes(1, 2)
+        b *= 0.5
+        b_levels.append(b)
     del g
     family = AdmissibleFamily.from_levels(a_levels, b_levels)
-    worst = float(np.max(three_term_residuals(c, family), initial=0.0))
+    worst = float(three_term_residuals(c, family).max(initial=0.0))
     # eps ||R||_F^2 ||R^{-1}||_F^2 >= eps cond(G), the accuracy scale of any
     # recovery from moments; ||R||_F^2 = trace(G) and R^{-1} = C^T
-    bound = eps * float(np.sum(g_diag)) * float(np.sum(c2))
+    bound = EPS * float(g_diag.sum()) * float(c2.sum())
     if not worst <= bound:
         raise ResidualError(
             f"three-term residual {worst:.3e} exceeds eps ||R||_F^2 ||R^-1||_F^2 = "

@@ -231,7 +231,8 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
         J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)
         jv = J[:, :hi, :hi] @ v  # with B_n = 0
         b = inv.T @ (s[odd] - v.T @ jv) @ inv
-        b = (b + b.swapaxes(1, 2)) / 2.0
+        b += b.swapaxes(1, 2)
+        b *= 0.5
         J[:, lo:hi, lo:hi] = b
         jv[:, lo:] += b @ atilde
         a_levels.append(a.swapaxes(0, 1).reshape(dim, dim))

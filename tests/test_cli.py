@@ -504,6 +504,23 @@ def test_moments_refuses_a_table_it_cannot_hold(workdir):
     assert os.listdir() == ["fam.json"]
 
 
+def test_moments_refuses_a_family_file_it_cannot_read(workdir):
+    # reading the 42 MB depth-10 file peaks at about 268 MB: sized from the file before
+    # json parses it, where it was a MemoryError traceback; the depth-9 file above reads
+    assert run(["freeproduct", "--spec", "hermite,legendre", "--depth", "10",
+                "--out", "fam.json"]) == 0
+    start = time.perf_counter()
+    proc = _run_limited(["-m", "ncjacobi", "moments", "--family", "fam.json",
+                         "--max-degree", "1", "--out", "m.json"], limit=256 << 20)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: reading fam.json needs about 2.9e+08 bytes; this process may use 2.7e+08\n"
+    )
+    assert os.listdir() == ["fam.json"]
+
+
 @pytest.mark.parametrize("word", ["0", "0,0"])
 def test_paths_without_family_names_a_letter_below_the_alphabet(workdir, capsys, word):
     # the alphabet is the largest letter, and at least 1, so the letter is to blame

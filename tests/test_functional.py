@@ -383,9 +383,9 @@ def random_upper(n, seed):
 
 
 def test_solve_triangular_keeps_structural_zeros():
-    # orthonormalize, the path peel and extract_recurrence invert upper triangular
-    # factors with np.linalg.inv, an LU solve against the identity; LU pivots nothing
-    # there, so forced zeros stay exact
+    # orthonormalize and the path peel invert upper triangular factors with
+    # np.linalg.inv, an LU solve against the identity; LU pivots nothing there, so
+    # forced zeros stay exact
     t = random_upper(20, 1)
     inverse = np.linalg.solve(t, np.eye(20))
     assert np.all(np.tril(inverse, -1) == 0.0)

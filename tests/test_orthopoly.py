@@ -195,6 +195,52 @@ def test_extract_detects_mismatched_functional(random_setup):
         extract_recurrence(basis, other)
 
 
+def test_extract_reads_the_factor_of_an_orthonormalized_basis(random_setup, monkeypatch):
+    # orthonormalize hands the basis its Gram factor R, whose diagonal blocks are the
+    # A~_n that extract_recurrence needs: it inverts nothing
+    _, phi, _ = random_setup
+    basis = orthonormalize(phi, 3)
+
+    def inverse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", inverse)
+    extract_recurrence(basis, phi)
+
+
+def test_a_basis_from_coefficients_alone_recovers_the_factor_routes_blocks():
+    # such a basis derives R = C^-T on first use: blocks within eps cond(G)
+    eps = np.finfo(float).eps
+    recs = parse_recurrence_spec("chebyshev_t,laguerre(0.5),hermite", 3)
+    random_phi = favard_moments(random_admissible_family(2, 3, seed=11), 3)
+    product_phi = favard_moments(build(recs, 3), 3)
+    for phi, bare in [(random_phi, lambda b: OrthonormalBasis(2, 3, b.coeffs)),
+                      (product_phi, lambda b: product_basis(recs, 3))]:
+        factored = orthonormalize(phi, 3)
+        basis = bare(factored)
+        assert "factor" not in vars(basis)
+        error = extract_recurrence(basis, phi).blocks_close(extract_recurrence(factored, phi))
+        assert error <= eps * np.linalg.cond(phi.gram(3).gram)
+
+
+def test_a_basis_from_coefficients_alone_refuses_as_the_factor_route():
+    phi = favard_moments(random_admissible_family(2, 3, seed=11), 3)
+    other = favard_moments(random_admissible_family(2, 3, seed=99), 3)
+    unrecoverable = favard_moments(random_admissible_family(3, 4, seed=7), 4)
+    recs = parse_recurrence_spec("hermite,legendre", 3)
+    rebuilt = lambda b: OrthonormalBasis(b.alphabet, b.depth, b.coeffs)  # noqa: E731
+    cases = [
+        (orthonormalize(phi, 3), rebuilt, other, "three-term residual"),
+        (orthonormalize(unrecoverable, 4), rebuilt, unrecoverable, "recovery condition estimate"),
+        (orthonormalize(favard_moments(build(recs, 3), 3), 3), lambda b: product_basis(recs, 3),
+         other, "three-term residual"),
+    ]
+    for factored, bare, table, cause in cases:
+        kind, text = refusal(lambda: extract_recurrence(factored, table))
+        assert kind is ResidualError and text.startswith(cause), text
+        assert refusal(lambda: extract_recurrence(bare(factored), table)) == (kind, text)
+
+
 @pytest.mark.parametrize("alphabet, depth", [(2, 5), (3, 3), (3, 4), (2, 6)])
 def test_accepted_recovery_is_within_its_estimate(alphabet, depth):
     # the sweep behind RECOVERY_LIMIT: every table extract_recurrence accepts
@@ -390,6 +436,9 @@ def test_basis_json_matches_polynomial_route(random_setup):
         pytest.param(lambda: OrthonormalBasis(2, 1, np.zeros((2, 2))), ValueError,
                      re.escape("coefficient matrix shape (2, 2) does not match 3 words"),
                      id="basis-shape"),
+        pytest.param(lambda: OrthonormalBasis(2, 1, np.eye(3), factor=np.eye(2)), ValueError,
+                     re.escape("Gram factor shape (2, 2) does not match 3 words"),
+                     id="basis-factor-shape"),
         # the determinant of a singular matrix is 0 up to rounding, whose sign varies
         pytest.param(lambda: coefficient_oracle(singular_pair(), Word((1, 2), 2), Word((1, 2), 2)),
                      NotStrictlyPositiveError,
