@@ -23,7 +23,7 @@ from .functional import json_fields, json_floats
 from .jacobi import THREE_TERM_TOL, AdmissibleFamily
 from .ncpoly import NcPolynomial
 from .orthopoly import OrthonormalBasis, three_term_residuals
-from .words import Word, level_offsets, prepend_index
+from .words import Word, _check_sizes, level_offsets, prepend_index
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,8 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
     diagonal with entry b_r at each length-n word.  Row kt, of rank (k - 1) N^(n-1)
     + rank(t), is the column of t in A_n, so A_n is diagonal and positive.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     N = len(recurrences)
-    if N < 1:
-        raise ValueError("need at least one recurrence")
+    _check_sizes(N, depth=depth)
     for k, rec in enumerate(recurrences, start=1):
         if len(rec.a) < depth:
             raise ValueError(
@@ -181,8 +178,7 @@ def product_basis(recurrences: Sequence[OneDimRecurrence], depth: int) -> Orthon
     empty word gives the constant 1.
     """
     N = len(recurrences)
-    if N < 1 or depth < 0:
-        raise ValueError("need at least one recurrence and depth >= 0")
+    _check_sizes(N, depth=depth)
     p = [_univariate_coeffs(rec, depth) for rec in recurrences]
     offs = level_offsets(N, depth)
     prepend = prepend_index(N, depth)

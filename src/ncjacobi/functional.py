@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import Word, enumerate_words, graded_rank, kernel_index, letters_up_to
-from .words import level_offsets, reversal_index, word_at, words_up_to
+from .words import Word, _check_sizes, enumerate_words, graded_rank, kernel_index
+from .words import letters_up_to, level_offsets, reversal_index, word_at, words_up_to
 
 POSITIVITY_TOL = 1e-10  # a Gram pivot must exceed this
 SYMMETRY_TOL = 1e-12  # relative reversal-symmetry and unit-mass bound of a table
@@ -141,8 +141,7 @@ class MomentFunctional:
     def _set_values(self, alphabet, max_degree, values) -> None:
         """Store a table listed by graded rank once it is complete, finite, unital
         and reversal-symmetric."""
-        if alphabet < 1 or max_degree < 0:
-            raise ValueError("alphabet size must be >= 1 and max_degree >= 0")
+        _check_sizes(alphabet, max_degree=max_degree)
         values = np.asarray(values, dtype=float)
         if values.ndim != 1:
             raise ValueError(f"moment table must be a list of values, got shape {values.shape}")
@@ -218,8 +217,7 @@ class MomentFunctional:
 
     def gram(self, degree: int) -> GramReport:
         """Gram matrix of all monomials of length <= degree, graded-lex order."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        _check_sizes(self.alphabet, degree=degree)
         self._require_words(2 * degree, f"the degree-{degree} Gram matrix")
         g = self._values[kernel_index(self.alphabet, degree, degree)]
         return GramReport(self.alphabet, degree, g, *upper_cholesky(g))
@@ -318,8 +316,7 @@ def _count_words(alphabet: int, length: int) -> str:
 def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) -> np.ndarray:
     """Moments of words given as letter sequences, listed by graded rank: every
     word up to length 2*max_degree once, and the words one longer all or none."""
-    if alphabet < 1 or max_degree < 0:
-        raise ValueError("alphabet size must be >= 1 and max_degree >= 0")
+    _check_sizes(alphabet, max_degree=max_degree)
     top = 2 * max_degree + 1
     offs = _fillable_offsets(alphabet, top, len(words))
     # a short table misses a word of rank <= len(words): rank only words that short
@@ -408,8 +405,7 @@ def functional_free_product(
     (Speicher and Woroudi, 1997), not the free one of ``build_free_product``.
     The result is unital and reversal-symmetric, in general not strictly positive.
     """
-    if not parts:
-        raise ValueError("free product needs at least one factor")
+    _check_sizes(len(parts))
     for i, part in enumerate(parts):
         if part.alphabet != 1:
             raise ValueError(

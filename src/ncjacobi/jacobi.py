@@ -19,7 +19,7 @@ import numpy as np
 
 from .functional import MomentFunctional, ValidationReport, json_fields, json_floats
 from .functional import json_int, require_positive
-from .words import Word, level_offsets, reversal_index
+from .words import Word, _check_sizes, level_offsets, reversal_index
 
 VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(A_n) exceeds it
 THREE_TERM_TOL = 1e-12  # bound on the product construction's three-term residual
@@ -33,7 +33,7 @@ class AdmissibleFamily:
 
     def __init__(self, alphabet: int, depth: int, A: Mapping, B: Mapping):
         """From the blocks A[(n, k)] for n in 1..depth and B[(n, k)] for n in 0..depth."""
-        _check_sizes(alphabet, depth)
+        _check_sizes(alphabet, depth=depth)
         N = alphabet
         levels = ([], [])
         for side, blocks, first, out in zip("AB", (A, B), (1, 0), levels):
@@ -75,6 +75,13 @@ class AdmissibleFamily:
     @property
     def B(self) -> Mapping[tuple[int, int], np.ndarray]:
         return _block_views(self.b_levels, 0, self.alphabet)
+
+    def _require_levels(self, level: int, what: str) -> None:
+        """Refuse ``what``, a read of the levels 0..``level``, past the stored depth;
+        a negative level breaks the size rule."""
+        if not 0 <= level <= self.depth:
+            _check_sizes(self.alphabet, level=level)
+            raise ValueError(f"family stores levels up to {self.depth}; {what} need level {level}")
 
     def blocks_close(self, other: "AdmissibleFamily") -> float:
         """Max absolute entrywise difference over the blocks of every level that
@@ -140,6 +147,7 @@ def validate(family: AdmissibleFamily) -> ValidationReport:
 def sections(family: AdmissibleFamily, level: int) -> np.ndarray:
     """[J_1 .. J_N] cut after level ``level`` and stacked as an (N, n, n) array,
     from the levels 0..level only."""
+    family._require_levels(level, f"the level-{level} sections")
     N = family.alphabet
     offs = level_offsets(N, level)
     J = np.zeros((N, offs[-1], offs[-1]))
@@ -147,17 +155,23 @@ def sections(family: AdmissibleFamily, level: int) -> np.ndarray:
         J[:, offs[n] : offs[n + 1], offs[n] : offs[n + 1]] = b
     for n, a in enumerate(family.a_levels[:level], start=1):
         prev, lo, hi = offs[n - 1 : n + 2]
-        a = a.reshape(len(a), N, -1).swapaxes(0, 1)  # A_{n,k} at [k - 1]
+        a = _by_letter(a, N)
         J[:, lo:hi, prev:lo] = a
         J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)
     return J
 
 
+def _by_letter(a: np.ndarray, alphabet: int) -> np.ndarray:
+    """A_{n,k} at [k - 1], (N, N^n, N^(n-1)), as a view of A_n = [A_{n,1} .. A_{n,N}]:
+    the one place that knows how A_n is split into letter blocks."""
+    return a.reshape(len(a), alphabet, -1).swapaxes(0, 1)
+
+
 def _letter_blocks(atilde: np.ndarray, prev_inv: np.ndarray) -> np.ndarray:
-    """A_{n,k} at [k - 1] from the level identity A~_n = A_n (I_N (x) A~_{n-1}):
-    column block k of A~_n times A~_{n-1}^{-1}, given as ``prev_inv``."""
+    """A_n from the level identity A~_n = A_n (I_N (x) A~_{n-1}): column block k
+    of A~_n times A~_{n-1}^{-1}, given as ``prev_inv``, is A_{n,k}."""
     dim, d = len(atilde), len(prev_inv)
-    return atilde.reshape(dim, dim // d, d).swapaxes(0, 1) @ prev_inv
+    return (_by_letter(atilde, dim // d) @ prev_inv).swapaxes(0, 1).reshape(dim, dim)
 
 
 def operator_moment(family: AdmissibleFamily, sigma: Word) -> float:
@@ -172,11 +186,7 @@ def operator_moment(family: AdmissibleFamily, sigma: Word) -> float:
     n = len(sigma)
     if n == 0:
         return 1.0
-    if family.depth < n // 2:
-        raise ValueError(
-            f"family depth {family.depth} below exact section level {n // 2} "
-            f"for |sigma|={n}"
-        )
+    family._require_levels(n // 2, f"the moments of length-{n} words")
     level = min(n // 2 + 1, family.depth)
     J = sections(family, level)
     v = np.zeros(len(J[0]))
@@ -202,13 +212,8 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
     that overflow float64, or that meet an overflowed Fock vector, raise
     ValueError naming the shortest such word length.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if family.depth < degree:
-        raise ValueError(
-            f"family depth {family.depth} cannot determine degree-{degree} moments"
-        )
     N = family.alphabet
+    _check_sizes(N, degree=degree)
     J = sections(family, degree)
     offs = level_offsets(N, 2 * degree + 1)
     level = [slice(lo, hi) for lo, hi in zip(offs, offs[1:])]
@@ -246,8 +251,8 @@ def random_admissible_family(
 ) -> AdmissibleFamily:
     """Seeded random family: A_n upper triangular with diag in [0.5, 2] and
     strict upper part in [-1, 1]; B blocks S + S^T with S entries in [-1, 1]."""
-    _check_sizes(alphabet, depth)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    _check_sizes(alphabet, depth=depth)
+    rng = np.random.default_rng(seed)
     N = alphabet
     a_levels, b_levels = [], []
     for n in range(1, depth + 1):
@@ -260,17 +265,10 @@ def random_admissible_family(
     return AdmissibleFamily.from_levels(a_levels, b_levels)
 
 
-def _check_sizes(alphabet: int, depth: int) -> None:
-    if alphabet < 1:
-        raise ValueError("alphabet size must be >= 1")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-
-
 def _block_views(levels, first: int, N: int) -> Mapping[tuple[int, int], np.ndarray]:
     """B_{n,k} of each stack or A_{n,k} of each A_n at (n, k), as views of the level."""
     return MappingProxyType({
         (n, k): view
         for n, level in enumerate(levels, start=first)
-        for k, view in enumerate(level if level.ndim == 3 else np.hsplit(level, N), start=1)
+        for k, view in enumerate(level if level.ndim == 3 else _by_letter(level, N), start=1)
     })

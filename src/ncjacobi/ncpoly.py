@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .words import Word
+from .words import Word, _check_sizes
 
 
 class NcPolynomial:
@@ -18,8 +18,7 @@ class NcPolynomial:
     __slots__ = ("alphabet", "_terms")
 
     def __init__(self, alphabet: int, terms: Mapping[Word, float] | None = None):
-        if alphabet < 1:
-            raise ValueError("alphabet size must be >= 1")
+        _check_sizes(alphabet)
         kept: dict[Word, float] = {}
         for w, c in (terms or {}).items():
             if w.alphabet != alphabet:
@@ -48,8 +47,8 @@ class NcPolynomial:
         return cls.constant(alphabet, 1.0)
 
     @classmethod
-    def monomial(cls, word: Word, coeff: float = 1.0) -> "NcPolynomial":
-        return cls(word.alphabet, {word: float(coeff)})
+    def monomial(cls, word: Word) -> "NcPolynomial":
+        return cls(word.alphabet, {word: 1.0})
 
     @classmethod
     def variable(cls, alphabet: int, k: int) -> "NcPolynomial":

@@ -4,9 +4,10 @@ The monomial basis up to a degree is orthonormalized against the Gram matrix
 G = R^T R: the coefficient rows are the rows of R^{-T}, so each polynomial is
 supported on words at or below its own index and has a positive leading
 coefficient.  A determinant formula provides a slow independent route to the
-same coefficients.  The three-term blocks are sub-blocks of C G_k C^T, with C
-the coefficient matrix and G_k the rows of the moment kernel at the words k a:
-the block, non-commuting form of Golub-Welsch.
+same coefficients.  Of the three-term blocks, B_{n,k} is the level-n diagonal
+block of C G_k C^T, with C the coefficient matrix and G_k the rows of the moment
+kernel at the words k a: the block, non-commuting form of Golub-Welsch.  A_n
+comes from the level-n diagonal block A~_n = A_n (I_N (x) A~_{n-1}) of R.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .functional import MomentFunctional, NotStrictlyPositiveError, require_posi
 from .jacobi import AdmissibleFamily, _letter_blocks, sections
 from .ncpoly import NcPolynomial
 from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
-from .words import words_up_to
+from .words import _check_sizes, words_up_to
 
 
 EPS = np.finfo(float).eps
@@ -45,8 +46,7 @@ class OrthonormalBasis:
     """
 
     def __init__(self, alphabet: int, depth: int, coeffs: np.ndarray, factor=None):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        _check_sizes(alphabet, depth=depth)
         self.alphabet, self.depth = alphabet, depth
         size = level_offsets(alphabet, depth)[-1]
         coeffs = np.asarray(coeffs, dtype=float)
@@ -176,8 +176,7 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
     for n, (lo, hi) in enumerate(zip(offs, offs[1:])):
         if n:
             # C_m^T = A~_m^{-1}, where A~_m is the level-m diagonal block of R
-            a = _letter_blocks(r[lo:hi, lo:hi], c[prev:lo, prev:lo].T)
-            a_levels.append(a.swapaxes(0, 1).reshape(hi - lo, hi - lo))
+            a_levels.append(_letter_blocks(r[lo:hi, lo:hi], c[prev:lo, prev:lo].T))
         prev = lo
         b = c[lo:hi, :hi] @ g[:, :hi, :hi] @ c[lo:hi, :hi].T
         b += b.swapaxes(1, 2)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functional import MomentFunctional, require_positive, upper_cholesky
-from .jacobi import AdmissibleFamily, _letter_blocks
-from .words import Word, level_kernel_index, level_offsets
+from .jacobi import AdmissibleFamily, _by_letter, _letter_blocks
+from .words import Word, _check_sizes, level_kernel_index, level_offsets
 
 STEP_KINDS = {1: "rise", 0: "level", -1: "fall"}  # by height change
 
@@ -119,7 +119,7 @@ def _step(family: AdmissibleFamily, k: int, m: int, s: int) -> np.ndarray:
         return family.b_levels[m][k - 1]
     a = family.a_levels[m if s == 1 else m - 1]
     # a copy: BLAS sums a product with a strided view of A_n in another order
-    block = a.reshape(len(a), family.alphabet, -1)[:, k - 1].copy()
+    block = _by_letter(a, family.alphabet)[k - 1].copy()
     return block if s == 1 else block.T
 
 
@@ -128,10 +128,8 @@ def path_weight(family: AdmissibleFamily, path: LatticePath) -> float:
     from the left; switches are free.  Paths end at height 0, so it is a scalar."""
     if path.word.alphabet != family.alphabet:
         raise ValueError("word alphabet does not match family")
-    if path.max_height() > family.depth:
-        raise ValueError(
-            f"path reaches height {path.max_height()} above family depth {family.depth}"
-        )
+    height = path.max_height()
+    family._require_levels(height, f"paths of height {height}")
     v, m = np.array([1.0]), 0
     for k, s in zip(reversed(path.word.letters), path.profile):
         v = _step(family, k, m, s) @ v
@@ -168,11 +166,7 @@ def moments_from_paths(family: AdmissibleFamily, word: Word) -> float:
     if word.is_empty:
         return 1.0
     peak = len(word) // 2
-    if family.depth < peak:
-        raise ValueError(
-            f"family depth {family.depth} insufficient for |word| = {len(word)} "
-            f"(needs {peak} levels)"
-        )
+    family._require_levels(peak, f"the path sums of length-{len(word)} words")
     return _transfer_sum(family, word, peak)
 
 
@@ -204,8 +198,7 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
     Requires moments for every word of length <= 2*depth + 1.
     """
     N = phi.alphabet
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _check_sizes(N, depth=depth)
     phi._require_words(2 * depth + 1, f"extracting level-{depth} blocks")
     s = phi.values
     offs = level_offsets(N, depth)
@@ -227,14 +220,15 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
         a = _letter_blocks(atilde, inv)
         inv = np.linalg.inv(atilde)
         v = np.concatenate((low, atilde))
-        J[:, lo:hi, prev:lo] = a
-        J[:, prev:lo, lo:hi] = a.swapaxes(1, 2)
+        blocks = _by_letter(a, N)
+        J[:, lo:hi, prev:lo] = blocks
+        J[:, prev:lo, lo:hi] = blocks.swapaxes(1, 2)
         jv = J[:, :hi, :hi] @ v  # with B_n = 0
         b = inv.T @ (s[odd] - v.T @ jv) @ inv
         b += b.swapaxes(1, 2)
         b *= 0.5
         J[:, lo:hi, lo:hi] = b
         jv[:, lo:] += b @ atilde
-        a_levels.append(a.swapaxes(0, 1).reshape(dim, dim))
+        a_levels.append(a)
         b_levels.append(b)
     return AdmissibleFamily.from_levels(a_levels, b_levels)

@@ -29,8 +29,7 @@ class Word:
     alphabet: int
 
     def __post_init__(self):
-        if self.alphabet < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.alphabet}")
+        _check_sizes(self.alphabet)
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for c in self.letters:
@@ -78,12 +77,19 @@ class Word:
         return r
 
 
+def _check_sizes(alphabet: int, **lengths: int) -> None:
+    """The one size rule of the package: an alphabet of at least one letter and
+    lengths, depths and degrees of at least 0, each named by its parameter."""
+    if alphabet < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
+    for name, length in lengths.items():
+        if length < 0:
+            raise ValueError(f"{name} must be >= 0, got {length}")
+
+
 def enumerate_words(alphabet: int, length: int) -> list[Word]:
     """All alphabet**length words of the given length, in graded-lex order."""
-    if alphabet < 1:
-        raise ValueError("alphabet size must be >= 1")
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    _check_sizes(alphabet, length=length)
     count = alphabet**length
     if count > DEFAULT_ENUMERATION_CAP:
         raise ValueError(f"enumeration of {count} words exceeds cap {DEFAULT_ENUMERATION_CAP}")
@@ -95,6 +101,7 @@ def enumerate_words(alphabet: int, length: int) -> list[Word]:
 
 def words_up_to(alphabet: int, max_length: int) -> list[Word]:
     """All words of length <= max_length in graded-lex order."""
+    _check_sizes(alphabet, max_length=max_length)
     total = sum(alphabet**n for n in range(max_length + 1))
     if total > DEFAULT_ENUMERATION_CAP:
         raise ValueError(f"enumeration of {total} words exceeds cap {DEFAULT_ENUMERATION_CAP}")
@@ -137,14 +144,6 @@ def word_at(alphabet: int, index: int) -> Word:
 # is over words of lengths that exist, and refuses a negative one.
 
 
-def _check_sizes(alphabet: int, *lengths: int) -> None:
-    if alphabet < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
-    for length in lengths:
-        if length < 0:
-            raise ValueError(f"word length must be >= 0, got {length}")
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -153,7 +152,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
     """Graded rank of the reversal of every word of length <= max_length."""
-    _check_sizes(alphabet, max_length)
+    _check_sizes(alphabet, max_length=max_length)
     offs = level_offsets(alphabet, max_length)
     rev = np.zeros(1, dtype=np.int64)  # level ranks of the reversals, length i
     out = [rev]
@@ -168,7 +167,7 @@ def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
 def prepend_index(alphabet: int, max_length: int) -> np.ndarray:
     """Graded rank of k w at [k - 1, graded rank of w], over the words w of
     length <= max_length: where X_k moves the coefficient of each word."""
-    _check_sizes(alphabet, max_length)
+    _check_sizes(alphabet, max_length=max_length)
     offs = np.array(level_offsets(alphabet, max_length + 1))
     length = np.repeat(np.arange(max_length + 1), np.diff(offs[:-1]))
     level_rank = np.arange(offs[-2]) - offs[length]
@@ -188,7 +187,7 @@ def kernel_index(alphabet: int, degree: int, top: int) -> np.ndarray:
     rows at the words k a, ``prepend_index(alphabet, degree)[k - 1]``, are the
     letter-k kernel [<X_k X_a, X_b>] = [s_{I(b) k a}].
     """
-    _check_sizes(alphabet, degree, top)
+    _check_sizes(alphabet, degree=degree, top=top)
     N = alphabet
     offs = np.array(level_offsets(N, degree + top))
     length = np.repeat(np.arange(top + 1), np.diff(offs[: top + 2]))
@@ -209,7 +208,7 @@ def level_kernel_index(alphabet: int, length: int) -> tuple[np.ndarray, np.ndarr
     [s_{I(s)t}] and its letter-k blocks [s_{I(s)kt}]; they are built from the
     level ranks of the reversals alone, with no full ``kernel_index``.
     """
-    _check_sizes(alphabet, length)
+    _check_sizes(alphabet, length=length)
     N, dim = alphabet, alphabet**length
     offs = level_offsets(N, 2 * length + 1)
     start = offs[length]

@@ -403,13 +403,13 @@ HERMITE = classical_coefficients("hermite", 2)
         pytest.param(lambda: parse_recurrence_spec("Hermite", 2), ValueError,
                      "cannot parse recurrence token 'Hermite'", id="capitalized-token"),
         pytest.param(lambda: build_free_product([HERMITE], -1), ValueError,
-                     "depth must be >= 0", id="build-negative-depth"),
+                     "depth must be >= 0, got -1", id="build-negative-depth"),
         pytest.param(lambda: build_free_product([], 1), ValueError,
-                     "need at least one recurrence", id="build-no-recurrence"),
+                     "alphabet size must be >= 1, got 0", id="build-no-recurrence"),
         pytest.param(lambda: product_basis([HERMITE], 3), ValueError,
                      "recurrence hermite too short for degree 3", id="basis-short-recurrence"),
         pytest.param(lambda: product_basis([], 1), ValueError,
-                     "need at least one recurrence and depth >= 0", id="basis-no-recurrence"),
+                     "alphabet size must be >= 1, got 0", id="basis-no-recurrence"),
         pytest.param(lambda: product_polynomial([HERMITE] * 2, Word((1,), 3)), ValueError,
                      "word alphabet 3 does not match 2 recurrences", id="polynomial-alphabet"),
         pytest.param(lambda: verify_three_term([HERMITE], 0), ValueError,

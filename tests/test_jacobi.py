@@ -156,9 +156,7 @@ def test_letter_blocks_undo_the_level_identity(N, n, seed):
     d = N ** (n - 1)
     prev, a = upper(d), upper(N * d)
     atilde = a @ np.kron(np.eye(N), prev)
-    blocks = _letter_blocks(atilde, np.linalg.inv(prev))
-    assert blocks.shape == (N, N * d, d)
-    level = blocks.swapaxes(0, 1).reshape(N * d, N * d)
+    level = _letter_blocks(atilde, np.linalg.inv(prev))
     bound = 4 * np.finfo(float).eps * np.linalg.cond(prev) * np.max(np.abs(a))
     assert np.max(np.abs(level - a)) <= bound
     assert np.all(np.tril(level, -1) == 0.0)
@@ -255,7 +253,7 @@ def test_favard_is_strictly_positive():
 
 def test_favard_depth_precondition():
     fam = random_admissible_family(2, 2, seed=1)
-    with pytest.raises(ValueError, match="depth"):
+    with pytest.raises(ValueError, match="family stores levels up to 2; "):
         favard_moments(fam, 3)
 
 
@@ -530,9 +528,9 @@ ONE_B = [{"n": 0, "k": 1, "rows": [[0.0]]}]
     "call, error, message",
     [
         pytest.param(lambda: AdmissibleFamily(0, 1, {}, {}), ValueError,
-                     "alphabet size must be >= 1", id="alphabet-0"),
+                     "alphabet size must be >= 1, got 0", id="alphabet-0"),
         pytest.param(lambda: AdmissibleFamily(1, -1, {}, {}), ValueError,
-                     "depth must be >= 0", id="negative-depth"),
+                     "depth must be >= 0, got -1", id="negative-depth"),
         pytest.param(lambda: AdmissibleFamily(1, 0, {(1, 1): [[1.0]]}, {(0, 1): [[0.0]]}),
                      ValueError, "blocks outside depth range: [(1, 1)]", id="block-past-depth"),
         pytest.param(
@@ -542,11 +540,16 @@ ONE_B = [{"n": 0, "k": 1, "rows": [[0.0]]}]
             lambda: AdmissibleFamily.from_json_obj({"N": 1, "depth": 0, "A": [], "B": ONE_B * 2}),
             ValueError, "duplicate B block for (n,k)=(0, 1)", id="duplicate-block"),
         pytest.param(lambda: favard_moments(random_admissible_family(1, 1), -1), ValueError,
-                     "degree must be >= 0", id="favard-negative-degree"),
+                     "degree must be >= 0, got -1", id="favard-negative-degree"),
         pytest.param(lambda: random_admissible_family(2, -1), ValueError,
-                     "depth must be >= 0", id="random-negative-depth"),
+                     "depth must be >= 0, got -1", id="random-negative-depth"),
         pytest.param(lambda: random_admissible_family(0, 1), ValueError,
-                     "alphabet size must be >= 1", id="random-alphabet-0"),
+                     "alphabet size must be >= 1, got 0", id="random-alphabet-0"),
+        pytest.param(lambda: sections(random_admissible_family(2, 1), 3), ValueError,
+                     "family stores levels up to 1; the level-3 sections need level 3",
+                     id="sections-past-depth"),
+        pytest.param(lambda: sections(random_admissible_family(2, 1), -1), ValueError,
+                     "level must be >= 0, got -1", id="sections-negative-level"),
     ],
 )
 def test_refusals_name_their_cause(call, error, message):

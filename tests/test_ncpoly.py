@@ -92,7 +92,7 @@ def test_json_round_trip():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(lambda: NcPolynomial(0), ValueError, "alphabet size must be >= 1",
+        pytest.param(lambda: NcPolynomial(0), ValueError, "alphabet size must be >= 1, got 0",
                      id="alphabet-0"),
         pytest.param(lambda: NcPolynomial(2, {Word((1,), 3): 1.0}), ValueError,
                      "term word alphabet does not match polynomial", id="term-alphabet"),

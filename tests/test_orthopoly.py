@@ -439,6 +439,8 @@ def test_basis_json_matches_polynomial_route(random_setup):
         pytest.param(lambda: OrthonormalBasis(2, 1, np.eye(3), factor=np.eye(2)), ValueError,
                      re.escape("Gram factor shape (2, 2) does not match 3 words"),
                      id="basis-factor-shape"),
+        pytest.param(lambda: OrthonormalBasis(0, 3, np.eye(1)), ValueError,
+                     re.escape("alphabet size must be >= 1, got 0"), id="basis-alphabet-0"),
         # the determinant of a singular matrix is 0 up to rounding, whose sign varies
         pytest.param(lambda: coefficient_oracle(singular_pair(), Word((1, 2), 2), Word((1, 2), 2)),
                      NotStrictlyPositiveError,

@@ -187,6 +187,21 @@ def test_path_routes_check_the_word_alphabet(letters, word_alphabet, family_alph
             route(fam, arg)
 
 
+def test_every_route_refuses_levels_past_the_depth_alike():
+    # one reach rule: the sections, the table, the operator moment and both path routes
+    # name the levels the family stores and the level they need
+    fam, word = random_admissible_family(2, 1, seed=0), Word((1, 2, 2, 1), 2)
+    stores = "family stores levels up to 1; "
+    for call, need in [
+        (lambda: sections(fam, 3), "the level-3 sections need level 3"),
+        (lambda: favard_moments(fam, 2), "the level-2 sections need level 2"),
+        (lambda: operator_moment(fam, word), "the moments of length-4 words need level 2"),
+        (lambda: path_weight(fam, distinguished_path(word)), "paths of height 2 need level 2"),
+        (lambda: moments_from_paths(fam, word), "the path sums of length-4 words need level 2"),
+    ]:
+        assert refusal(call) == (ValueError, stores + need)
+
+
 # -- moment sums -----------------------------------------------------------------
 
 
@@ -230,7 +245,7 @@ def test_moments_from_paths_agrees_with_operator():
 
 def test_moments_from_paths_insufficient_depth():
     fam = random_admissible_family(1, 1, seed=3)
-    with pytest.raises(ValueError, match="depth"):
+    with pytest.raises(ValueError, match="family stores levels up to 1; "):
         moments_from_paths(fam, Word((1,) * 4, 1))
 
 
@@ -542,7 +557,7 @@ def test_recovery_rejects_non_positive_table():
         pytest.param(lambda: motzkin_number(-1), "length must be >= 0", id="motzkin-negative"),
         pytest.param(lambda: motzkin_binomial_sum(0), "defined for n >= 1", id="binomial-sum-0"),
         pytest.param(lambda: jacobi_from_moments(one_dim_functional(GAUSSIAN_MOMENTS[:3], 1), -1),
-                     "depth must be >= 0", id="peel-negative-depth"),
+                     "depth must be >= 0, got -1", id="peel-negative-depth"),
     ],
 )
 def test_refusals_name_their_cause(call, message):

@@ -242,16 +242,16 @@ def test_level_tables_are_shared_and_read_only():
 
 
 def test_index_tables_refuse_a_negative_length():
-    # every table is over words that exist; no builder makes one over no words
-    for build, args in [
-        (reversal_index, (2, -1)),
-        (prepend_index, (2, -1)),
-        (kernel_index, (2, -1, 0)),
-        (kernel_index, (2, 1, -1)),
-        (level_kernel_index, (2, -1)),
+    # every table is over words that exist; no builder makes one over no words, and
+    # the refusal names the builder's own parameter
+    for build, args, name in [
+        (reversal_index, (2, -1), "max_length"),
+        (prepend_index, (2, -1), "max_length"),
+        (kernel_index, (2, -1, 0), "degree"),
+        (kernel_index, (2, 1, -1), "top"),
+        (level_kernel_index, (2, -1), "length"),
     ]:
-        with pytest.raises(ValueError, match="word length must be >= 0, got -1"):
-            build(*args)
+        assert refusal(lambda: build(*args)) == (ValueError, f"{name} must be >= 0, got -1")
 
 
 @pytest.mark.parametrize(
@@ -278,8 +278,12 @@ def test_index_helpers_reject_bad_arguments(call):
     [
         pytest.param(lambda: w([1]).concat(w([1], 3)),
                      "cannot concatenate words over different alphabets", id="concat-alphabets"),
-        pytest.param(lambda: enumerate_words(0, 1), "alphabet size must be >= 1", id="alphabet-0"),
-        pytest.param(lambda: enumerate_words(1, -1), "length must be >= 0", id="negative-length"),
+        pytest.param(lambda: enumerate_words(0, 1), "alphabet size must be >= 1, got 0",
+                     id="alphabet-0"),
+        pytest.param(lambda: enumerate_words(1, -1), "length must be >= 0, got -1",
+                     id="negative-length"),
+        pytest.param(lambda: words_up_to(2, -1), "max_length must be >= 0, got -1",
+                     id="up-to-negative-length"),
     ],
 )
 def test_refusals_name_their_cause(call, message):
