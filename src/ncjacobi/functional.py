@@ -65,12 +65,13 @@ def require_positive(pivots, where: str) -> None:
     """The one strict-positivity rule: the first Gram pivot not above POSITIVITY_TOL,
     a NaN included, raises NotStrictlyPositiveError naming ``where`` it was taken."""
     pivots = np.asarray(pivots, dtype=float)
-    bad = np.flatnonzero(~(pivots > POSITIVITY_TOL))
-    if bad.size:
-        p = pivots[bad[0]]
-        raise NotStrictlyPositiveError(
-            f"functional not strictly positive at {where}: Gram pivot {p:.3e} <= {POSITIVITY_TOL}"
-        )
+    above = pivots > POSITIVITY_TOL
+    if above.all():
+        return
+    p = pivots[np.argmin(above)]  # the first pivot not above, a NaN included
+    raise NotStrictlyPositiveError(
+        f"functional not strictly positive at {where}: Gram pivot {p:.3e} <= {POSITIVITY_TOL}"
+    )
 
 
 @dataclass
@@ -138,6 +139,21 @@ class MomentFunctional:
         phi._set_values(alphabet, max_degree, values)
         return phi
 
+    @classmethod
+    def _certified(cls, alphabet: int, max_degree: int, values: np.ndarray) -> "MomentFunctional":
+        """The float64 table ``values`` through length 2*max_degree + 1, held as given
+        with no check: ``favard_moments`` alone calls it, and its construction gives
+        each property that ``_set_values`` checks on a table from outside.
+
+        - complete: one value per word up to length 2*max_degree + 1, by graded rank;
+        - finite: a non-finite value is refused there as a float64 overflow;
+        - unital: s_empty = <e0, e0> = 1 exactly;
+        - exactly reversal-symmetric: each orbit's value is gathered at ``orbit_index``.
+        """
+        phi = cls.__new__(cls)
+        phi._store(alphabet, max_degree, 2 * max_degree + 1, values)
+        return phi
+
     def _set_values(self, alphabet, max_degree, values) -> None:
         """Store a table listed by graded rank once it is complete, finite, unital
         and reversal-symmetric."""
@@ -153,9 +169,8 @@ class MomentFunctional:
                 f"{_count_words(alphabet, top - 1)} (words up to length {top - 1}) or "
                 f"{_count_words(alphabet, top)}"
             )
-        self.alphabet, self.max_degree = alphabet, max_degree
-        self.word_bound = 2 * max_degree + (values.size == offs[-1])
-        rev = reversal_index(alphabet, self.word_bound)
+        word_bound = 2 * max_degree + (values.size == offs[-1])
+        rev = reversal_index(alphabet, word_bound)
         mirror = values[rev]
         bad = ~np.isfinite(values)  # first, since inf == inf
         if not bad.any() and not (values == mirror).all():
@@ -172,6 +187,11 @@ class MomentFunctional:
             )
         if abs(values[0] - 1.0) > SYMMETRY_TOL:
             raise ValueError(f"functional is not unital: s_empty = {values[0]!r}")
+        self._store(alphabet, max_degree, word_bound, values)
+
+    def _store(self, alphabet, max_degree, word_bound, values) -> None:
+        """Hold a complete table of words up to ``word_bound``, read-only."""
+        self.alphabet, self.max_degree, self.word_bound = alphabet, max_degree, word_bound
         values.flags.writeable = False
         self._values = values
 
@@ -369,6 +389,7 @@ def hankel_check(
     invariance property by induction on |a|, and keep a planted defect from
     being reported more than once.  Violations are triples (a, w, t).
     """
+    _check_sizes(alphabet, depth=depth)
     for a, b in _kernel_pairs(alphabet, depth):
         if (a, b) not in raw:
             raise ValueError(f"kernel table incomplete: missing pair ({a}, {b})")
@@ -383,6 +404,7 @@ def hankel_check(
 
 def kernel_table(phi: MomentFunctional, depth: int) -> dict[tuple[Word, Word], float]:
     """Materialize K(a, b) for all pairs with |a| + |b| <= depth."""
+    _check_sizes(phi.alphabet, depth=depth)
     phi._require_words(depth, f"a depth-{depth} kernel table")
     return {(a, b): phi.kernel_eval(a, b) for a, b in _kernel_pairs(phi.alphabet, depth)}
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .functional import MomentFunctional, ValidationReport, json_fields, json_floats
 from .functional import json_int, require_positive
-from .words import Word, _check_sizes, level_offsets, reversal_index
+from .words import Word, _check_sizes, level_offsets, orbit_index, reversal_index
 
 VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(A_n) exceeds it
 THREE_TERM_TOL = 1e-12  # bound on the product construction's three-term residual
@@ -210,7 +210,9 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
     Cholesky factor of the Gram matrix G = V^T V: positivity is certified by its
     pivots diag(V)^2, without forming G and squaring its conditioning.  Moments
     that overflow float64, or that meet an overflowed Fock vector, raise
-    ValueError naming the shortest such word length.
+    ValueError naming the shortest such word length.  The table is finite, unital
+    and reversal-symmetric by construction, so it is held without the checks a
+    table from outside gets (``MomentFunctional._certified``).
     """
     N = family.alphabet
     _check_sizes(N, degree=degree)
@@ -228,11 +230,11 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
             # column (k - 1) N^h + rank(t) of level h + 1 is J_k (J_t e0)
             out = fock[:, level[h + 1]].reshape(-1, N, N**h).transpose(1, 0, 2)
             np.matmul(J, fock[:, level[h]], out=out)
-        left = fock[:, rev[: offs[degree + 1]]]  # J_{I(a)} e0 in the rank order of a
+        left = fock[:, rev[: offs[degree + 1]]].T  # row a: J_{I(a)} e0
         for n in range(2 * degree + 2):  # s_{ab} for |ab| = n, |a| = n // 2
             h = n // 2
             out = values[level[n]].reshape(N**h, N ** (n - h))
-            np.matmul(left[:, level[h]].T, fock[:, level[n - h]], out=out)
+            np.matmul(left[level[h]], fock[:, level[n - h]], out=out)
         pivots = fock.diagonal() ** 2  # diag(V): level |w| of J_w e0
     del J, fock, left  # before the table-sized gathers below
     if not np.isfinite(values).all():
@@ -242,8 +244,7 @@ def favard_moments(family: AdmissibleFamily, degree: int) -> MomentFunctional:
             f"blocks are too large for degree-{degree} moments, or not finite"
         )
     require_positive(pivots, f"degree {degree}")
-    values = values[np.minimum(np.arange(values.size), rev)]
-    return MomentFunctional.from_values(N, degree, values)
+    return MomentFunctional._certified(N, degree, values[orbit_index(N, 2 * degree + 1)])
 
 
 def random_admissible_family(

@@ -179,7 +179,7 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
             a_levels.append(_letter_blocks(r[lo:hi, lo:hi], c[prev:lo, prev:lo].T))
         prev = lo
         b = c[lo:hi, :hi] @ g[:, :hi, :hi] @ c[lo:hi, :hi].T
-        b += b.swapaxes(1, 2)
+        b = b + b.swapaxes(1, 2)  # not +=, which buffers the overlapping operand
         b *= 0.5
         b_levels.append(b)
     del g

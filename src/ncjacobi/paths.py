@@ -225,7 +225,7 @@ def jacobi_from_moments(phi: MomentFunctional, depth: int) -> AdmissibleFamily:
         J[:, prev:lo, lo:hi] = blocks.swapaxes(1, 2)
         jv = J[:, :hi, :hi] @ v  # with B_n = 0
         b = inv.T @ (s[odd] - v.T @ jv) @ inv
-        b += b.swapaxes(1, 2)
+        b = b + b.swapaxes(1, 2)  # not +=, which buffers the overlapping operand
         b *= 0.5
         J[:, lo:hi, lo:hi] = b
         jv[:, lo:] += b @ atilde

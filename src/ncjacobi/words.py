@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -78,13 +79,27 @@ class Word:
 
 
 def _check_sizes(alphabet: int, **lengths: int) -> None:
-    """The one size rule of the package: an alphabet of at least one letter and
-    lengths, depths and degrees of at least 0, each named by its parameter."""
+    """The one size rule of the package: integer sizes, an alphabet of at least one
+    letter and lengths, depths and degrees of at least 0, each named by its parameter."""
+    _require_integer("alphabet size", alphabet)
     if alphabet < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
     for name, length in lengths.items():
+        _require_integer(name, length)
         if length < 0:
             raise ValueError(f"{name} must be >= 0, got {length}")
+
+
+def _require_integer(name: str, size) -> None:
+    """Refuse a size that is not an integer before it is compared: a float, even a
+    whole one, or a bool; a numpy integer is one."""
+    if not isinstance(size, (bool, np.bool_)):
+        try:
+            operator.index(size)
+            return
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {size!r}")
 
 
 def enumerate_words(alphabet: int, length: int) -> list[Word]:
@@ -141,7 +156,9 @@ def word_at(alphabet: int, index: int) -> Word:
 
 # The index builders below depend only on their arguments, so each table is
 # built once per size and process and shared read-only by every caller; each
-# is over words of lengths that exist, and refuses a negative one.
+# is over words of lengths that exist, and refuses a negative one.  The caches
+# are typed, so that a size equal to a cached one but not an integer (2.0, True)
+# misses and meets the size rule.
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -149,7 +166,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
     """Graded rank of the reversal of every word of length <= max_length."""
     _check_sizes(alphabet, max_length=max_length)
@@ -163,7 +180,15 @@ def reversal_index(alphabet: int, max_length: int) -> np.ndarray:
     return _read_only(np.concatenate(out))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
+def orbit_index(alphabet: int, max_length: int) -> np.ndarray:
+    """Graded rank of min(w, I(w)) for every word of length <= max_length: the one
+    word of its reversal orbit whose value a reversal-symmetric table keeps."""
+    rev = reversal_index(alphabet, max_length)
+    return _read_only(np.minimum(np.arange(rev.size), rev))
+
+
+@functools.lru_cache(maxsize=32, typed=True)
 def prepend_index(alphabet: int, max_length: int) -> np.ndarray:
     """Graded rank of k w at [k - 1, graded rank of w], over the words w of
     length <= max_length: where X_k moves the coefficient of each word."""
@@ -176,7 +201,7 @@ def prepend_index(alphabet: int, max_length: int) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def kernel_index(alphabet: int, degree: int, top: int) -> np.ndarray:
     """Graded rank of I(b) a at row a, column b, over the words a of length
     <= top and b of length <= degree.
@@ -199,7 +224,7 @@ def kernel_index(alphabet: int, degree: int, top: int) -> np.ndarray:
     return _read_only(index)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def level_kernel_index(alphabet: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Graded ranks of I(s) t at [s, t] and of I(s) k t at [k - 1, s, t], over
     the words s, t of the given length, by level rank.

@@ -24,7 +24,7 @@ from ncjacobi import (
     words_up_to,
 )
 
-from ncjacobi.functional import _by_rank
+from ncjacobi.functional import NotStrictlyPositiveError, _by_rank, require_positive
 from ncjacobi.words import letters_up_to
 
 from conftest import (
@@ -441,6 +441,17 @@ def test_upper_cholesky_stops_at_nan_pivot():
     assert len(pivots) == 1 and math.isnan(pivots[0])
 
 
+@pytest.mark.parametrize("bad, shown", [(0.0, "0.000e+00"), (np.nan, "nan"), (1e-10, "1.000e-10")])
+def test_require_positive_names_the_first_pivot_not_above_the_bound(bad, shown):
+    # one comparison passes positive pivots; a failing one is named as before
+    assert require_positive([2.0, 0.5, 1e-9], "degree 2") is None
+    pivots = [2.0, bad, -1.0, np.nan]
+    assert refusal(lambda: require_positive(pivots, "degree 2")) == (
+        NotStrictlyPositiveError,
+        f"functional not strictly positive at degree 2: Gram pivot {shown} <= 1e-10",
+    )
+
+
 # -- flat table --------------------------------------------------------------------
 
 
@@ -673,6 +684,10 @@ def test_word_table_from_another_alphabet_rejected():
             "length 20000) or (3**20002 - 1) // 2", id="count-formula-N3"),
         pytest.param(lambda: functional_free_product([]), ValueError,
                      "alphabet size must be >= 1, got 0", id="free-product-no-factor"),
+        pytest.param(lambda: kernel_table(one_dim_functional(GAUSSIAN_MOMENTS[:3], 1), -1),
+                     ValueError, "depth must be >= 0, got -1", id="kernel-table-negative-depth"),
+        pytest.param(lambda: hankel_check({}, 2, -1), ValueError,
+                     "depth must be >= 0, got -1", id="hankel-check-negative-depth"),
     ],
 )
 def test_refusals_name_their_cause(call, error, message):

@@ -5,6 +5,7 @@ import pytest
 
 from ncjacobi import (
     AdmissibleFamily,
+    MomentFunctional,
     NotStrictlyPositiveError,
     Word,
     build_free_product,
@@ -488,6 +489,24 @@ def test_favard_table_is_the_per_letter_fock_table(case):
     values, expected = favard_moments(fam, d).values, per_letter_table(fam, d)
     assert np.array_equal(values, expected)
     assert np.array_equal(np.signbit(values), np.signbit(expected))
+    # the table favard holds unchecked passes every check of a table from outside
+    held = MomentFunctional.from_values(fam.alphabet, d, values.copy()).values
+    assert np.array_equal(held, values)
+    assert np.array_equal(np.signbit(held), np.signbit(values))
+
+
+def test_favard_does_not_check_its_table_again(monkeypatch):
+    # finite, unital and reversal-symmetric by construction: nothing to check
+    def forbidden(*args, **kwargs):
+        raise AssertionError("favard_moments ran the moment-table checks")
+
+    monkeypatch.setattr(MomentFunctional, "_set_values", forbidden)
+    for case in FOCK_CASES:
+        fam, d = fock_case(case)
+        phi = favard_moments(fam, d)
+        assert (phi.alphabet, phi.max_degree, phi.word_bound) == (fam.alphabet, d, 2 * d + 1)
+        assert not phi.values.flags.writeable
+        assert np.array_equal(phi.values, per_letter_table(fam, d))
 
 
 @pytest.mark.parametrize("seed", range(5))

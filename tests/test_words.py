@@ -3,6 +3,7 @@ import inspect
 import itertools
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +14,7 @@ from ncjacobi import (
     words_up_to,
 )
 from ncjacobi.words import kernel_index, letters_up_to, prepend_index, reversal_index
-from ncjacobi.words import level_kernel_index, level_offsets, word_at
+from ncjacobi.words import level_kernel_index, level_offsets, orbit_index, word_at
 
 from conftest import refusal
 
@@ -188,6 +189,16 @@ def test_kernel_index_ranks_reversed_column_letter_row(alphabet, degree):
         assert table[prepend[k - 1]].tolist() == expected
 
 
+@pytest.mark.parametrize("alphabet", [1, 2, 3])
+@pytest.mark.parametrize("length", range(5))
+def test_orbit_index_ranks_the_smaller_word_of_each_orbit(alphabet, length):
+    orbit = orbit_index(alphabet, length)
+    words = words_by_rank(alphabet, length)
+    assert orbit.tolist() == [graded_rank(min(x, x.involute())) for x in words]
+    rev = reversal_index(alphabet, length)
+    assert np.array_equal(orbit, np.minimum(np.arange(rev.size), rev))
+
+
 def test_kernel_index_has_no_letter_mode():
     params = inspect.signature(kernel_index).parameters
     assert list(params) == ["alphabet", "degree", "top"]
@@ -195,7 +206,8 @@ def test_kernel_index_has_no_letter_mode():
 
 @pytest.mark.parametrize(
     "build,args",
-    [(reversal_index, (2, 4)), (prepend_index, (3, 2)), (kernel_index, (2, 2, 3))],
+    [(reversal_index, (2, 4)), (prepend_index, (3, 2)), (kernel_index, (2, 2, 3)),
+     (orbit_index, (3, 3))],
 )
 def test_index_tables_are_shared_and_read_only(build, args):
     table = build(*args)
@@ -246,6 +258,7 @@ def test_index_tables_refuse_a_negative_length():
     # the refusal names the builder's own parameter
     for build, args, name in [
         (reversal_index, (2, -1), "max_length"),
+        (orbit_index, (2, -1), "max_length"),
         (prepend_index, (2, -1), "max_length"),
         (kernel_index, (2, -1, 0), "degree"),
         (kernel_index, (2, 1, -1), "top"),
@@ -284,7 +297,21 @@ def test_index_helpers_reject_bad_arguments(call):
                      id="negative-length"),
         pytest.param(lambda: words_up_to(2, -1), "max_length must be >= 0, got -1",
                      id="up-to-negative-length"),
+        pytest.param(lambda: Word((1,), 1.5), "alphabet size must be an integer, got 1.5",
+                     id="float-alphabet"),
+        pytest.param(lambda: words_up_to(True, 2), "alphabet size must be an integer, got True",
+                     id="bool-alphabet"),
+        pytest.param(lambda: enumerate_words(2, 1.0), "length must be an integer, got 1.0",
+                     id="whole-float-length"),
+        # a cached builder too, where an equal integer size is cached
+        pytest.param(lambda: (reversal_index(2, 1), reversal_index(2, np.True_)),
+                     f"max_length must be an integer, got {np.True_!r}", id="numpy-bool-length"),
     ],
 )
 def test_refusals_name_their_cause(call, message):
     assert refusal(call) == (ValueError, message)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert words_up_to(np.int64(2), np.int64(2)) == words_up_to(2, 2)
+    assert Word((2,), np.int64(2)) == w([2])
