@@ -22,7 +22,7 @@ from .jacobi import favard_moments, validate
 from .orthopoly import ResidualError, extract_recurrence, orthonormalize
 from .paths import DEFAULT_PATH_CAP, STEP_KINDS, enumerate_paths, motzkin_number
 from .paths import path_weight
-from .words import Word
+from .words import SizeError, Word, _check_sizes
 
 # Peak bytes per entry, as peak RSS on hermite,legendre: a family built and written, 222 MB
 # for 4,194,302 block entries at depth 10; the dense words x words matrix of --basis, 36 MiB
@@ -93,12 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_depth(option: str, depth: int, bound: int, what: str) -> None:
-    """A requested depth must lie in 0..bound, the depth its input can serve."""
-    if depth < 0:
-        raise UsageError(f"{option} must be >= 0")
-    if depth > bound:
-        raise UsageError(f"{option} {depth} exceeds {what} {bound}")
+def _check_outputs(args) -> None:
+    """Refuse an --out or --basis that names, by real path, another file the command
+    reads or writes: writing it would lose that file or the other output."""
+    options = ("--out", "--basis", "--family", "--moments")
+    files = [(opt, getattr(args, opt[2:], None)) for opt in options]
+    tokens = [tok.strip() for tok in getattr(args, "spec", "").split(",")]
+    files += [("--spec", tok[len("custom:") :]) for tok in tokens if tok.startswith("custom:")]
+    real = [(opt, os.path.realpath(path), path) for opt, path in files if path is not None]
+    for i, (out, where, path) in enumerate(real):
+        for other, there, _ in real[i + 1 :]:
+            if out in options[:2] and there == where:
+                raise UsageError(f"{out} and {other} name the same file {path}")
 
 
 def _log10_words(n: int, lo: int, hi: int) -> float:
@@ -142,13 +148,16 @@ def _require_admissible(family, name: str):
 
 def cmd_moments(args) -> None:
     family = _read(jsonio.load_family, args.family)
-    _check_depth("--max-degree", args.max_degree, family.depth, "family depth")
+    _check_sizes(family.alphabet, degree=args.max_degree)
+    family._require_levels(args.max_degree, f"moments of degree {args.max_degree}")
     top = 2 * args.max_degree + 1
     _check_memory(f"a degree-{args.max_degree} moment table over N={family.alphabet} letters",
                   (MOMENT_BYTES_PER_ENTRY, _log10_words(family.alphabet, 0, top)))
     _require_admissible(family, f"family {args.family}")
     try:
         phi = favard_moments(family, args.max_degree)
+    except SizeError:  # a size or reach refusal keeps its exit 2
+        raise
     except ValueError as exc:  # float64 overflow, or a Gram pivot at or below tolerance
         raise Refused(str(exc)) from exc
     jsonio.save_moments(args.out, phi)
@@ -160,11 +169,8 @@ def cmd_moments(args) -> None:
 
 def cmd_jacobi(args) -> None:
     phi = _read(jsonio.load_moments, args.moments)
-    _check_depth("--depth", args.depth, phi.max_degree, "table degree")
-    try:
-        phi._require_words(2 * args.depth + 1, f"extracting level-{args.depth} blocks")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # before orthonormalize: extract_recurrence takes this rule after the factoring
+    phi._require_words(2 * args.depth + 1, f"extracting level-{args.depth} blocks")
     family = extract_recurrence(orthonormalize(phi, args.depth), phi)
     jsonio.save_family(args.out, family)
     print(f"ok: recovered depth-{args.depth} family from {args.moments} to {args.out}")
@@ -172,18 +178,14 @@ def cmd_jacobi(args) -> None:
 
 def cmd_orthonormalize(args) -> None:
     phi = _read(jsonio.load_moments, args.moments)
-    _check_depth("--depth", args.depth, phi.max_degree, "table degree")
     basis = orthonormalize(phi, args.depth)
     jsonio.write_json(args.out, basis.to_json_obj())
     print(f"ok: wrote {basis.coeffs.shape[0]} orthonormal polynomials to {args.out}")
 
 
 def cmd_freeproduct(args) -> None:
-    if args.basis is not None and os.path.realpath(args.basis) == os.path.realpath(args.out):
-        raise UsageError(f"--out and --basis name the same file {args.out}")
-    if args.depth < 0:
-        raise UsageError("--depth must be >= 0")
     n = len(args.spec.split(","))
+    _check_sizes(n, depth=args.depth)
     terms = [(FAMILY_BYTES_PER_ENTRY, _log10_words(n, 1, 2 * args.depth + 1))]
     if args.basis is not None:  # the product basis, held while the family is written
         terms.append((BASIS_BYTES_PER_ENTRY, 2 * _log10_words(n, 0, args.depth)))
@@ -225,10 +227,7 @@ def cmd_paths(args) -> None:
     if not letters:
         raise UsageError("word must be nonempty")
     family = None if args.family is None else _read(jsonio.load_family, args.family)
-    try:
-        word = Word(letters, max(max(letters), 1) if family is None else family.alphabet)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    word = Word(letters, max(max(letters), 1) if family is None else family.alphabet)
     # M_n < 3^n has at most floor(n log10 3) + 1 digits; 0 means no limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and len(word) * math.log10(3) >= limit:
@@ -245,8 +244,6 @@ def cmd_paths(args) -> None:
             f"path lists are written for words of length <= {DEFAULT_PATH_CAP} "
             f"({count} paths at length {len(word)}); use --count-only for the count"
         )
-    if family is not None and len(word) // 2 > family.depth:
-        raise UsageError(f"length-{len(word)} word climbs above family depth {family.depth}")
     paths = enumerate_paths(word)
     obj = {
         "word": list(word.letters),
@@ -289,11 +286,10 @@ def cmd_verify(args) -> None:
     else:
         phi = _read(jsonio.load_moments, args.moments)
         depth = args.depth if args.depth is not None else phi.max_degree
-        _check_depth("--depth", depth, phi.max_degree, "table degree")
+        report = phi.gram(depth)
         print(f"ok: moment table unital and reversal-symmetric (loaded {args.moments})")
         # K(aw, t) and K(w, I(a)t) both read s_{I(w)at}: no table can break it
         print("ok: kernel shift invariance K(aw,t) = K(w,I(a)t) holds by construction")
-        report = phi.gram(depth)
         if not report.positive:
             require_positive(report.pivots, f"degree {depth}")
         print(f"ok: strictly positive at degree {depth} (min Gram pivot {min(report.pivots):.6g})")
@@ -316,12 +312,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_outputs(args)
         COMMANDS[args.command](args)
     except (Refused, NotStrictlyPositiveError, ResidualError) as exc:
         for reason in exc.args if isinstance(exc, Refused) else (exc,):
             print(f"FAIL: {reason}")
         return 1
-    except (UsageError, OSError, jsonio.SchemaError) as exc:  # bad usage or an unusable file
+    except (UsageError, SizeError, OSError, jsonio.SchemaError) as exc:  # usage, size or file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

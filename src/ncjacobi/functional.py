@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import Word, _check_sizes, enumerate_words, graded_rank, kernel_index
+from .words import SizeError, Word, _check_sizes, enumerate_words, graded_rank, kernel_index
 from .words import letters_up_to, level_offsets, reversal_index, word_at, words_up_to
 
 POSITIVITY_TOL = 1e-10  # a Gram pivot must exceed this
@@ -224,7 +224,7 @@ class MomentFunctional:
     def _require_words(self, length: int, what: str) -> None:
         """Refuse ``what``, a read of words up to ``length``, past the stored bound."""
         if length > self.word_bound:
-            raise ValueError(
+            raise SizeError(
                 f"moment table stores words up to length {self.word_bound}; {what} "
                 f"needs length {length}"
             )
@@ -346,7 +346,7 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
     letters = np.fromiter(itertools.chain.from_iterable(words), np.int64, lengths.sum())
     bad = (letters < 1) | (letters > alphabet)
     if bad.any():
-        raise ValueError(f"letter {letters[bad.argmax()]} outside alphabet 1..{alphabet}")
+        raise SizeError(f"letter {letters[bad.argmax()]} outside alphabet 1..{alphabet}")
     if lengths.max(initial=0) > top:
         w = Word(words[np.argmax(lengths > top)], alphabet)
         raise ValueError(_outside(w, alphabet, top - 1))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .functional import MomentFunctional, ValidationReport, json_fields, json_floats
 from .functional import json_int, require_positive
-from .words import Word, _check_sizes, level_offsets, orbit_index, reversal_index
+from .words import SizeError, Word, _check_sizes, level_offsets, orbit_index, reversal_index
 
 VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(A_n) exceeds it
 THREE_TERM_TOL = 1e-12  # bound on the product construction's three-term residual
@@ -77,11 +77,12 @@ class AdmissibleFamily:
         return _block_views(self.b_levels, 0, self.alphabet)
 
     def _require_levels(self, level: int, what: str) -> None:
-        """Refuse ``what``, a read of the levels 0..``level``, past the stored depth;
-        a negative level breaks the size rule."""
-        if not 0 <= level <= self.depth:
+        """Refuse ``what``, a read of the levels 0..``level``, past the stored depth; the
+        size rule checks a level that is not a plain int, or is negative."""
+        if type(level) is not int or level < 0:
             _check_sizes(self.alphabet, level=level)
-            raise ValueError(f"family stores levels up to {self.depth}; {what} need level {level}")
+        if level > self.depth:
+            raise SizeError(f"family stores levels up to {self.depth}; {what} need level {level}")
 
     def blocks_close(self, other: "AdmissibleFamily") -> float:
         """Max absolute entrywise difference over the blocks of every level that

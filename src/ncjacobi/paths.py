@@ -69,8 +69,7 @@ class LatticePath:
 
 def motzkin_number(n: int) -> int:
     """Number of level/rise/fall paths of length n from height 0 back to 0."""
-    if n < 0:
-        raise ValueError("length must be >= 0")
+    _check_sizes(1, length=n)  # the count is the same over every alphabet
     # (n + 2) M_n = (2n + 1) M_{n-1} + 3 (n - 1) M_{n-2}, exact in integers
     prev, cur = 1, 1
     for m in range(2, n + 1):

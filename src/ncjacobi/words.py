@@ -21,6 +21,10 @@ import numpy as np
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
+class SizeError(ValueError):
+    """Raised by every size, reach and letter rule: a request its input cannot serve."""
+
+
 @functools.total_ordering
 @dataclass(frozen=True)
 class Word:
@@ -34,8 +38,10 @@ class Word:
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for c in self.letters:
+            if type(c) is not int:  # the integer rule, past the common plain int
+                _require_integer("letter", c)
             if not (1 <= c <= self.alphabet):
-                raise ValueError(f"letter {c} outside alphabet 1..{self.alphabet}")
+                raise SizeError(f"letter {c} outside alphabet 1..{self.alphabet}")
 
     @classmethod
     def empty(cls, alphabet: int) -> "Word":
@@ -83,11 +89,11 @@ def _check_sizes(alphabet: int, **lengths: int) -> None:
     letter and lengths, depths and degrees of at least 0, each named by its parameter."""
     _require_integer("alphabet size", alphabet)
     if alphabet < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
+        raise SizeError(f"alphabet size must be >= 1, got {alphabet}")
     for name, length in lengths.items():
         _require_integer(name, length)
         if length < 0:
-            raise ValueError(f"{name} must be >= 0, got {length}")
+            raise SizeError(f"{name} must be >= 0, got {length}")
 
 
 def _require_integer(name: str, size) -> None:
@@ -99,7 +105,7 @@ def _require_integer(name: str, size) -> None:
             return
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {size!r}")
+    raise SizeError(f"{name} must be an integer, got {size!r}")
 
 
 def enumerate_words(alphabet: int, length: int) -> list[Word]:
@@ -144,9 +150,7 @@ def level_offsets(alphabet: int, level: int) -> tuple[int, ...]:
 
 def word_at(alphabet: int, index: int) -> Word:
     """The word at graded rank ``index``: the inverse of ``graded_rank``."""
-    _check_sizes(alphabet)
-    if index < 0:
-        raise ValueError(f"graded rank must be >= 0, got {index}")
+    _check_sizes(alphabet, **{"graded rank": index})
     n = 0
     while index >= alphabet**n:
         index -= alphabet**n

@@ -13,6 +13,9 @@ import ncjacobi
 from ncjacobi import AdmissibleFamily, MomentFunctional, favard_moments, jsonio
 from ncjacobi import moments_from_paths, random_admissible_family, words_up_to
 from ncjacobi.cli import main
+from ncjacobi.words import SizeError
+
+from conftest import refusal
 
 
 @pytest.fixture
@@ -54,7 +57,7 @@ def test_full_pipeline(workdir, capsys):
     "argv, message",
     [
         pytest.param(["freeproduct", "--spec", "hermite", "--depth", "-1", "--out", "f.json"],
-                     "--depth must be >= 0", id="freeproduct-negative-depth"),
+                     "depth must be >= 0, got -1", id="freeproduct-negative-depth"),
         pytest.param(["paths", "--word", ","], "word must be nonempty", id="paths-no-letters"),
     ],
 )
@@ -140,7 +143,7 @@ def test_paths_refuses_a_word_above_the_family_depth(workdir, capsys):
     assert run(["paths", "--word", "1,2,2,1", "--family", "fam.json", "--out", "p.json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: length-4 word climbs above family depth 1\n"
+    assert captured.err == "error: family stores levels up to 1; paths of height 2 need level 2\n"
     assert os.listdir(".") == ["fam.json"]
     # the count needs no weights, and length 3 stays within depth 1
     assert run(["paths", "--word", "1,2,2,1", "--family", "fam.json", "--count-only"]) == 0
@@ -153,7 +156,7 @@ def test_moments_refuses_a_degree_above_the_family_depth(workdir, capsys):
     assert run(["moments", "--family", "fam.json", "--max-degree", "5", "--out", "m.json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --max-degree 5 exceeds family depth 3\n"
+    assert captured.err == "error: family stores levels up to 3; moments of degree 5 need level 5\n"
     assert os.listdir(".") == ["fam.json"]
 
 
@@ -864,7 +867,7 @@ def test_verify_rejects_negative_depth(workdir, capsys):
     assert run(["verify", "--moments", "m.json", "--depth", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --depth must be >= 0\n"
+    assert captured.err == "error: degree must be >= 0, got -1\n"
 
 
 TABLE_COMMANDS = (
@@ -874,17 +877,126 @@ TABLE_COMMANDS = (
 )
 
 
+# the library call each table command makes first on a depth, which refuses one the
+# table cannot serve; jacobi checks the extraction's reach before it factors
+TABLE_CALLS = {
+    "jacobi": lambda phi, depth: (
+        phi._require_words(2 * depth + 1, f"extracting level-{depth} blocks"),
+        ncjacobi.orthonormalize(phi, depth),
+    ),
+    "orthonormalize": ncjacobi.orthonormalize,
+    "verify": lambda phi, depth: phi.gram(depth),
+}
+
+
 @pytest.mark.parametrize("command", TABLE_COMMANDS)
 def test_table_commands_share_one_depth_check(workdir, capsys, command):
     assert run(["freeproduct", "--spec", "hermite", "--depth", "2", "--out", "fam.json"]) == 0
     assert run(["moments", "--family", "fam.json", "--max-degree", "2", "--out", "m.json"]) == 0
     capsys.readouterr()
-    for depth, line in (("5", "error: --depth 5 exceeds table degree 2\n"),
-                        ("-1", "error: --depth must be >= 0\n")):
-        assert run([*command, "--moments", "m.json", "--depth", depth]) == 2
+    phi = jsonio.load_moments("m.json")
+    too_deep = {
+        "jacobi": "extracting level-5 blocks needs length 11",
+        "orthonormalize": "the degree-5 Gram matrix needs length 10",
+        "verify": "the degree-5 Gram matrix needs length 10",
+    }[command[0]]
+    for depth, text in ((5, f"moment table stores words up to length 5; {too_deep}"),
+                        (-1, "degree must be >= 0, got -1")):
+        # the command refuses through its library call's rule, in that rule's words
+        assert refusal(lambda: TABLE_CALLS[command[0]](phi, depth)) == (SizeError, text)
+        assert run([*command, "--moments", "m.json", "--depth", str(depth)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == line
+        assert captured.out == "" and captured.err == f"error: {text}\n"
     assert not os.path.exists("x.json")
+
+
+@pytest.fixture
+def depth2_files(workdir, capsys):
+    """fam.json, a depth-2 family over N = 2, and m.json, its degree-2 moment table."""
+    family = random_admissible_family(2, 2, seed=1)
+    jsonio.save_family("fam.json", family)
+    jsonio.save_moments("m.json", favard_moments(family, 2))
+    return workdir
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["moments", "--family", "fam.json", "--max-degree", "5", "--out", "x.json"],
+                     "family stores levels up to 2; moments of degree 5 need level 5",
+                     id="moments-past-depth"),
+        pytest.param(["moments", "--family", "fam.json", "--max-degree", "-1", "--out", "x.json"],
+                     "degree must be >= 0, got -1", id="moments-negative-degree"),
+        pytest.param(["jacobi", "--moments", "m.json", "--depth", "5", "--out", "x.json"],
+                     "moment table stores words up to length 5; extracting level-5 blocks "
+                     "needs length 11", id="jacobi-past-table"),
+        pytest.param(["jacobi", "--moments", "m.json", "--depth", "-1", "--out", "x.json"],
+                     "degree must be >= 0, got -1", id="jacobi-negative-depth"),
+        pytest.param(["orthonormalize", "--moments", "m.json", "--depth", "3", "--out", "x.json"],
+                     "moment table stores words up to length 5; the degree-3 Gram matrix "
+                     "needs length 6", id="orthonormalize-past-table"),
+        pytest.param(["orthonormalize", "--moments", "m.json", "--depth", "-1", "--out", "x.json"],
+                     "degree must be >= 0, got -1", id="orthonormalize-negative-depth"),
+        pytest.param(["verify", "--moments", "m.json", "--depth", "3"],
+                     "moment table stores words up to length 5; the degree-3 Gram matrix "
+                     "needs length 6", id="verify-past-table"),
+        pytest.param(["verify", "--moments", "m.json", "--depth", "-1"],
+                     "degree must be >= 0, got -1", id="verify-negative-depth"),
+        pytest.param(["freeproduct", "--spec", "hermite,legendre", "--depth", "-1",
+                      "--out", "x.json", "--basis", "y.json"],
+                     "depth must be >= 0, got -1", id="freeproduct-negative-depth"),
+        pytest.param(["paths", "--word", "1,2,2,1,1,2", "--family", "fam.json", "--out", "x.json"],
+                     "family stores levels up to 2; paths of height 3 need level 3",
+                     id="paths-past-depth"),
+        pytest.param(["paths", "--word", "1,3,1", "--family", "fam.json", "--out", "x.json"],
+                     "letter 3 outside alphabet 1..2", id="paths-letter-past-family"),
+        pytest.param(["paths", "--word", "0,1", "--out", "x.json"],
+                     "letter 0 outside alphabet 1..1", id="paths-letter-0"),
+    ],
+)
+def test_every_size_rule_route_exits_2_in_the_library_words(depth2_files, capsys, argv, message):
+    # main maps the library's SizeError to exit 2; no command restates a rule or its text
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(os.listdir()) == ["fam.json", "m.json"]
+
+
+def _custom_recurrence():
+    Path("r.json").write_text(json.dumps({"a": [1.0, 2.0, 3.0], "b": [0.0, 0.0, 0.0, 0.0]}))
+
+
+@pytest.mark.parametrize(
+    "argv, clash",
+    [
+        pytest.param(["moments", "--family", "fam.json", "--max-degree", "2", "--out", "fam.json"],
+                     "--out and --family name the same file fam.json", id="moments"),
+        pytest.param(["jacobi", "--moments", "m.json", "--depth", "2", "--out", "./m.json"],
+                     "--out and --moments name the same file ./m.json", id="jacobi"),
+        pytest.param(["orthonormalize", "--moments", "m.json", "--depth", "2",
+                      "--out", "sub/../m.json"],
+                     "--out and --moments name the same file sub/../m.json", id="orthonormalize"),
+        pytest.param(["freeproduct", "--spec", "hermite, custom:r.json", "--depth", "2",
+                      "--out", "r.json"],
+                     "--out and --spec name the same file r.json", id="freeproduct-out"),
+        pytest.param(["freeproduct", "--spec", "custom:r.json", "--depth", "2",
+                      "--out", "x.json", "--basis", "r.json"],
+                     "--basis and --spec name the same file r.json", id="freeproduct-basis"),
+        pytest.param(["paths", "--word", "1,2,2,1", "--family", "fam.json", "--out", "link.json"],
+                     "--out and --family name the same file link.json", id="paths-symlink"),
+    ],
+)
+def test_no_output_overwrites_an_input(depth2_files, capsys, argv, clash):
+    # each would have replaced the file it reads with its own output, and exited 0
+    os.mkdir("sub")
+    os.symlink("fam.json", "link.json")
+    _custom_recurrence()
+    before = {name: Path(name).read_bytes() for name in ("fam.json", "m.json", "r.json")}
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {clash}\n")
+    assert sorted(os.listdir()) == ["fam.json", "link.json", "m.json", "r.json", "sub"]
+    assert {name: Path(name).read_bytes() for name in before} == before
 
 
 def test_jacobi_refuses_a_table_without_its_odd_level_before_factoring(workdir, capsys, monkeypatch):
@@ -1197,13 +1309,16 @@ TABLE = ["--moments", "bad.json", "--out", "x.json"]
          ["FAIL: recovery condition estimate eps n sum G_jj C_ij^2 = "]),
         (None, ["paths", "--word", "1,x"], 2,
          ["error: cannot parse word '1,x': invalid literal for int() with base 10: 'x'"]),
+        (_flat_table, ["orthonormalize", *TABLE, "--depth", "2"], 2,
+         ["error: moment table stores words up to length 3; the degree-2 Gram matrix needs "
+          "length 4"]),
         (None, ["verify", "--moments", "bad.json"], 2,
          ["error: [Errno 2] No such file or directory: 'bad.json'"]),
         (lambda: Path("bad.json").write_text("{"), ["verify", "--family", "bad.json"], 2,
          ["error: bad.json is not valid JSON: "]),
     ],
-    ids=["Refused", "NotStrictlyPositiveError", "ResidualError", "UsageError", "OSError",
-         "SchemaError"],
+    ids=["Refused", "NotStrictlyPositiveError", "ResidualError", "UsageError", "SizeError",
+         "OSError", "SchemaError"],
 )
 def test_each_refusal_class_has_one_stream_prefix_and_code(workdir, capsys, setup, argv,
                                                           code, lines):

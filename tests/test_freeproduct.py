@@ -25,6 +25,7 @@ from ncjacobi import (
 from ncjacobi.freeproduct import parse_recurrence_spec
 from ncjacobi.jacobi import sections
 from ncjacobi.orthopoly import three_term_residuals
+from ncjacobi.words import SizeError
 
 from conftest import classical_moments, free_cumulants, free_word_moments, refusal
 from conftest import run_form_product
@@ -402,13 +403,13 @@ HERMITE = classical_coefficients("hermite", 2)
                      "n_max must be >= 1", id="no-coefficients"),
         pytest.param(lambda: parse_recurrence_spec("Hermite", 2), ValueError,
                      "cannot parse recurrence token 'Hermite'", id="capitalized-token"),
-        pytest.param(lambda: build_free_product([HERMITE], -1), ValueError,
+        pytest.param(lambda: build_free_product([HERMITE], -1), SizeError,
                      "depth must be >= 0, got -1", id="build-negative-depth"),
-        pytest.param(lambda: build_free_product([], 1), ValueError,
+        pytest.param(lambda: build_free_product([], 1), SizeError,
                      "alphabet size must be >= 1, got 0", id="build-no-recurrence"),
         pytest.param(lambda: product_basis([HERMITE], 3), ValueError,
                      "recurrence hermite too short for degree 3", id="basis-short-recurrence"),
-        pytest.param(lambda: product_basis([], 1), ValueError,
+        pytest.param(lambda: product_basis([], 1), SizeError,
                      "alphabet size must be >= 1, got 0", id="basis-no-recurrence"),
         pytest.param(lambda: product_polynomial([HERMITE] * 2, Word((1,), 3)), ValueError,
                      "word alphabet 3 does not match 2 recurrences", id="polynomial-alphabet"),

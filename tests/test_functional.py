@@ -25,7 +25,7 @@ from ncjacobi import (
 )
 
 from ncjacobi.functional import NotStrictlyPositiveError, _by_rank, require_positive
-from ncjacobi.words import letters_up_to
+from ncjacobi.words import SizeError, letters_up_to
 
 from conftest import (
     EXPONENTIAL_MOMENTS,
@@ -159,7 +159,7 @@ def test_gram_degree_zero(gaussian_phi):
     ],
 )
 def test_negative_gram_degree_is_rejected(gaussian_phi, call):
-    with pytest.raises(ValueError, match="degree must be >= 0"):
+    with pytest.raises(SizeError, match="degree must be >= 0"):
         call(gaussian_phi)
 
 
@@ -271,7 +271,7 @@ def test_apply_examples(gaussian_phi):
 def test_apply_degree_bound(gaussian_phi):
     x = NcPolynomial.variable(1, 1)
     p = x * x * x * x * x * x
-    with pytest.raises(ValueError, match="degree-6 polynomial needs length 6"):
+    with pytest.raises(SizeError, match="degree-6 polynomial needs length 6"):
         gaussian_phi.apply(p)
 
 
@@ -287,9 +287,7 @@ def test_every_route_refuses_words_past_the_table_in_one_text():
         (lambda: extract_recurrence(deeper, phi), "extracting level-3 blocks needs length 7"),
         (lambda: kernel_table(phi, 6), "a depth-6 kernel table needs length 6"),
     ]:
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(info.value) == f"moment table stores words up to length 5; {need}"
+        assert refusal(call) == (SizeError, f"moment table stores words up to length 5; {need}")
 
 
 def test_apply_positive_on_squares(random_phi):
@@ -665,11 +663,11 @@ def test_word_table_from_another_alphabet_rejected():
     [
         pytest.param(lambda: upper_cholesky(np.zeros((2, 3))), ValueError,
                      "matrix must be square", id="cholesky-not-square"),
-        pytest.param(lambda: MomentFunctional.from_values(0, 1, [1.0]), ValueError,
+        pytest.param(lambda: MomentFunctional.from_values(0, 1, [1.0]), SizeError,
                      "alphabet size must be >= 1, got 0", id="values-alphabet-0"),
         pytest.param(
             lambda: MomentFunctional.from_json_obj({"N": 0, "max_degree": 1, "moments": []}),
-            ValueError, "alphabet size must be >= 1, got 0", id="json-alphabet-0"),
+            SizeError, "alphabet size must be >= 1, got 0", id="json-alphabet-0"),
         pytest.param(lambda: one_dim_functional(GAUSSIAN_MOMENTS[:3], 1).apply(NcPolynomial.one(2)),
                      ValueError, "polynomial alphabet does not match functional",
                      id="apply-alphabet"),
@@ -682,11 +680,11 @@ def test_word_table_from_another_alphabet_rejected():
             lambda: MomentFunctional.from_values(3, 10**4, [1.0]), ValueError,
             "moment table incomplete: 1 values, expected (3**20001 - 1) // 2 (words up to "
             "length 20000) or (3**20002 - 1) // 2", id="count-formula-N3"),
-        pytest.param(lambda: functional_free_product([]), ValueError,
+        pytest.param(lambda: functional_free_product([]), SizeError,
                      "alphabet size must be >= 1, got 0", id="free-product-no-factor"),
         pytest.param(lambda: kernel_table(one_dim_functional(GAUSSIAN_MOMENTS[:3], 1), -1),
-                     ValueError, "depth must be >= 0, got -1", id="kernel-table-negative-depth"),
-        pytest.param(lambda: hankel_check({}, 2, -1), ValueError,
+                     SizeError, "depth must be >= 0, got -1", id="kernel-table-negative-depth"),
+        pytest.param(lambda: hankel_check({}, 2, -1), SizeError,
                      "depth must be >= 0, got -1", id="hankel-check-negative-depth"),
     ],
 )

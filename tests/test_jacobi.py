@@ -23,7 +23,7 @@ from ncjacobi import (
 
 from ncjacobi.freeproduct import parse_recurrence_spec
 from ncjacobi.jacobi import _letter_blocks, sections
-from ncjacobi.words import enumerate_words
+from ncjacobi.words import SizeError, enumerate_words
 
 from conftest import GAUSSIAN_MOMENTS, per_block_free_product, per_block_random_family
 from conftest import per_letter_fock, refusal
@@ -218,7 +218,7 @@ def test_moments_follow_an_edited_family():
 
 def test_operator_moment_insufficient_depth():
     fam = random_admissible_family(2, 1, seed=0)
-    with pytest.raises(ValueError, match="level|depth"):
+    with pytest.raises(SizeError, match="level|depth"):
         operator_moment(fam, Word((1, 1, 1, 1), 2))
 
 
@@ -254,7 +254,7 @@ def test_favard_is_strictly_positive():
 
 def test_favard_depth_precondition():
     fam = random_admissible_family(2, 2, seed=1)
-    with pytest.raises(ValueError, match="family stores levels up to 2; "):
+    with pytest.raises(SizeError, match="family stores levels up to 2; "):
         favard_moments(fam, 3)
 
 
@@ -546,9 +546,9 @@ ONE_B = [{"n": 0, "k": 1, "rows": [[0.0]]}]
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(lambda: AdmissibleFamily(0, 1, {}, {}), ValueError,
+        pytest.param(lambda: AdmissibleFamily(0, 1, {}, {}), SizeError,
                      "alphabet size must be >= 1, got 0", id="alphabet-0"),
-        pytest.param(lambda: AdmissibleFamily(1, -1, {}, {}), ValueError,
+        pytest.param(lambda: AdmissibleFamily(1, -1, {}, {}), SizeError,
                      "depth must be >= 0, got -1", id="negative-depth"),
         pytest.param(lambda: AdmissibleFamily(1, 0, {(1, 1): [[1.0]]}, {(0, 1): [[0.0]]}),
                      ValueError, "blocks outside depth range: [(1, 1)]", id="block-past-depth"),
@@ -558,17 +558,22 @@ ONE_B = [{"n": 0, "k": 1, "rows": [[0.0]]}]
         pytest.param(
             lambda: AdmissibleFamily.from_json_obj({"N": 1, "depth": 0, "A": [], "B": ONE_B * 2}),
             ValueError, "duplicate B block for (n,k)=(0, 1)", id="duplicate-block"),
-        pytest.param(lambda: favard_moments(random_admissible_family(1, 1), -1), ValueError,
+        pytest.param(lambda: favard_moments(random_admissible_family(1, 1), -1), SizeError,
                      "degree must be >= 0, got -1", id="favard-negative-degree"),
-        pytest.param(lambda: random_admissible_family(2, -1), ValueError,
+        pytest.param(lambda: random_admissible_family(2, -1), SizeError,
                      "depth must be >= 0, got -1", id="random-negative-depth"),
-        pytest.param(lambda: random_admissible_family(0, 1), ValueError,
+        pytest.param(lambda: random_admissible_family(0, 1), SizeError,
                      "alphabet size must be >= 1, got 0", id="random-alphabet-0"),
-        pytest.param(lambda: sections(random_admissible_family(2, 1), 3), ValueError,
+        pytest.param(lambda: sections(random_admissible_family(2, 1), 3), SizeError,
                      "family stores levels up to 1; the level-3 sections need level 3",
                      id="sections-past-depth"),
-        pytest.param(lambda: sections(random_admissible_family(2, 1), -1), ValueError,
+        pytest.param(lambda: sections(random_admissible_family(2, 1), -1), SizeError,
                      "level must be >= 0, got -1", id="sections-negative-level"),
+        # a level inside the stored range takes the integer rule too
+        pytest.param(lambda: sections(random_admissible_family(2, 2), 1.5), SizeError,
+                     "level must be an integer, got 1.5", id="sections-float-level"),
+        pytest.param(lambda: sections(random_admissible_family(2, 2), True), SizeError,
+                     "level must be an integer, got True", id="sections-bool-level"),
     ],
 )
 def test_refusals_name_their_cause(call, error, message):

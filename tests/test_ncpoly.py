@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncjacobi import NcPolynomial, Word
+from ncjacobi.words import SizeError
 
 from conftest import random_polynomial, refusal
 
@@ -92,7 +93,7 @@ def test_json_round_trip():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(lambda: NcPolynomial(0), ValueError, "alphabet size must be >= 1, got 0",
+        pytest.param(lambda: NcPolynomial(0), SizeError, "alphabet size must be >= 1, got 0",
                      id="alphabet-0"),
         pytest.param(lambda: NcPolynomial(2, {Word((1,), 3): 1.0}), ValueError,
                      "term word alphabet does not match polynomial", id="term-alphabet"),

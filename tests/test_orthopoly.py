@@ -25,7 +25,7 @@ from ncjacobi import (
 )
 from ncjacobi.freeproduct import build, parse_recurrence_spec
 from ncjacobi.orthopoly import RECOVERY_LIMIT, OrthonormalBasis, three_term_residuals
-from ncjacobi.words import kernel_index, level_offsets, prepend_index
+from ncjacobi.words import SizeError, kernel_index, level_offsets, prepend_index
 
 from conftest import (
     EXPONENTIAL_MOMENTS,
@@ -169,7 +169,7 @@ def test_extract_round_trips_random_family(random_setup):
 
 
 def test_basis_refuses_a_negative_depth():
-    with pytest.raises(ValueError, match="depth must be >= 0"):
+    with pytest.raises(SizeError, match="depth must be >= 0"):
         OrthonormalBasis(2, -1, np.zeros((0, 0)))
 
 
@@ -439,7 +439,7 @@ def test_basis_json_matches_polynomial_route(random_setup):
         pytest.param(lambda: OrthonormalBasis(2, 1, np.eye(3), factor=np.eye(2)), ValueError,
                      re.escape("Gram factor shape (2, 2) does not match 3 words"),
                      id="basis-factor-shape"),
-        pytest.param(lambda: OrthonormalBasis(0, 3, np.eye(1)), ValueError,
+        pytest.param(lambda: OrthonormalBasis(0, 3, np.eye(1)), SizeError,
                      re.escape("alphabet size must be >= 1, got 0"), id="basis-alphabet-0"),
         # the determinant of a singular matrix is 0 up to rounding, whose sign varies
         pytest.param(lambda: coefficient_oracle(singular_pair(), Word((1, 2), 2), Word((1, 2), 2)),

@@ -26,7 +26,7 @@ import ncjacobi.paths
 from ncjacobi.freeproduct import parse_recurrence_spec
 from ncjacobi.jacobi import sections
 from ncjacobi.paths import DEFAULT_PATH_CAP, _transfer_sum
-from ncjacobi.words import level_offsets
+from ncjacobi.words import SizeError, level_offsets
 
 from conftest import EXPONENTIAL_MOMENTS, GAUSSIAN_MOMENTS, one_dim_functional, per_letter_fock
 from conftest import refusal
@@ -173,7 +173,7 @@ def test_path_weight_laguerre_rise_level_fall():
 def test_path_weight_depth_exceeded():
     fam = random_admissible_family(1, 1, seed=0)
     deep = [p for p in enumerate_paths(Word((1,) * 4, 1)) if p.max_height() == 2]
-    with pytest.raises(ValueError, match="height"):
+    with pytest.raises(SizeError, match="height"):
         path_weight(fam, deep[0])
 
 
@@ -199,7 +199,7 @@ def test_every_route_refuses_levels_past_the_depth_alike():
         (lambda: path_weight(fam, distinguished_path(word)), "paths of height 2 need level 2"),
         (lambda: moments_from_paths(fam, word), "the path sums of length-4 words need level 2"),
     ]:
-        assert refusal(call) == (ValueError, stores + need)
+        assert refusal(call) == (SizeError, stores + need)
 
 
 # -- moment sums -----------------------------------------------------------------
@@ -245,7 +245,7 @@ def test_moments_from_paths_agrees_with_operator():
 
 def test_moments_from_paths_insufficient_depth():
     fam = random_admissible_family(1, 1, seed=3)
-    with pytest.raises(ValueError, match="family stores levels up to 1; "):
+    with pytest.raises(SizeError, match="family stores levels up to 1; "):
         moments_from_paths(fam, Word((1,) * 4, 1))
 
 
@@ -552,13 +552,17 @@ def test_recovery_rejects_non_positive_table():
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        pytest.param(lambda: motzkin_number(-1), "length must be >= 0", id="motzkin-negative"),
-        pytest.param(lambda: motzkin_binomial_sum(0), "defined for n >= 1", id="binomial-sum-0"),
+        pytest.param(lambda: motzkin_number(-1), SizeError, "length must be >= 0, got -1",
+                     id="motzkin-negative"),
+        pytest.param(lambda: motzkin_number(1.5), SizeError, "length must be an integer, got 1.5",
+                     id="motzkin-float"),
+        pytest.param(lambda: motzkin_binomial_sum(0), ValueError, "defined for n >= 1",
+                     id="binomial-sum-0"),
         pytest.param(lambda: jacobi_from_moments(one_dim_functional(GAUSSIAN_MOMENTS[:3], 1), -1),
-                     "depth must be >= 0, got -1", id="peel-negative-depth"),
+                     SizeError, "depth must be >= 0, got -1", id="peel-negative-depth"),
     ],
 )
-def test_refusals_name_their_cause(call, message):
-    assert refusal(call) == (ValueError, message)
+def test_refusals_name_their_cause(call, error, message):
+    assert refusal(call) == (error, message)

@@ -14,7 +14,7 @@ from ncjacobi import (
     words_up_to,
 )
 from ncjacobi.words import kernel_index, letters_up_to, prepend_index, reversal_index
-from ncjacobi.words import level_kernel_index, level_offsets, orbit_index, word_at
+from ncjacobi.words import SizeError, level_kernel_index, level_offsets, orbit_index, word_at
 
 from conftest import refusal
 
@@ -264,7 +264,7 @@ def test_index_tables_refuse_a_negative_length():
         (kernel_index, (2, 1, -1), "top"),
         (level_kernel_index, (2, -1), "length"),
     ]:
-        assert refusal(lambda: build(*args)) == (ValueError, f"{name} must be >= 0, got -1")
+        assert refusal(lambda: build(*args)) == (SizeError, f"{name} must be >= 0, got -1")
 
 
 @pytest.mark.parametrize(
@@ -282,36 +282,65 @@ def test_index_tables_refuse_a_negative_length():
     ],
 )
 def test_index_helpers_reject_bad_arguments(call):
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeError):
         call()
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        pytest.param(lambda: w([1]).concat(w([1], 3)),
+        pytest.param(lambda: w([1]).concat(w([1], 3)), ValueError,
                      "cannot concatenate words over different alphabets", id="concat-alphabets"),
-        pytest.param(lambda: enumerate_words(0, 1), "alphabet size must be >= 1, got 0",
-                     id="alphabet-0"),
-        pytest.param(lambda: enumerate_words(1, -1), "length must be >= 0, got -1",
+        pytest.param(lambda: enumerate_words(0, 1), SizeError,
+                     "alphabet size must be >= 1, got 0", id="alphabet-0"),
+        pytest.param(lambda: enumerate_words(1, -1), SizeError, "length must be >= 0, got -1",
                      id="negative-length"),
-        pytest.param(lambda: words_up_to(2, -1), "max_length must be >= 0, got -1",
+        pytest.param(lambda: words_up_to(2, -1), SizeError, "max_length must be >= 0, got -1",
                      id="up-to-negative-length"),
-        pytest.param(lambda: Word((1,), 1.5), "alphabet size must be an integer, got 1.5",
-                     id="float-alphabet"),
-        pytest.param(lambda: words_up_to(True, 2), "alphabet size must be an integer, got True",
-                     id="bool-alphabet"),
-        pytest.param(lambda: enumerate_words(2, 1.0), "length must be an integer, got 1.0",
-                     id="whole-float-length"),
+        pytest.param(lambda: Word((1,), 1.5), SizeError,
+                     "alphabet size must be an integer, got 1.5", id="float-alphabet"),
+        pytest.param(lambda: words_up_to(True, 2), SizeError,
+                     "alphabet size must be an integer, got True", id="bool-alphabet"),
+        pytest.param(lambda: enumerate_words(2, 1.0), SizeError,
+                     "length must be an integer, got 1.0", id="whole-float-length"),
         # a cached builder too, where an equal integer size is cached
-        pytest.param(lambda: (reversal_index(2, 1), reversal_index(2, np.True_)),
+        pytest.param(lambda: (reversal_index(2, 1), reversal_index(2, np.True_)), SizeError,
                      f"max_length must be an integer, got {np.True_!r}", id="numpy-bool-length"),
+        pytest.param(lambda: word_at(2, -3), SizeError, "graded rank must be >= 0, got -3",
+                     id="negative-graded-rank"),
+        # letters take the integer rule before they are compared with the alphabet
+        pytest.param(lambda: Word((3,), 2), SizeError, "letter 3 outside alphabet 1..2",
+                     id="letter-past-alphabet"),
+        pytest.param(lambda: Word((0,), 2), SizeError, "letter 0 outside alphabet 1..2",
+                     id="letter-0"),
+        pytest.param(lambda: Word((1.5,), 2), SizeError, "letter must be an integer, got 1.5",
+                     id="float-letter"),
+        pytest.param(lambda: Word((1.0,), 2), SizeError, "letter must be an integer, got 1.0",
+                     id="whole-float-letter"),
+        pytest.param(lambda: Word((True,), 2), SizeError, "letter must be an integer, got True",
+                     id="bool-letter"),
+        pytest.param(lambda: Word((1, np.True_), 2), SizeError,
+                     f"letter must be an integer, got {np.True_!r}", id="numpy-bool-letter"),
+        pytest.param(lambda: Word(("1",), 2), SizeError, "letter must be an integer, got '1'",
+                     id="str-letter"),
+        pytest.param(lambda: w([1]).concat(Word((2.5,), 3)), SizeError,
+                     "letter must be an integer, got 2.5", id="float-letter-in-concat"),
     ],
 )
-def test_refusals_name_their_cause(call, message):
-    assert refusal(call) == (ValueError, message)
+def test_refusals_name_their_cause(call, error, message):
+    assert refusal(call) == (error, message)
+
+
+def test_size_errors_are_value_errors():
+    # callers that catch ValueError still catch every size, reach and letter refusal
+    assert issubclass(SizeError, ValueError)
+    with pytest.raises(ValueError):
+        Word((1.5,), 2)
 
 
 def test_numpy_integer_sizes_are_accepted():
     assert words_up_to(np.int64(2), np.int64(2)) == words_up_to(2, 2)
     assert Word((2,), np.int64(2)) == w([2])
+    # a numpy integer letter is an integer: the word equals its plain-int twin
+    word = Word((np.int64(1), np.int32(2)), 2)
+    assert word == w([1, 2]) and hash(word) == hash(w([1, 2]))
