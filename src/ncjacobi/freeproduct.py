@@ -23,7 +23,8 @@ from .functional import json_fields, json_floats
 from .jacobi import THREE_TERM_TOL, AdmissibleFamily
 from .ncpoly import NcPolynomial
 from .orthopoly import OrthonormalBasis, three_term_residuals
-from .words import Word, _check_sizes, level_offsets, prepend_index
+from .words import SizeError, Word, _check_sizes, _require_alphabet, _require_count
+from .words import level_offsets, prepend_index
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,7 @@ def classical_coefficients(
     laguerre: weight x^alpha e^{-x} on (0,inf), a_n = sqrt(n(n+alpha)),
         b_n = 2n + 1 + alpha; requires alpha > -1 (default 0).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _require_count("n_max", n_max)
     ns = range(1, n_max + 1)
     if kind == "hermite":
         a = [math.sqrt(n) for n in ns]
@@ -136,13 +136,7 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
     + rank(t), is the column of t in A_n, so A_n is diagonal and positive.
     """
     N = len(recurrences)
-    _check_sizes(N, depth=depth)
-    for k, rec in enumerate(recurrences, start=1):
-        if len(rec.a) < depth:
-            raise ValueError(
-                f"recurrence {rec.label} for letter {k} stores {len(rec.a)} levels, "
-                f"need {depth}"
-            )
+    _check_recurrences(recurrences, depth)
     a_levels, b_levels = [], []
     for n in range(depth + 1):
         letters = np.arange(N**n)[:, None] // N ** np.arange(n - 1, -1, -1) % N + 1
@@ -155,10 +149,20 @@ def build(recurrences: Sequence[OneDimRecurrence], depth: int) -> AdmissibleFami
     return AdmissibleFamily.from_levels(a_levels, b_levels)
 
 
+def _check_recurrences(recurrences: Sequence[OneDimRecurrence], depth: int) -> None:
+    """The size rule for one letter per recurrence and ``depth``, and the reach rule:
+    every recurrence stores the coefficients of ``depth`` levels."""
+    _check_sizes(len(recurrences), depth=depth)
+    for k, rec in enumerate(recurrences, start=1):
+        if len(rec.a) < depth:
+            raise SizeError(
+                f"recurrence {rec.label} for letter {k} stores {len(rec.a)} levels, "
+                f"need {depth}"
+            )
+
+
 def _univariate_coeffs(rec: OneDimRecurrence, n: int) -> list[np.ndarray]:
-    """Coefficient vectors (index = power) of p_0..p_n from the recurrence."""
-    if n > len(rec.a):
-        raise ValueError(f"recurrence {rec.label} too short for degree {n}")
+    """Coefficient vectors (index = power) of p_0..p_n from a recurrence of n levels."""
     ps = [np.array([1.0])]
     for m in range(n):
         new = np.concatenate(([0.0], ps[m]))
@@ -178,7 +182,7 @@ def product_basis(recurrences: Sequence[OneDimRecurrence], depth: int) -> Orthon
     empty word gives the constant 1.
     """
     N = len(recurrences)
-    _check_sizes(N, depth=depth)
+    _check_recurrences(recurrences, depth)
     p = [_univariate_coeffs(rec, depth) for rec in recurrences]
     offs = level_offsets(N, depth)
     prepend = prepend_index(N, depth)
@@ -204,9 +208,7 @@ def product_polynomial(
 ) -> NcPolynomial:
     """Product of one-variable orthonormal polynomials along the run form of
     ``sigma``: its row of ``product_basis``."""
-    N = len(recurrences)
-    if sigma.alphabet != N:
-        raise ValueError(f"word alphabet {sigma.alphabet} does not match {N} recurrences")
+    _require_alphabet(len(recurrences), sigma, f"word {sigma}")
     return product_basis(recurrences, len(sigma)).polynomial(sigma)
 
 
@@ -228,8 +230,7 @@ class ThreeTermReport:
 def verify_three_term(recurrences: Sequence[OneDimRecurrence], depth: int) -> ThreeTermReport:
     """Check X_k Phi_n = Phi_{n+1} A_{n+1,k} + Phi_n B_{n,k} + Phi_{n-1} A*_{n,k}
     coefficientwise for all letters k and levels n < depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _require_count("depth", depth)
     family = build(recurrences, depth)
     c = product_basis(recurrences, depth).coeffs
     residuals = three_term_residuals(c, family)

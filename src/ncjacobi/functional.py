@@ -18,8 +18,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import SizeError, Word, _check_sizes, enumerate_words, graded_rank, kernel_index
-from .words import letters_up_to, level_offsets, reversal_index, word_at, words_up_to
+from .words import SizeError, Word, _check_sizes, _require_alphabet, enumerate_words, graded_rank
+from .words import kernel_index, letters_up_to, level_offsets, reversal_index, word_at
+from .words import words_up_to
 
 POSITIVITY_TOL = 1e-10  # a Gram pivot must exceed this
 SYMMETRY_TOL = 1e-12  # relative reversal-symmetry and unit-mass bound of a table
@@ -123,8 +124,7 @@ class MomentFunctional:
         moments: Mapping[Word, float],
     ):
         for w in moments:
-            if w.alphabet != alphabet:
-                raise ValueError(_outside(w, alphabet, 2 * max_degree))
+            _require_alphabet(alphabet, w, "a word of the table")
         words = [w.letters for w in moments]
         table = _by_rank(alphabet, max_degree, words, list(moments.values()))
         self._set_values(alphabet, max_degree, table)
@@ -203,11 +203,9 @@ class MomentFunctional:
     # -- access ------------------------------------------------------------
 
     def moment(self, w: Word) -> float:
-        if w.alphabet != self.alphabet or len(w) > self.word_bound:
-            raise ValueError(
-                f"word {w} of length {len(w)} beyond stored bound {self.word_bound} "
-                f"of the N={self.alphabet} table"
-            )
+        what = f"word {w}"
+        _require_alphabet(self.alphabet, w, what)
+        self._require_words(len(w), what)
         return float(self._values[graded_rank(w)])
 
     def kernel_eval(self, alpha: Word, beta: Word) -> float:
@@ -216,9 +214,9 @@ class MomentFunctional:
 
     def apply(self, p: NcPolynomial) -> float:
         """Linear extension: sum of c_w * s_w over the support of p."""
-        if p.alphabet != self.alphabet:
-            raise ValueError("polynomial alphabet does not match functional")
-        self._require_words(p.degree(), f"a degree-{p.degree()} polynomial")
+        what = f"a degree-{p.degree()} polynomial"
+        _require_alphabet(self.alphabet, p, what)
+        self._require_words(p.degree(), what)
         return float(sum(c * self._values[graded_rank(w)] for w, c in p.terms()))
 
     def _require_words(self, length: int, what: str) -> None:
@@ -305,13 +303,6 @@ def json_floats(values, ndim: int, what: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _outside(w: Word, alphabet: int, bound: int) -> str:
-    return (
-        f"word {w} outside the N={alphabet} table, which may extend at most one "
-        f"level past length {bound}"
-    )
-
-
 def _fillable_offsets(alphabet: int, top: int, count: int) -> tuple[int, ...]:
     """``level_offsets(alphabet, top)``, cut after the first level that ``count``
     entries cannot fill: a header can name more words than memory holds, so
@@ -349,7 +340,10 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
         raise SizeError(f"letter {letters[bad.argmax()]} outside alphabet 1..{alphabet}")
     if lengths.max(initial=0) > top:
         w = Word(words[np.argmax(lengths > top)], alphabet)
-        raise ValueError(_outside(w, alphabet, top - 1))
+        raise SizeError(
+            f"word {w} outside the N={alphabet} table, which may extend at most one "
+            f"level past length {top - 1}"
+        )
     at = np.flatnonzero(lengths <= reach)  # the entries ranked below
     starts, lengths = (np.cumsum(lengths) - lengths)[at], lengths[at]  # where each begins
     # level rank by Horner's rule, one letter position at a time, over the entries in

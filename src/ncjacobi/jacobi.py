@@ -19,7 +19,8 @@ import numpy as np
 
 from .functional import MomentFunctional, ValidationReport, json_fields, json_floats
 from .functional import json_int, require_positive
-from .words import SizeError, Word, _check_sizes, level_offsets, orbit_index, reversal_index
+from .words import SizeError, Word, _check_sizes, _require_alphabet, level_offsets, orbit_index
+from .words import reversal_index
 
 VALIDATE_TOL = 1e-12  # bound on B asymmetry and A_n sub-diagonal entries; diag(A_n) exceeds it
 THREE_TERM_TOL = 1e-12  # bound on the product construction's three-term residual
@@ -87,8 +88,7 @@ class AdmissibleFamily:
     def blocks_close(self, other: "AdmissibleFamily") -> float:
         """Max absolute entrywise difference over the blocks of every level that
         both families hold."""
-        if self.alphabet != other.alphabet:
-            raise ValueError(f"family alphabets differ: {self.alphabet} and {other.alphabet}")
+        _require_alphabet(self.alphabet, other, "the other family")
         depth = min(self.depth, other.depth)
         levels = [(f.a_levels[:depth] + f.b_levels[: depth + 1]) for f in (self, other)]
         return max(float(np.max(np.abs(mine - theirs))) for mine, theirs in zip(*levels))
@@ -182,8 +182,7 @@ def operator_moment(family: AdmissibleFamily, sigma: Word) -> float:
     Any level >= floor(|sigma|/2) gives the exact value, since a product of
     |sigma| tridiagonal factors cannot return to level 0 from higher up.
     """
-    if sigma.alphabet != family.alphabet:
-        raise ValueError("word alphabet does not match family")
+    _require_alphabet(family.alphabet, sigma, f"word {sigma}")
     n = len(sigma)
     if n == 0:
         return 1.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .words import Word, _check_sizes
+from .words import Word, _check_sizes, _require_alphabet
 
 
 class NcPolynomial:
@@ -21,8 +21,7 @@ class NcPolynomial:
         _check_sizes(alphabet)
         kept: dict[Word, float] = {}
         for w, c in (terms or {}).items():
-            if w.alphabet != alphabet:
-                raise ValueError("term word alphabet does not match polynomial")
+            _require_alphabet(alphabet, w, "a term word")
             c = float(c)
             if c != 0.0:
                 kept[w] = c
@@ -96,16 +95,12 @@ class NcPolynomial:
 
     # -- algebra -----------------------------------------------------------
 
-    def _check(self, other: "NcPolynomial"):
-        if self.alphabet != other.alphabet:
-            raise ValueError("polynomials live over different alphabets")
-
     def __add__(self, other) -> "NcPolynomial":
         if isinstance(other, (int, float)):
             other = NcPolynomial.constant(self.alphabet, other)
         if not isinstance(other, NcPolynomial):
             return NotImplemented
-        self._check(other)
+        _require_alphabet(self.alphabet, other, "the other polynomial")
         acc: dict[Word, float] = {}
         for poly in (self, other):
             for w, c in poly._terms.items():
@@ -130,7 +125,7 @@ class NcPolynomial:
             return self.scale(other)
         if not isinstance(other, NcPolynomial):
             return NotImplemented
-        self._check(other)
+        _require_alphabet(self.alphabet, other, "the other polynomial")
         acc: dict[Word, float] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():

@@ -19,8 +19,8 @@ import numpy as np
 from .functional import MomentFunctional, NotStrictlyPositiveError, require_positive
 from .jacobi import AdmissibleFamily, _letter_blocks, sections
 from .ncpoly import NcPolynomial
-from .words import Word, kernel_index, letters_up_to, level_offsets, prepend_index
-from .words import _check_sizes, words_up_to
+from .words import SizeError, Word, _check_sizes, _require_alphabet, graded_rank, kernel_index
+from .words import letters_up_to, level_offsets, prepend_index, words_up_to
 
 
 EPS = np.finfo(float).eps
@@ -66,15 +66,19 @@ class OrthonormalBasis:
     def words(self) -> list[Word]:
         return words_up_to(self.alphabet, self.depth)
 
-    @functools.cached_property
-    def _index(self) -> dict[Word, int]:
-        return {w: i for i, w in enumerate(self.words)}
+    def _rank(self, w: Word) -> int:
+        """The row and column of ``w``, a word the basis stores."""
+        what = f"word {w}"
+        _require_alphabet(self.alphabet, w, what)
+        if len(w) > self.depth:
+            raise SizeError(f"basis stores words up to length {self.depth}, not {what}")
+        return graded_rank(w)
 
     def coefficient(self, alpha: Word, beta: Word) -> float:
-        return float(self.coeffs[self._index[alpha], self._index[beta]])
+        return float(self.coeffs[self._rank(alpha), self._rank(beta)])
 
     def polynomial(self, alpha: Word) -> NcPolynomial:
-        i = self._index[alpha]
+        i = self._rank(alpha)
         terms = {
             w: c for w, c in zip(self.words, self.coeffs[i, :]) if c != 0.0
         }
@@ -154,8 +158,7 @@ def extract_recurrence(basis: OrthonormalBasis, phi: MomentFunctional) -> Admiss
     bounds the condition number of the diagonally scaled Gram matrix D G D,
     D = diag(G)^(-1/2), which is what limits the accuracy of the blocks.
     """
-    if basis.alphabet != phi.alphabet:
-        raise ValueError("basis and functional alphabets differ")
+    _require_alphabet(phi.alphabet, basis, "the basis")
     N, depth, c = basis.alphabet, basis.depth, basis.coeffs
     phi._require_words(2 * depth + 1, f"extracting level-{depth} blocks")
     kernel = kernel_index(N, depth, depth + 1)

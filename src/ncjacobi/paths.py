@@ -27,7 +27,8 @@ import numpy as np
 
 from .functional import MomentFunctional, require_positive, upper_cholesky
 from .jacobi import AdmissibleFamily, _by_letter, _letter_blocks
-from .words import Word, _check_sizes, level_kernel_index, level_offsets
+from .words import SizeError, Word, _check_sizes, _count_text, _require_alphabet, _require_count
+from .words import level_kernel_index, level_offsets
 
 STEP_KINDS = {1: "rise", 0: "level", -1: "fall"}  # by height change
 
@@ -84,8 +85,7 @@ def motzkin_binomial_sum(n: int) -> int:
     by one relative to the path count of length n.  Kept as a documented
     cross-check of that shift.
     """
-    if n < 1:
-        raise ValueError("defined for n >= 1")
+    _require_count("n", n)
     # math.comb is 0 past the top, at k - 1 > n - k
     total = sum(math.comb(n, k) * math.comb(n - k, k - 1) for k in range(1, n + 1))
     if total % n:
@@ -98,9 +98,9 @@ def enumerate_paths(word: Word) -> list[LatticePath]:
     if word.is_empty:
         raise ValueError("the empty word has no paths")
     if len(word) > DEFAULT_PATH_CAP:
-        raise ValueError(
+        raise SizeError(
             f"explicit path lists are capped at |word| = {DEFAULT_PATH_CAP} "
-            f"({motzkin_number(len(word))} paths would be materialized)"
+            f"({_count_text(motzkin_number(len(word)))} paths would be materialized)"
         )
     # rise/level/fall profiles (+1/0/-1) that stay nonnegative and end at 0
     profiles = itertools.product((1, 0, -1), repeat=len(word))
@@ -125,8 +125,7 @@ def _step(family: AdmissibleFamily, k: int, m: int, s: int) -> np.ndarray:
 def path_weight(family: AdmissibleFamily, path: LatticePath) -> float:
     """Matrix product of the step weights of ``_step``, later steps multiplying
     from the left; switches are free.  Paths end at height 0, so it is a scalar."""
-    if path.word.alphabet != family.alphabet:
-        raise ValueError("word alphabet does not match family")
+    _require_alphabet(family.alphabet, path.word, f"word {path.word}")
     height = path.max_height()
     family._require_levels(height, f"paths of height {height}")
     v, m = np.array([1.0]), 0
@@ -160,8 +159,7 @@ def moments_from_paths(family: AdmissibleFamily, word: Word) -> float:
     The sum runs through the height-capped transfer recursion, which is exact
     because no path of length L exceeds height L//2.
     """
-    if word.alphabet != family.alphabet:
-        raise ValueError("word alphabet does not match family")
+    _require_alphabet(family.alphabet, word, f"word {word}")
     if word.is_empty:
         return 1.0
     peak = len(word) // 2

@@ -22,7 +22,7 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 
 class SizeError(ValueError):
-    """Raised by every size, reach and letter rule: a request its input cannot serve."""
+    """Raised by every size, reach, alphabet, letter and cap rule: a request it cannot serve."""
 
 
 @functools.total_ordering
@@ -56,11 +56,7 @@ class Word:
 
     def __lt__(self, other: "Word") -> bool:
         """Graded lexicographic order: shorter words first, then letterwise."""
-        if self.alphabet != other.alphabet:
-            raise ValueError(
-                f"cannot compare words over different alphabets "
-                f"({self.alphabet} vs {other.alphabet})"
-            )
+        _require_alphabet(self.alphabet, other, "the compared word")
         return (len(self), self.letters) < (len(other), other.letters)
 
     @property
@@ -68,8 +64,7 @@ class Word:
         return not self.letters
 
     def concat(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
-            raise ValueError("cannot concatenate words over different alphabets")
+        _require_alphabet(self.alphabet, other, "the appended word")
         return Word(self.letters + other.letters, self.alphabet)
 
     def involute(self) -> "Word":
@@ -87,13 +82,25 @@ class Word:
 def _check_sizes(alphabet: int, **lengths: int) -> None:
     """The one size rule of the package: integer sizes, an alphabet of at least one
     letter and lengths, depths and degrees of at least 0, each named by its parameter."""
-    _require_integer("alphabet size", alphabet)
-    if alphabet < 1:
-        raise SizeError(f"alphabet size must be >= 1, got {alphabet}")
+    _require_count("alphabet size", alphabet)
     for name, length in lengths.items():
         _require_integer(name, length)
         if length < 0:
             raise SizeError(f"{name} must be >= 0, got {length}")
+
+
+def _require_count(name: str, size: int) -> None:
+    """The size rule for a size of at least 1: an alphabet, or a count such as n_max."""
+    _require_integer(name, size)
+    if size < 1:
+        raise SizeError(f"{name} must be >= 1, got {size}")
+
+
+def _require_alphabet(alphabet: int, other, what: str) -> None:
+    """The one alphabet rule: ``what``, the word, polynomial, basis or family ``other``,
+    must be over the ``alphabet`` letters of what it meets."""
+    if other.alphabet != alphabet:
+        raise SizeError(f"{what} is over N={other.alphabet} letters, not N={alphabet}")
 
 
 def _require_integer(name: str, size) -> None:
@@ -111,9 +118,7 @@ def _require_integer(name: str, size) -> None:
 def enumerate_words(alphabet: int, length: int) -> list[Word]:
     """All alphabet**length words of the given length, in graded-lex order."""
     _check_sizes(alphabet, length=length)
-    count = alphabet**length
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"enumeration of {count} words exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    _check_enumeration(alphabet**length)
     return [
         Word(letters, alphabet)
         for letters in itertools.product(range(1, alphabet + 1), repeat=length)
@@ -123,10 +128,21 @@ def enumerate_words(alphabet: int, length: int) -> list[Word]:
 def words_up_to(alphabet: int, max_length: int) -> list[Word]:
     """All words of length <= max_length in graded-lex order."""
     _check_sizes(alphabet, max_length=max_length)
-    total = sum(alphabet**n for n in range(max_length + 1))
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"enumeration of {total} words exceeds cap {DEFAULT_ENUMERATION_CAP}")
-    return [w for n in range(max_length + 1) for w in enumerate_words(alphabet, n)]
+    top = max_length + 1  # the count in closed form: summing big powers takes O(top^2) time
+    _check_enumeration((alphabet**top - 1) // (alphabet - 1) if alphabet > 1 else top)
+    return [w for n in range(top) for w in enumerate_words(alphabet, n)]
+
+
+def _check_enumeration(count: int) -> None:
+    """Refuse to materialize ``count`` words past DEFAULT_ENUMERATION_CAP."""
+    if count > DEFAULT_ENUMERATION_CAP:
+        shown = _count_text(count)
+        raise SizeError(f"enumeration of {shown} words exceeds cap {DEFAULT_ENUMERATION_CAP}")
+
+
+def _count_text(count: int) -> str:
+    """``count`` in digits, or bounded by a power of 2 past the 4300 digits Python prints."""
+    return str(count) if count.bit_length() < 14000 else f"at least 2**{count.bit_length() - 1}"
 
 
 def letters_up_to(alphabet: int, max_length: int) -> Iterator[tuple[int, ...]]:

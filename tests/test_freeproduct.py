@@ -399,22 +399,32 @@ HERMITE = classical_coefficients("hermite", 2)
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(lambda: classical_coefficients("hermite", 0), ValueError,
-                     "n_max must be >= 1", id="no-coefficients"),
+        pytest.param(lambda: classical_coefficients("hermite", 0), SizeError,
+                     "n_max must be >= 1, got 0", id="no-coefficients"),
+        pytest.param(lambda: classical_coefficients("hermite", 2.5), SizeError,
+                     "n_max must be an integer, got 2.5", id="float-coefficients"),
+        pytest.param(lambda: classical_coefficients("hermite", True), SizeError,
+                     "n_max must be an integer, got True", id="bool-coefficients"),
         pytest.param(lambda: parse_recurrence_spec("Hermite", 2), ValueError,
                      "cannot parse recurrence token 'Hermite'", id="capitalized-token"),
         pytest.param(lambda: build_free_product([HERMITE], -1), SizeError,
                      "depth must be >= 0, got -1", id="build-negative-depth"),
         pytest.param(lambda: build_free_product([], 1), SizeError,
                      "alphabet size must be >= 1, got 0", id="build-no-recurrence"),
-        pytest.param(lambda: product_basis([HERMITE], 3), ValueError,
-                     "recurrence hermite too short for degree 3", id="basis-short-recurrence"),
+        pytest.param(lambda: product_basis([HERMITE], 3), SizeError,
+                     "recurrence hermite for letter 1 stores 2 levels, need 3",
+                     id="basis-short-recurrence"),
+        pytest.param(lambda: build_free_product([HERMITE] * 2, 3), SizeError,
+                     "recurrence hermite for letter 1 stores 2 levels, need 3",
+                     id="build-short-recurrence"),
         pytest.param(lambda: product_basis([], 1), SizeError,
                      "alphabet size must be >= 1, got 0", id="basis-no-recurrence"),
-        pytest.param(lambda: product_polynomial([HERMITE] * 2, Word((1,), 3)), ValueError,
-                     "word alphabet 3 does not match 2 recurrences", id="polynomial-alphabet"),
-        pytest.param(lambda: verify_three_term([HERMITE], 0), ValueError,
-                     "depth must be >= 1", id="three-term-depth-0"),
+        pytest.param(lambda: product_polynomial([HERMITE] * 2, Word((1,), 3)), SizeError,
+                     "word Word(1; N=3) is over N=3 letters, not N=2", id="polynomial-alphabet"),
+        pytest.param(lambda: verify_three_term([HERMITE], 0), SizeError,
+                     "depth must be >= 1, got 0", id="three-term-depth-0"),
+        pytest.param(lambda: verify_three_term([HERMITE], True), SizeError,
+                     "depth must be an integer, got True", id="three-term-bool-depth"),
     ],
 )
 def test_refusals_name_their_cause(call, error, message):

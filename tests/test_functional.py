@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,7 +91,10 @@ def test_kernel_eval_examples(gaussian_phi):
 
 
 def test_kernel_eval_bound(gaussian_phi):
-    with pytest.raises(ValueError, match="beyond stored bound"):
+    bound = gaussian_phi.word_bound
+    with pytest.raises(SizeError, match=re.escape(
+            f"moment table stores words up to length {bound}; word Word(111111; N=1) "
+            "needs length 6")):
         gaussian_phi.kernel_eval(Word((1, 1, 1), 1), Word((1, 1, 1), 1))
 
 
@@ -460,10 +464,13 @@ def test_values_indexed_by_graded_rank(alphabet, degree, seed):
     assert phi.values.shape == (len(words),)
     for i, w in enumerate(words):
         assert phi.values[i] == phi.moment(w)
-    with pytest.raises(ValueError, match="beyond stored bound"):
-        phi.moment(Word((1,) * (phi.word_bound + 1), alphabet))
-    with pytest.raises(ValueError, match="beyond stored bound"):
-        phi.moment(Word((1,), alphabet + 1))
+    long = Word((1,) * (phi.word_bound + 1), alphabet)
+    assert refusal(lambda: phi.moment(long)) == (
+        SizeError, f"moment table stores words up to length {phi.word_bound}; word {long} "
+        f"needs length {phi.word_bound + 1}")
+    assert refusal(lambda: phi.moment(Word((1,), alphabet + 1))) == (
+        SizeError, f"word Word(1; N={alphabet + 1}) is over N={alphabet + 1} letters, "
+        f"not N={alphabet}")
 
 
 def test_values_are_read_only(random_phi):
@@ -654,7 +661,7 @@ def test_json_placement_errors(edit, message):
 
 def test_word_table_from_another_alphabet_rejected():
     table = {Word((1,) * n, 1): v for n, v in enumerate(GAUSSIAN_MOMENTS[:6])}
-    with pytest.raises(ValueError, match=r"Word\(e; N=1\) outside the N=2 table"):
+    with pytest.raises(SizeError, match="a word of the table is over N=1 letters, not N=2"):
         MomentFunctional(2, 1, table)
 
 
@@ -669,8 +676,11 @@ def test_word_table_from_another_alphabet_rejected():
             lambda: MomentFunctional.from_json_obj({"N": 0, "max_degree": 1, "moments": []}),
             SizeError, "alphabet size must be >= 1, got 0", id="json-alphabet-0"),
         pytest.param(lambda: one_dim_functional(GAUSSIAN_MOMENTS[:3], 1).apply(NcPolynomial.one(2)),
-                     ValueError, "polynomial alphabet does not match functional",
+                     SizeError, "a degree-0 polynomial is over N=2 letters, not N=1",
                      id="apply-alphabet"),
+        pytest.param(lambda: MomentFunctional(1, 1, {Word((), 1): 1.0, Word((1,) * 5, 1): 0.0}),
+                     SizeError, "word Word(11111; N=1) outside the N=1 table, which may extend "
+                     "at most one level past length 2", id="table-word-too-long"),
         pytest.param(
             lambda: MomentFunctional.from_json_obj({"N": 1, "max_degree": 0, "moments": {}}),
             TypeError, "'moments' must be a list of word/value entries", id="moments-not-a-list"),

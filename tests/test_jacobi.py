@@ -394,7 +394,7 @@ def test_blocks_close_compares_the_levels_both_families_hold():
 
 def test_blocks_close_refuses_families_over_other_alphabets():
     two, three = random_admissible_family(2, 2, seed=1), random_admissible_family(3, 2, seed=1)
-    with pytest.raises(ValueError, match="family alphabets differ: 2 and 3"):
+    with pytest.raises(SizeError, match="the other family is over N=3 letters, not N=2"):
         two.blocks_close(three)
 
 

@@ -168,6 +168,21 @@ def test_extract_round_trips_random_family(random_setup):
     assert fam.blocks_close(recovered) <= 1e-8
 
 
+def test_basis_reads_words_through_the_reach_rule(random_setup):
+    # a rank from the alphabet rule and the stored depth, not a dict of every word
+    _, phi, _ = random_setup
+    basis, empty, deep = orthonormalize(phi, 1), Word((), 2), Word((1, 1), 2)
+    refused = (SizeError, "basis stores words up to length 1, not word Word(11; N=2)")
+    assert refusal(lambda: basis.coefficient(deep, empty)) == refused
+    assert refusal(lambda: basis.coefficient(empty, deep)) == refused
+    assert refusal(lambda: basis.polynomial(deep)) == refused
+    assert "_index" not in vars(basis)
+    for i, alpha in enumerate(basis.words):
+        assert basis.polynomial(alpha) == NcPolynomial(2, dict(zip(basis.words, basis.coeffs[i])))
+        for j, beta in enumerate(basis.words):
+            assert basis.coefficient(alpha, beta) == basis.coeffs[i, j]
+
+
 def test_basis_refuses_a_negative_depth():
     with pytest.raises(SizeError, match="depth must be >= 0"):
         OrthonormalBasis(2, -1, np.zeros((0, 0)))
@@ -450,7 +465,8 @@ def test_basis_json_matches_polynomial_route(random_setup):
         pytest.param(
             lambda: extract_recurrence(
                 orthonormalize(one_dim_functional(GAUSSIAN_MOMENTS[:4], 1), 1), singular_pair()),
-            ValueError, re.escape("basis and functional alphabets differ"), id="extract-alphabets"),
+            SizeError, re.escape("the basis is over N=1 letters, not N=2"),
+            id="extract-alphabets"),
     ],
 )
 def test_refusals_name_their_cause(call, error, pattern):

@@ -140,8 +140,11 @@ def test_paths_triple_letter_count():
 def test_enumerate_paths_rejects_empty_and_capped():
     with pytest.raises(ValueError):
         enumerate_paths(Word((), 2))
-    with pytest.raises(ValueError, match="cap"):
-        enumerate_paths(Word((1,) * 9, 1))
+    assert refusal(lambda: enumerate_paths(Word((1,) * 9, 1))) == (
+        SizeError, "explicit path lists are capped at |word| = 8 (835 paths would be materialized)")
+    assert refusal(lambda: enumerate_paths(Word((1,) * 20000, 1))) == (
+        SizeError, "explicit path lists are capped at |word| = 8 "
+        "(at least 2**31678 paths would be materialized)")
     at_cap = enumerate_paths(Word((1,) * DEFAULT_PATH_CAP, 1))
     assert sorted(p.profile for p in at_cap) == sorted(naive_profiles(DEFAULT_PATH_CAP))
 
@@ -183,8 +186,8 @@ def test_path_routes_check_the_word_alphabet(letters, word_alphabet, family_alph
     word = Word(letters, word_alphabet)
     for route, arg in [(moments_from_paths, word), (operator_moment, word),
                        *((path_weight, p) for p in enumerate_paths(word))]:
-        with pytest.raises(ValueError, match="word alphabet does not match family"):
-            route(fam, arg)
+        message = f"word {word} is over N={word_alphabet} letters, not N={family_alphabet}"
+        assert refusal(lambda: route(fam, arg)) == (SizeError, message)
 
 
 def test_every_route_refuses_levels_past_the_depth_alike():
@@ -558,8 +561,12 @@ def test_recovery_rejects_non_positive_table():
                      id="motzkin-negative"),
         pytest.param(lambda: motzkin_number(1.5), SizeError, "length must be an integer, got 1.5",
                      id="motzkin-float"),
-        pytest.param(lambda: motzkin_binomial_sum(0), ValueError, "defined for n >= 1",
+        pytest.param(lambda: motzkin_binomial_sum(0), SizeError, "n must be >= 1, got 0",
                      id="binomial-sum-0"),
+        pytest.param(lambda: motzkin_binomial_sum(2.0), SizeError, "n must be an integer, got 2.0",
+                     id="binomial-sum-float"),
+        pytest.param(lambda: motzkin_binomial_sum(True), SizeError,
+                     "n must be an integer, got True", id="binomial-sum-bool"),
         pytest.param(lambda: jacobi_from_moments(one_dim_functional(GAUSSIAN_MOMENTS[:3], 1), -1),
                      SizeError, "depth must be >= 0, got -1", id="peel-negative-depth"),
     ],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ncjacobi as nj
 from ncjacobi import (
     Word,
     enumerate_words,
@@ -121,11 +122,63 @@ def test_enumerate_splits_by_first_letter(alphabet, length):
         assert prefixed == [x for x in ws if x.letters[0] == k]
 
 
+def _table(alphabet):
+    return nj.favard_moments(nj.random_admissible_family(alphabet, 1, seed=0), 1)
+
+
+# every entry point that meets a word, polynomial, basis or family over N=3 letters
+# where it needs N=2, and what it calls the refused object
+ALPHABET_CASES = [
+    pytest.param(lambda: w([1]) < w([1], 3), "the compared word", id="word-order"),
+    pytest.param(lambda: w([1]).concat(w([1], 3)), "the appended word", id="word-concat"),
+    pytest.param(lambda: nj.NcPolynomial(2, {w([1], 3): 1.0}), "a term word", id="poly-term"),
+    pytest.param(lambda: nj.NcPolynomial.one(2) + nj.NcPolynomial.one(3), "the other polynomial",
+                 id="poly-add"),
+    pytest.param(lambda: nj.NcPolynomial.one(2) * nj.NcPolynomial.one(3), "the other polynomial",
+                 id="poly-mul"),
+    pytest.param(lambda: nj.MomentFunctional(2, 0, {w([], 3): 1.0}), "a word of the table",
+                 id="table-word"),
+    pytest.param(lambda: _table(2).moment(w([1], 3)), "word Word(1; N=3)", id="moment"),
+    pytest.param(lambda: _table(2).apply(nj.NcPolynomial.one(3)), "a degree-0 polynomial",
+                 id="apply"),
+    pytest.param(lambda: nj.random_admissible_family(2, 1).blocks_close(
+        nj.random_admissible_family(3, 1)), "the other family", id="blocks-close"),
+    pytest.param(lambda: nj.operator_moment(nj.random_admissible_family(2, 1), w([1], 3)),
+                 "word Word(1; N=3)", id="operator-moment"),
+    pytest.param(lambda: nj.extract_recurrence(nj.orthonormalize(_table(3), 1), _table(2)),
+                 "the basis", id="extract-recurrence"),
+    pytest.param(lambda: nj.path_weight(nj.random_admissible_family(2, 1),
+                                        nj.distinguished_path(w([1, 1], 3))),
+                 "word Word(11; N=3)", id="path-weight"),
+    pytest.param(lambda: nj.moments_from_paths(nj.random_admissible_family(2, 1), w([1], 3)),
+                 "word Word(1; N=3)", id="moments-from-paths"),
+    pytest.param(lambda: nj.product_polynomial([nj.classical_coefficients("hermite", 1)] * 2,
+                                               w([1], 3)),
+                 "word Word(1; N=3)", id="product-polynomial"),
+    pytest.param(lambda: nj.orthonormalize(_table(2), 1).coefficient(w([1], 3), w([])),
+                 "word Word(1; N=3)", id="basis-coefficient"),
+    pytest.param(lambda: nj.orthonormalize(_table(2), 1).polynomial(w([1], 3)),
+                 "word Word(1; N=3)", id="basis-polynomial"),
+]
+
+
+@pytest.mark.parametrize("call, what", ALPHABET_CASES)
+def test_one_alphabet_rule(call, what):
+    assert refusal(call) == (SizeError, f"{what} is over N=3 letters, not N=2")
+
+
 def test_enumerate_cap():
-    with pytest.raises(ValueError, match="cap"):
-        enumerate_words(10, 7)
-    with pytest.raises(ValueError, match="cap"):
-        words_up_to(10, 7)
+    assert refusal(lambda: enumerate_words(10, 7)) == (
+        SizeError, "enumeration of 10000000 words exceeds cap 1000000")
+    assert refusal(lambda: words_up_to(10, 7)) == (
+        SizeError, "enumeration of 11111111 words exceeds cap 1000000")
+    assert refusal(lambda: words_up_to(1, 10**7)) == (
+        SizeError, "enumeration of 10000001 words exceeds cap 1000000")
+    # a count past the 4300 digits Python prints of an int is bounded, not printed
+    assert refusal(lambda: enumerate_words(2, 20000)) == (
+        SizeError, "enumeration of at least 2**20000 words exceeds cap 1000000")
+    assert refusal(lambda: words_up_to(2, 20000)) == (
+        SizeError, "enumeration of at least 2**20000 words exceeds cap 1000000")
 
 
 def test_rank_is_position_in_enumeration():
@@ -289,8 +342,8 @@ def test_index_helpers_reject_bad_arguments(call):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(lambda: w([1]).concat(w([1], 3)), ValueError,
-                     "cannot concatenate words over different alphabets", id="concat-alphabets"),
+        pytest.param(lambda: w([1]).concat(w([1], 3)), SizeError,
+                     "the appended word is over N=3 letters, not N=2", id="concat-alphabets"),
         pytest.param(lambda: enumerate_words(0, 1), SizeError,
                      "alphabet size must be >= 1, got 0", id="alphabet-0"),
         pytest.param(lambda: enumerate_words(1, -1), SizeError, "length must be >= 0, got -1",
