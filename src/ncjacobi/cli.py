@@ -22,7 +22,7 @@ from .jacobi import favard_moments, validate
 from .orthopoly import ResidualError, extract_recurrence, orthonormalize
 from .paths import DEFAULT_PATH_CAP, STEP_KINDS, enumerate_paths, motzkin_number
 from .paths import path_weight
-from .words import SizeError, Word, _check_sizes
+from .words import SizeError, Word, _check_sizes, _log10_words
 
 # Peak bytes per entry, as peak RSS on hermite,legendre: a family built and written, 222 MB
 # for 4,194,302 block entries at depth 10; the dense words x words matrix of --basis, 36 MiB
@@ -105,13 +105,6 @@ def _check_outputs(args) -> None:
         for other, there, _ in real[i + 1 :]:
             if out in options[:2] and there == where:
                 raise UsageError(f"{out} and {other} name the same file {path}")
-
-
-def _log10_words(n: int, lo: int, hi: int) -> float:
-    """log10 of N^lo + .. + N^hi, the number of words of lengths lo..hi, without forming it."""
-    if n == 1:
-        return math.log10(hi - lo + 1)
-    return hi * math.log10(n) + math.log10((1 - n ** (lo - hi - 1)) / (1 - 1 / n))
 
 
 def _check_memory(what: str, *terms: tuple[int, float]) -> None:
@@ -220,31 +213,31 @@ def cmd_freeproduct(args) -> None:
 def cmd_paths(args) -> None:
     if args.count_only and args.out is not None:
         raise UsageError("--out is not used with --count-only")
+    if not all(tok.strip() for tok in args.word.split(",")):
+        raise UsageError(f"empty entry in word {args.word!r}")
     try:
-        letters = tuple(int(tok) for tok in args.word.split(",") if tok.strip())
+        letters = tuple(int(tok) for tok in args.word.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse word {args.word!r}: {exc}") from exc
-    if not letters:
-        raise UsageError("word must be nonempty")
     family = None if args.family is None else _read(jsonio.load_family, args.family)
     word = Word(letters, max(max(letters), 1) if family is None else family.alphabet)
-    # M_n < 3^n has at most floor(n log10 3) + 1 digits; 0 means no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(word) * math.log10(3) >= limit:
-        raise UsageError(
-            f"the path count of a length-{len(word)} word may exceed Python's "
-            f"{limit}-digit limit on printing an integer"
-        )
-    count = motzkin_number(len(word))
     if args.count_only:
-        print(count)
+        # M_n < 3^n has at most floor(n log10 3) + 1 digits; 0 means no limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(word) * math.log10(3) >= limit:
+            raise UsageError(
+                f"the path count of a length-{len(word)} word may exceed Python's "
+                f"{limit}-digit limit on printing an integer"
+            )
+        print(motzkin_number(len(word)))
         return
     if len(word) > DEFAULT_PATH_CAP:
         raise UsageError(
-            f"path lists are written for words of length <= {DEFAULT_PATH_CAP} "
-            f"({count} paths at length {len(word)}); use --count-only for the count"
+            f"path lists are written for words of length <= {DEFAULT_PATH_CAP}, "
+            f"not {len(word)}; use --count-only for the count"
         )
     paths = enumerate_paths(word)
+    count = len(paths)
     obj = {
         "word": list(word.letters),
         "count": count,

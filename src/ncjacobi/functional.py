@@ -18,9 +18,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncpoly import NcPolynomial
-from .words import SizeError, Word, _check_sizes, _require_alphabet, enumerate_words, graded_rank
-from .words import kernel_index, letters_up_to, level_offsets, reversal_index, word_at
-from .words import words_up_to
+from .words import SizeError, Word, _check_sizes, _count_words, _require_alphabet, enumerate_words
+from .words import graded_rank, kernel_index, letters_up_to, level_offsets, reversal_index
+from .words import word_at, words_up_to
 
 POSITIVITY_TOL = 1e-10  # a Gram pivot must exceed this
 SYMMETRY_TOL = 1e-12  # relative reversal-symmetry and unit-mass bound of a table
@@ -166,8 +166,8 @@ class MomentFunctional:
         if len(offs) < top + 2 or values.size not in offs[-2:]:
             raise ValueError(
                 f"moment table incomplete: {values.size} values, expected "
-                f"{_count_words(alphabet, top - 1)} (words up to length {top - 1}) or "
-                f"{_count_words(alphabet, top)}"
+                f"{_count_words(alphabet, 0, top - 1)} (words up to length {top - 1}) or "
+                f"{_count_words(alphabet, 0, top)}"
             )
         word_bound = 2 * max_degree + (values.size == offs[-1])
         rev = reversal_index(alphabet, word_bound)
@@ -314,16 +314,6 @@ def _fillable_offsets(alphabet: int, top: int, count: int) -> tuple[int, ...]:
     return level_offsets(alphabet, level)
 
 
-def _count_words(alphabet: int, length: int) -> str:
-    """The number of words up to ``length``; past 4000 digits, as a formula, since
-    Python refuses to print an int of more than 4300."""
-    if alphabet == 1:
-        return str(length + 1)
-    if (length + 1) * math.log10(alphabet) < 4000:
-        return str((alphabet ** (length + 1) - 1) // (alphabet - 1))
-    return f"({alphabet}**{length + 1} - 1)" + (f" // {alphabet - 1}" if alphabet > 2 else "")
-
-
 def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) -> np.ndarray:
     """Moments of words given as letter sequences, listed by graded rank: every
     word up to length 2*max_degree once, and the words one longer all or none."""
@@ -361,7 +351,7 @@ def _by_rank(alphabet: int, max_degree: int, words: Sequence, values: Sequence) 
     if short:
         raise ValueError(
             f"moment table incomplete: {len(words)} entries for the "
-            f"{_count_words(alphabet, top - 1)} words "
+            f"{_count_words(alphabet, 0, top - 1)} words "
             f"up to length {top - 1}; missing word {word_at(alphabet, int(np.argmin(counts)))}"
         )
     size = offs[-1] if counts[offs[top] :].any() else offs[top]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .functional import MomentFunctional, require_positive, upper_cholesky
 from .jacobi import AdmissibleFamily, _by_letter, _letter_blocks
-from .words import SizeError, Word, _check_sizes, _count_text, _require_alphabet, _require_count
+from .words import SizeError, Word, _check_sizes, _require_alphabet, _require_count
 from .words import level_kernel_index, level_offsets
 
 STEP_KINDS = {1: "rise", 0: "level", -1: "fall"}  # by height change
@@ -98,10 +98,8 @@ def enumerate_paths(word: Word) -> list[LatticePath]:
     if word.is_empty:
         raise ValueError("the empty word has no paths")
     if len(word) > DEFAULT_PATH_CAP:
-        raise SizeError(
-            f"explicit path lists are capped at |word| = {DEFAULT_PATH_CAP} "
-            f"({_count_text(motzkin_number(len(word)))} paths would be materialized)"
-        )
+        cap = DEFAULT_PATH_CAP
+        raise SizeError(f"explicit path lists are capped at |word| = {cap}, not {len(word)}")
     # rise/level/fall profiles (+1/0/-1) that stay nonnegative and end at 0
     profiles = itertools.product((1, 0, -1), repeat=len(word))
     return [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator
@@ -118,7 +119,7 @@ def _require_integer(name: str, size) -> None:
 def enumerate_words(alphabet: int, length: int) -> list[Word]:
     """All alphabet**length words of the given length, in graded-lex order."""
     _check_sizes(alphabet, length=length)
-    _check_enumeration(alphabet**length)
+    _check_enumeration(alphabet, length, length)
     return [
         Word(letters, alphabet)
         for letters in itertools.product(range(1, alphabet + 1), repeat=length)
@@ -128,21 +129,36 @@ def enumerate_words(alphabet: int, length: int) -> list[Word]:
 def words_up_to(alphabet: int, max_length: int) -> list[Word]:
     """All words of length <= max_length in graded-lex order."""
     _check_sizes(alphabet, max_length=max_length)
-    top = max_length + 1  # the count in closed form: summing big powers takes O(top^2) time
-    _check_enumeration((alphabet**top - 1) // (alphabet - 1) if alphabet > 1 else top)
-    return [w for n in range(top) for w in enumerate_words(alphabet, n)]
+    _check_enumeration(alphabet, 0, max_length)
+    return [w for n in range(max_length + 1) for w in enumerate_words(alphabet, n)]
 
 
-def _check_enumeration(count: int) -> None:
-    """Refuse to materialize ``count`` words past DEFAULT_ENUMERATION_CAP."""
-    if count > DEFAULT_ENUMERATION_CAP:
-        shown = _count_text(count)
+def _check_enumeration(alphabet: int, lo: int, hi: int) -> None:
+    """Refuse the words of lengths lo..hi past DEFAULT_ENUMERATION_CAP, judged by their log."""
+    if _log10_words(alphabet, lo, hi) > math.log10(DEFAULT_ENUMERATION_CAP):
+        shown = _count_words(alphabet, lo, hi)
         raise SizeError(f"enumeration of {shown} words exceeds cap {DEFAULT_ENUMERATION_CAP}")
 
 
-def _count_text(count: int) -> str:
-    """``count`` in digits, or bounded by a power of 2 past the 4300 digits Python prints."""
-    return str(count) if count.bit_length() < 14000 else f"at least 2**{count.bit_length() - 1}"
+def _log10_words(alphabet: int, lo: int, hi: int) -> float:
+    """log10 of N^lo + .. + N^hi, the number of words of lengths lo..hi, without forming it."""
+    n = alphabet
+    if n == 1:
+        return math.log10(hi - lo + 1)
+    # the power in float: a numpy integer takes no negative integer power
+    return hi * math.log10(n) + math.log10((1 - n ** float(lo - hi - 1)) / (1 - 1 / n))
+
+
+def _count_words(alphabet: int, lo: int, hi: int) -> str:
+    """The one text of a word count, of lengths lo..hi: in digits below 10**600, which Python
+    prints under any int_max_str_digits limit (none is under 640), and past that in closed form."""
+    n, lo, hi = int(alphabet), int(lo), int(hi)  # int64 would wrap the exact count
+    if n == 1 or _log10_words(n, lo, hi) < 600:
+        return str((n ** (hi + 1) - n**lo) // (n - 1) if n > 1 else hi - lo + 1)
+    if lo == hi:
+        return f"{n}**{hi}"
+    low = "1" if lo == 0 else f"{n}**{lo}"
+    return f"({n}**{hi + 1} - {low})" + (f" // {n - 1}" if n > 2 else "")
 
 
 def letters_up_to(alphabet: int, max_length: int) -> Iterator[tuple[int, ...]]:

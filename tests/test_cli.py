@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import ncjacobi
-from ncjacobi import AdmissibleFamily, MomentFunctional, favard_moments, jsonio
+from ncjacobi import AdmissibleFamily, MomentFunctional, Word, enumerate_paths, enumerate_words
+from ncjacobi import favard_moments, jsonio
 from ncjacobi import moments_from_paths, random_admissible_family, words_up_to
 from ncjacobi.cli import main
 from ncjacobi.words import SizeError
@@ -58,7 +60,9 @@ def test_full_pipeline(workdir, capsys):
     [
         pytest.param(["freeproduct", "--spec", "hermite", "--depth", "-1", "--out", "f.json"],
                      "depth must be >= 0, got -1", id="freeproduct-negative-depth"),
-        pytest.param(["paths", "--word", ","], "word must be nonempty", id="paths-no-letters"),
+        pytest.param(["paths", "--word", ","], "empty entry in word ','", id="paths-no-letters"),
+        pytest.param(["paths", "--word", "1,,2", "--count-only"], "empty entry in word '1,,2'",
+                     id="paths-empty-entry"),
     ],
 )
 def test_refusals_name_their_cause(workdir, capsys, argv, message):
@@ -1125,11 +1129,81 @@ def test_paths_over_the_list_limit_names_it(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: path lists are written for words of length <= {cap} "
-        f"({ncjacobi.motzkin_number(cap + 1)} paths at length {cap + 1}); "
+        f"error: path lists are written for words of length <= {cap}, not {cap + 1}; "
         f"use --count-only for the count\n"
     )
     assert run(["paths", "--word", ",".join(["1"] * cap), "--out", "p.json"]) == 0
+
+
+def test_paths_refuses_a_list_without_counting_it(workdir, capsys, monkeypatch):
+    def no_count(n):
+        raise AssertionError(f"the path count of length {n} was formed")
+
+    monkeypatch.setattr(ncjacobi.paths, "motzkin_number", no_count)
+    monkeypatch.setattr(ncjacobi.cli, "motzkin_number", no_count)
+    assert run(["paths", "--word", ",".join(["1"] * 9)]) == 2
+    assert capsys.readouterr().err.startswith("error: path lists are written for words")
+    # 5000 letters: the refusal is one short line, not M_5000's 2386 digits
+    assert run(["paths", "--word", ",".join(["1"] * 5000)]) == 2
+    assert capsys.readouterr().err == (
+        "error: path lists are written for words of length <= 8, not 5000; "
+        "use --count-only for the count\n"
+    )
+
+
+def _cli_refusal(argv):
+    """The exit code and stderr of ``main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _verify_one_entry_table(alphabet, max_degree):
+    _one_entry_table("h.json", alphabet, max_degree)
+    return _cli_refusal(["verify", "--moments", "h.json"])
+
+
+BIG = "(2**3001 - 1)"  # 904 digits: past the 640 the digit limit may be set to
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="int-to-str has no digit limit"
+)
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: refusal(lambda: words_up_to(2, 3000)),
+                     (SizeError, f"enumeration of {BIG} words exceeds cap 1000000"),
+                     id="words_up_to"),
+        pytest.param(lambda: refusal(lambda: enumerate_words(2, 3000)),
+                     (SizeError, "enumeration of 2**3000 words exceeds cap 1000000"),
+                     id="enumerate_words"),
+        pytest.param(lambda: refusal(lambda: MomentFunctional.from_values(2, 1500, [1.0, 0, 0])),
+                     (ValueError, f"moment table incomplete: 3 values, expected {BIG} (words "
+                      "up to length 3000) or (2**3002 - 1)"),
+                     id="from_values"),
+        pytest.param(lambda: refusal(lambda: MomentFunctional(2, 1500, {Word((), 2): 1.0})),
+                     (ValueError, f"moment table incomplete: 1 entries for the {BIG} words up "
+                      "to length 3000; missing word Word(1; N=2)"),
+                     id="mapping"),
+        pytest.param(lambda: refusal(lambda: enumerate_paths(Word((1,) * 2000, 1))),
+                     (SizeError, "explicit path lists are capped at |word| = 8, not 2000"),
+                     id="enumerate_paths"),
+        pytest.param(lambda: _verify_one_entry_table(2, 1500),
+                     (2, f"error: h.json: moment table incomplete: 1 entries for the {BIG} "
+                      "words up to length 3000; missing word Word(1; N=2)\n"),
+                     id="verify-moments"),
+    ],
+)
+def test_refusals_print_under_the_lowest_digit_limit(workdir, call, expected):
+    # 640 is the lowest limit Python takes; each refusal keeps its own type and text
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert call() == expected
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("seed", [7, 13])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -141,12 +142,26 @@ def test_enumerate_paths_rejects_empty_and_capped():
     with pytest.raises(ValueError):
         enumerate_paths(Word((), 2))
     assert refusal(lambda: enumerate_paths(Word((1,) * 9, 1))) == (
-        SizeError, "explicit path lists are capped at |word| = 8 (835 paths would be materialized)")
+        SizeError, "explicit path lists are capped at |word| = 8, not 9")
     assert refusal(lambda: enumerate_paths(Word((1,) * 20000, 1))) == (
-        SizeError, "explicit path lists are capped at |word| = 8 "
-        "(at least 2**31678 paths would be materialized)")
+        SizeError, "explicit path lists are capped at |word| = 8, not 20000")
     at_cap = enumerate_paths(Word((1,) * DEFAULT_PATH_CAP, 1))
     assert sorted(p.profile for p in at_cap) == sorted(naive_profiles(DEFAULT_PATH_CAP))
+
+
+def test_enumerate_paths_refuses_without_counting(monkeypatch):
+    def no_count(n):
+        raise AssertionError(f"the path count of length {n} was formed")
+
+    monkeypatch.setattr(ncjacobi.paths, "motzkin_number", no_count)
+    assert refusal(lambda: enumerate_paths(Word((1, 2) * 4 + (1,), 2))) == (
+        SizeError, "explicit path lists are capped at |word| = 8, not 9")
+    # M_n has about n/2 digits: forming M_100000 took 3.5 s
+    word = Word((1,) * 10**5, 1)
+    start = time.perf_counter()
+    with pytest.raises(SizeError):
+        enumerate_paths(word)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- weights --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import itertools
+import time
 import weakref
 
 import numpy as np
@@ -14,7 +15,8 @@ from ncjacobi import (
     graded_rank,
     words_up_to,
 )
-from ncjacobi.words import kernel_index, letters_up_to, prepend_index, reversal_index
+from ncjacobi.words import DEFAULT_ENUMERATION_CAP, _check_enumeration, kernel_index
+from ncjacobi.words import letters_up_to, prepend_index, reversal_index
 from ncjacobi.words import SizeError, level_kernel_index, level_offsets, orbit_index, word_at
 
 from conftest import refusal
@@ -174,11 +176,41 @@ def test_enumerate_cap():
         SizeError, "enumeration of 11111111 words exceeds cap 1000000")
     assert refusal(lambda: words_up_to(1, 10**7)) == (
         SizeError, "enumeration of 10000001 words exceeds cap 1000000")
-    # a count past the 4300 digits Python prints of an int is bounded, not printed
+    # a count of 600 digits or more is written in closed form, not printed
     assert refusal(lambda: enumerate_words(2, 20000)) == (
-        SizeError, "enumeration of at least 2**20000 words exceeds cap 1000000")
+        SizeError, "enumeration of 2**20000 words exceeds cap 1000000")
     assert refusal(lambda: words_up_to(2, 20000)) == (
-        SizeError, "enumeration of at least 2**20000 words exceeds cap 1000000")
+        SizeError, "enumeration of (2**20001 - 1) words exceeds cap 1000000")
+    assert refusal(lambda: words_up_to(3, 20000)) == (
+        SizeError, "enumeration of (3**20001 - 1) // 2 words exceeds cap 1000000")
+
+
+@pytest.mark.parametrize("int_", [int, np.int64], ids=["int", "numpy"])
+def test_enumerate_cap_boundary(int_):
+    # the cap is judged by a log: exactly DEFAULT_ENUMERATION_CAP words pass
+    assert len(enumerate_words(int_(1000), int_(2))) == DEFAULT_ENUMERATION_CAP
+    # words_up_to(1, 999999) holds about 5e11 letters: its check alone is run
+    for alphabet, lo, hi in [(10, 6, 6), (1000, 2, 2), (1, 0, 999999)]:
+        assert _check_enumeration(int_(alphabet), int_(lo), int_(hi)) is None
+    assert refusal(lambda: words_up_to(int_(1), int_(10**6))) == (
+        SizeError, "enumeration of 1000001 words exceeds cap 1000000")
+    assert refusal(lambda: enumerate_words(int_(10), int_(7))) == (
+        SizeError, "enumeration of 10000000 words exceeds cap 1000000")
+    # 2**64 words, which int64 arithmetic wraps to 0
+    assert refusal(lambda: enumerate_words(int_(2), int_(64))) == (
+        SizeError, "enumeration of 18446744073709551616 words exceeds cap 1000000")
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: words_up_to(3, 10**7), lambda: enumerate_words(3, 10**9)],
+    ids=["words_up_to", "enumerate_words"],
+)
+def test_enumerate_cap_forms_no_count(call):
+    # forming 3**(10**7) to print it took 3.1 s
+    start = time.perf_counter()
+    with pytest.raises(SizeError):
+        call()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_rank_is_position_in_enumeration():
